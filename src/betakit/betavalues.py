@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import rational_str
-from .highprec import (
-    BudgetExceededError,
-    HighPrecisionReal,
-    decimal_string,
-    pi_fraction,
-    quantize,
-)
+from .highprec import BudgetExceededError, HighPrecisionReal, pi_fraction, quantize
 
 __all__ = [
     "BudgetExceededError",
@@ -183,7 +177,3 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     working = digits + 10 + abs(v.power) + coeff_mag
     value = v.coeff * pi_fraction(working) ** v.power
     return HighPrecisionReal(quantize(value, digits + 5), digits)
-
-
-def render_decimal_str(v: PiPowerValue, digits: int) -> str:
-    return decimal_string(render_decimal(v, digits).value, digits)

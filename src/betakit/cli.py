@@ -47,14 +47,15 @@ _DEFAULT_TOL = 1e-8
 _MAX_DIGITS = 1000
 
 
-def _default_digits() -> int:
+def _default_digits(parser: argparse.ArgumentParser) -> int:
+    # read only when --digits is absent, so an explicit flag wins over a bad value
     raw = os.environ.get("BETAKIT_DIGITS")
     if raw is None:
         return 12
     try:
         return int(raw)
     except ValueError:
-        return 12
+        parser.error(f"BETAKIT_DIGITS must be an integer, got {raw!r}")
 
 
 def _dumps(obj) -> str:
@@ -63,7 +64,7 @@ def _dumps(obj) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=_default_digits(),
+    common.add_argument("--digits", type=int, default=None,
                         help="decimal digits for rendered values (default 12)")
     common.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                         help="absolute tolerance for quadrature (default 1e-8)")
@@ -131,6 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate_common(args) -> None:
     p = args._parser
+    if args.digits is None:
+        args.digits = _default_digits(p)
     if not 1 <= args.digits <= _MAX_DIGITS:
         p.error(f"digits must be in [1, {_MAX_DIGITS}]")
     if args.tol < 1e-13:

@@ -40,13 +40,20 @@ class EulerTable:
     """Monotone cache of Euler polynomials and Euler numbers.
 
     ``polys[n]`` is E_n(x), ``numbers[n]`` is E_n = 2^n E_n(1/2).  The
-    polynomial recurrence
+    polynomials form an Appell sequence (DLMF 24.4),
 
-        E_n(x) = x^n - (1/2) * sum_{j<n} C(n, j) E_j(x)
+        E_n(x) = sum_j C(n, j) E_j(0) x^(n-j),
 
-    follows from multiplying the generating function through by (e^t + 1)
-    and matching coefficients of t^n/n!, so it reproduces the generating
-    function exactly with O(n^2) rational operations.
+    so a table needs only the scalars E_m(0).  Multiplying the generating
+    function through by (e^t + 1) and matching coefficients of t^m/m! at
+    x = 0 gives their recurrence
+
+        E_m(0) = [m = 0] - (1/2) * sum_{j<m} C(m, j) E_j(0),
+
+    and each row is then read off as coeffs[i] = C(m, i) E_{m-i}(0).  Both
+    steps cost O(m) rational operations per row, O(n^2) for the table, and
+    neither touches the Bernoulli route, so the dual-route checks in
+    :func:`run_identity_suite` stay independent.
 
     Growth happens under a lock (single writer); entries never change once
     written, so concurrent reads of the built prefix need no synchronization.
@@ -55,6 +62,7 @@ class EulerTable:
     def __init__(self) -> None:
         self.polys: list[RationalPolynomial] = []
         self.numbers: list[Fraction] = []
+        self._at_zero: list[Fraction] = []  # E_m(0), grown under the lock
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
@@ -63,16 +71,14 @@ class EulerTable:
         if len(self.polys) > n:
             return
         with self._lock:
-            coeff_rows = [list(p.coeffs) for p in self.polys]
-            for m in range(len(coeff_rows), n + 1):
-                row = [Fraction(0)] * (m + 1)
-                row[m] = Fraction(1)
-                for j in range(m):
-                    c = -_HALF * binomial(m, j)
-                    for i, cj in enumerate(coeff_rows[j]):
-                        row[i] += c * cj
-                coeff_rows.append(row)
-                poly = RationalPolynomial.from_coefficients(row)
+            at_zero = self._at_zero
+            for m in range(len(at_zero), n + 1):
+                s = sum((binomial(m, j) * at_zero[j] for j in range(m)), Fraction(0))
+                at_zero.append(Fraction(1) if m == 0 else -_HALF * s)
+            for m in range(len(self.polys), n + 1):
+                poly = RationalPolynomial.from_coefficients(
+                    binomial(m, i) * at_zero[m - i] for i in range(m + 1)
+                )
                 # numbers first: readers gate on len(polys), which must be
                 # the last thing to grow
                 self.numbers.append(2**m * poly(_HALF))

@@ -204,20 +204,29 @@ def poly_compose_affine(
 ) -> RationalPolynomial:
     """The polynomial q with q(x) = p(a*x + b), computed exactly.
 
-    Horner in the polynomial ring: fold the coefficient list from the top,
-    multiplying by (a*x + b) at each step.
+    Horner in the polynomial ring, on the common-denominator integer form
+    p = (1/D) sum c_i x^i.  With a*x + b = (u_a*x + u_b)/v over one common
+    denominator v, q(x) = (sum c_i v^(d-i) (u_a*x + u_b)^i) / (D v^d), so
+    the fold acc <- acc * (u_a*x + u_b) + c_i v^(d-i) runs on plain
+    integers and each coefficient is reduced once at the end.
     """
     a = Fraction(a)
     b = Fraction(b)
     if not p.coeffs:
         return RationalPolynomial(())
-    acc: list[Fraction] = [p.coeffs[-1]]
-    for i in range(len(p.coeffs) - 2, -1, -1):
-        # acc <- acc * (a x + b) + c_i
-        nxt = [Fraction(0)] * (len(acc) + 1)
+    d, ints = p._integer_form
+    v = math.lcm(a.denominator, b.denominator)
+    ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
+    deg = len(ints) - 1
+    acc = [ints[deg]]
+    vpow = 1
+    for i in range(deg - 1, -1, -1):
+        vpow *= v
+        nxt = [0] * (len(acc) + 1)
         for j, c in enumerate(acc):
-            nxt[j] += c * b
-            nxt[j + 1] += c * a
-        nxt[0] += p.coeffs[i]
+            nxt[j] += c * ub
+            nxt[j + 1] += c * ua
+        nxt[0] += ints[i] * vpow
         acc = nxt
-    return RationalPolynomial.from_coefficients(acc)
+    den = d * vpow
+    return RationalPolynomial.from_coefficients(Fraction(c, den) for c in acc)

@@ -120,18 +120,6 @@ def _estar_taylor(k: int, at_half: bool) -> tuple[float, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _odd_euler_taylor_at_half(n: int) -> tuple[float, ...]:
-    p = euler_polynomial(n)
-    out: list[float] = []
-    fact = 1
-    for j in range(_TAYLOR_ORDER + 1):
-        out.append(float(p(Fraction(1, 2)) / fact))
-        p = p.derivative()
-        fact *= j + 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ExtendedFunctionSpec:
     """One of the boundary-extended quotients f, g, h on [0, 1/2].

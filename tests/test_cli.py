@@ -67,6 +67,23 @@ class TestBetaOdd:
         assert payload["digits"] == 6
         assert payload["decimal"] == "0.968946"
 
+    def test_invalid_digits_env_is_usage_error(self, run_betakit):
+        r = run_betakit(
+            ["beta", "odd", "--k", "1", "--format", "json"],
+            env_extra={"BETAKIT_DIGITS": "abc"},
+        )
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"usage:" in r.stderr
+        assert b"BETAKIT_DIGITS must be an integer, got 'abc'" in r.stderr
+        # an explicit --digits never reads the variable
+        r = run_betakit(
+            ["beta", "odd", "--k", "1", "--digits", "4", "--format", "json"],
+            env_extra={"BETAKIT_DIGITS": "abc"},
+        )
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["digits"] == 4
+
     def test_explicit_digits_beats_env(self, run_betakit):
         r = run_betakit(
             ["beta", "odd", "--k", "1", "--digits", "4", "--format", "json"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,24 @@ class TestTables:
             assert t.numbers[n] == 2**n * t.polys[n](HALF)
             if n % 2 == 1:
                 assert t.numbers[n] == 0
+
+    def test_euler_table_matches_polynomial_recurrence(self):
+        # reference: E_m(x) = x^m - (1/2) sum_{j<m} C(m, j) E_j(x), run
+        # coefficient by coefficient over all earlier rows (O(n^3))
+        rows: list[list[Fraction]] = []
+        for m in range(41):
+            row = [F(0)] * (m + 1)
+            row[m] = F(1)
+            for j in range(m):
+                c = -HALF * math.comb(m, j)
+                for i, cj in enumerate(rows[j]):
+                    row[i] += c * cj
+            rows.append(row)
+        t = EulerTable()
+        t.ensure(10)  # grown in two steps, so resuming the scalar recurrence is covered
+        t.ensure(40)
+        assert [list(p.coeffs) for p in t.polys] == rows
+        assert t.numbers == [2**m * t.polys[m](HALF) for m in range(41)]
 
     def test_bernoulli_table_growth_is_idempotent(self):
         t = BernoulliTable()

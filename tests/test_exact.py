@@ -75,6 +75,53 @@ class TestComposeAffine:
         assert shifted + E2 == RationalPolynomial.monomial(2, 2)
 
 
+def _fraction_horner_compose(p, a, b):
+    # reference: Horner on Fraction coefficient lists, acc <- acc * (a x + b) + c_i
+    if not p.coeffs:
+        return []
+    acc = [p.coeffs[-1]]
+    for c in reversed(p.coeffs[:-1]):
+        nxt = [F(0)] * (len(acc) + 1)
+        for j, cj in enumerate(acc):
+            nxt[j] += cj * b
+            nxt[j + 1] += cj * a
+        nxt[0] += c
+        acc = nxt
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+class TestComposeAffineIntegerFold:
+    @given(
+        polys,
+        st.one_of(st.just(F(0)), rationals),
+        st.one_of(st.just(F(0)), rationals),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_horner(self, p, a, b):
+        q = poly_compose_affine(p, a, b)
+        assert list(q.coeffs) == _fraction_horner_compose(p, a, b)
+        assert all(type(c) is Fraction for c in q.coeffs)
+        assert not q.coeffs or q.coeffs[-1] != 0
+        if a == 0:
+            assert q.degree <= 0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(F(2, 3), F(-5, 4)), (F(0), F(3, 7)), (F(1, 6), F(0)), (F(0), F(0))],
+    )
+    def test_mixed_denominators_and_zeros(self, a, b):
+        p = RationalPolynomial.from_coefficients([F(1, 4), F(-2, 9), 0, F(5, 2)])
+        assert list(poly_compose_affine(p, a, b).coeffs) == _fraction_horner_compose(p, a, b)
+        assert poly_compose_affine(RationalPolynomial.zero(), a, b) == RationalPolynomial.zero()
+
+    def test_constant_substitution_trims_to_value(self):
+        # a = 0 collapses p to the constant p(b); E2 = x^2 - x vanishes at 1
+        assert poly_compose_affine(E2, 0, 1) == RationalPolynomial.zero()
+        assert poly_compose_affine(E2, 0, F(1, 2)) == RationalPolynomial.from_coefficients([F(-1, 4)])
+
+
 class TestBinomial:
     def test_small_values(self):
         assert binomial(4, 2) == 6
