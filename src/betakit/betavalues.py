@@ -126,21 +126,28 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
     measure on [0,1].  a_k = 1/(2k+1)^s qualifies (weight
     (-log x)^(s-1)/(s-1)! on [0,1], pushed forward through x^2), so n is
     chosen to push the bound below a quarter of the digit budget.
+
+    The loop runs on integers: b and c are integral, and the sum is kept
+    in binary fixed point with 2^bits > 10^(digits+10).  Each of the n
+    terms floor(c_k 2^bits / (2k+1)^s) loses less than one unit, so the
+    result acc / (d_n 2^bits) is within n / (d_n 2^bits) of the exact
+    weighted sum; d_n > 10^digits makes that far smaller than 10^-(digits+10).
     """
     n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
     u_prev, u = 2, 6
     for _ in range(n - 1):
         u_prev, u = u, 6 * u - u_prev
     d = u // 2
-    scale = 10 ** (digits + 10)
-    b = Fraction(-1)
-    c = Fraction(-d)
-    acc = Fraction(0)
+    bits = (10 ** (digits + 10)).bit_length()
+    b = -1
+    c = -d
+    acc = 0
     for k in range(n):
         c = b - c
-        acc += c * (scale // (2 * k + 1) ** s)
-        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
-    return acc / d / scale
+        acc += (c << bits) // (2 * k + 1) ** s
+        # exact: b_k = (-1)^(k+1) 4^k n/(n+k) C(n+k, 2k) stays integral
+        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
+    return Fraction(acc, d << bits)
 
 
 def beta_series(s: int, digits: int) -> HighPrecisionReal:
@@ -168,6 +175,16 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     Working precision adds 10 guard digits plus headroom for the power and
     the coefficient magnitude, so the final quantization dominates the
     error budget.
+
+    pi^q, q = |power|, is formed in binary fixed point with
+    2^bits > 10^working.  P = floor(pi_fraction(working) 2^bits) / 2^bits
+    is within 2 10^-working of pi, and each truncating product
+    (x P) >> bits loses less than one unit 2^-bits, so pi^q comes out
+    within (2q + 1.5) pi^(q-1) 10^-working.  A negative power takes the
+    reciprocal floor(2^(2 bits) / x): one more unit, plus the error of
+    pi^q divided by pi^(2q).  The q + coeff_mag digits of headroom keep
+    |coeff| times either error below 10^-(digits+10), and rounding to
+    digits+5 places adds at most 10^-(digits+5) / 2.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -175,5 +192,13 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
         return HighPrecisionReal(v.coeff, digits)
     coeff_mag = len(str(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
-    value = v.coeff * pi_fraction(working) ** v.power
+    bits = (10**working).bit_length()
+    pi = pi_fraction(working)
+    p = (pi.numerator << bits) // pi.denominator
+    x = p
+    for _ in range(abs(v.power) - 1):
+        x = (x * p) >> bits
+    if v.power < 0:
+        x = (1 << 2 * bits) // x
+    value = v.coeff * Fraction(x, 1 << bits)
     return HighPrecisionReal(quantize(value, digits + 5), digits)

@@ -179,7 +179,10 @@ def _cmd_beta_even(args) -> int:
         args._parser.error("k must be >= 1")
     if args.k > args.max_k:
         args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
-    result = beta_even_quadrature(args.k, args.tol)
+    try:
+        result = beta_even_quadrature(args.k, args.tol)
+    except ValueError as exc:
+        args._parser.error(str(exc))
     oracle = beta_series(2 * args.k, 10)
     diff = abs(result.value - float(oracle.value))
     if args.format == "json":

@@ -46,6 +46,9 @@ MIN_TOL = 1e-13  # double-precision floor for requested tolerances
 SINGULARITY_WINDOW = 1e-3  # switch to the Taylor-ratio scheme inside this
 _TAYLOR_ORDER = 4
 _DEFAULT_MAX_EVALS = 2_000_000
+# largest k whose prefactor denominator (2k-1)! still converts to a float:
+# 169! is about 4e304, 171! exceeds the double range
+MAX_BETA_EVEN_K = 85
 
 
 def _rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -209,10 +212,16 @@ def beta_even_quadrature(
     The prefactor is (-1)^k pi^(2k) / (2 (2k-1)!).  Passing
     printed_sign=True flips it to (-1)^(k-1); that variant makes beta(2)
     come out negative and exists only so the discrepancy can be
-    demonstrated against the series oracle.
+    demonstrated against the series oracle.  k may not exceed
+    MAX_BETA_EVEN_K, past which the float prefactor overflows.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > MAX_BETA_EVEN_K:
+        raise ValueError(
+            f"k={k} exceeds the largest supported k ({MAX_BETA_EVEN_K}): "
+            "(2k-1)! overflows a float"
+        )
     if tol < MIN_TOL:
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     sign = (-1) ** (k - 1) if printed_sign else (-1) ** k

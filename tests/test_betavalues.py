@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betakit.betavalues import (
     BudgetExceededError,
@@ -15,6 +18,7 @@ from betakit.betavalues import (
     render_decimal,
 )
 from betakit.highprec import decimal_string, pi_fraction, quantize
+from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
 from conftest import CATALAN_LITERAL, PI_LITERAL
 
@@ -147,6 +151,73 @@ class TestRenderDecimal:
             rendered = render_decimal(beta_odd_exact(k), 14)
             series = beta_series(2 * k + 1, 14)
             assert abs(rendered.value - series.value) < F(1, 10**12)
+
+
+def _crvz_fraction_loop(s: int, digits: int) -> Fraction:
+    """The accelerated series as the earlier all-`Fraction` loop."""
+    n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
+    u_prev, u = 2, 6
+    for _ in range(n - 1):
+        u_prev, u = u, 6 * u - u_prev
+    d = u // 2
+    scale = 10 ** (digits + 10)
+    b = Fraction(-1)
+    c = Fraction(-d)
+    acc = Fraction(0)
+    for k in range(n):
+        c = b - c
+        acc += c * (scale // (2 * k + 1) ** s)
+        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+    return acc / d / scale
+
+
+def _exact_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
+    """render_decimal's value by the earlier exact coeff * pi_fraction(w) ** power."""
+    if v.power == 0 or v.coeff == 0:
+        return v.coeff
+    coeff_mag = len(str(abs(v.coeff.numerator) // v.coeff.denominator + 1))
+    working = digits + 10 + abs(v.power) + coeff_mag
+    return quantize(v.coeff * pi_fraction(working) ** v.power, digits + 5)
+
+
+GRID_DIGITS = (13, 29, 101, 400)
+
+
+class TestFixedPointKernels:
+    """The integer kernels return exactly the values of the Fraction ones."""
+
+    def test_series_matches_fraction_loop_on_grid(self):
+        for s in range(1, 42):
+            for digits in GRID_DIGITS:
+                expected = quantize(_crvz_fraction_loop(s, digits), digits + 5)
+                assert beta_series(s, digits).value == expected, (s, digits)
+
+    def test_render_matches_exact_power_on_grid(self):
+        values = [PiPowerValue(F(0), 0), PiPowerValue(F(-7, 3), 0)]
+        for k in range(21):
+            values.append(beta_odd_exact(k))  # powers 1..41
+            values.append(aux_integral_I_closed(k, k % 5))  # powers -1..-41
+            values.append(aux_integral_J_closed(k, 2 * k % 7))  # powers -2..-42
+        for v in values:
+            for digits in (1,) + GRID_DIGITS:
+                expected = _exact_pi_power_render(v, digits)
+                assert render_decimal(v, digits).value == expected, (v, digits)
+
+    @given(st.integers(min_value=1, max_value=41), st.integers(min_value=13, max_value=400))
+    @settings(max_examples=40, deadline=None)
+    def test_series_property(self, s, digits):
+        expected = quantize(_crvz_fraction_loop(s, digits), digits + 5)
+        assert beta_series(s, digits).value == expected
+
+    @given(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+        st.integers(min_value=-42, max_value=42),
+        st.integers(min_value=13, max_value=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_render_property(self, coeff, power, digits):
+        v = PiPowerValue(coeff, power)
+        assert render_decimal(v, digits).value == _exact_pi_power_render(v, digits)
 
 
 class TestDecimalFormatting:

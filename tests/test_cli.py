@@ -119,6 +119,18 @@ class TestBetaEven:
     def test_tol_floor_is_usage_error(self, run_betakit):
         assert run_betakit(["beta", "even", "--k", "1", "--tol", "1e-14"]).returncode == 2
 
+    def test_k_past_float_prefactor_is_usage_error(self, run_betakit):
+        r = run_betakit(["beta", "even", "--k", "86", "--max-k", "200"])
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"largest supported k (85)" in r.stderr
+        assert b"Traceback" not in r.stderr
+
+    def test_largest_supported_k_succeeds(self, run_betakit):
+        r = run_betakit(["beta", "even", "--k", "85", "--max-k", "200", "--format", "json"])
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["abs_diff"] < 1e-8
+
 
 class TestTableCommands:
     def test_euler_number_text(self, run_betakit):

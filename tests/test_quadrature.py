@@ -94,6 +94,12 @@ class TestBetaEvenQuadrature:
         with pytest.raises(ValueError):
             beta_even_quadrature(1, 1e-14)
 
+    def test_largest_supported_k(self):
+        # beta(170) is 1 to well within the tolerance
+        assert abs(beta_even_quadrature(85, 1e-8).value - 1.0) < 1e-8
+        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
+            beta_even_quadrature(86, 1e-8)
+
     def test_result_json_schema(self):
         payload = beta_even_quadrature(1, 1e-8).to_json()
         assert set(payload) == {"value", "abs_error_estimate", "n_evals"}
