@@ -317,12 +317,15 @@ def _cmd_telescope(args) -> int:
         args._parser.error("k and N must be >= 0")
     if args.k > args.max_k:
         args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
-    if args.family == "istar":
-        trace = partial_sum_I_star(args.k, args.n_max)
-    else:
-        if args.k < 1:
-            args._parser.error("family j requires k >= 1")
-        trace = partial_sum_J(args.k, args.n_max, args.tol)
+    if args.family == "j" and args.k < 1:
+        args._parser.error("family j requires k >= 1")
+    try:
+        if args.family == "istar":
+            trace = partial_sum_I_star(args.k, args.n_max)
+        else:
+            trace = partial_sum_J(args.k, args.n_max, args.tol)
+    except ValueError as exc:
+        args._parser.error(str(exc))
     if args.format == "json":
         print(trace.to_json_str())
     elif args.format == "csv":

@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import numpy.polynomial.legendre as _legendre
-
 from .betavalues import PiPowerValue
 from .eulerpoly import euler_polynomial
 from .exact import RationalPolynomial
@@ -46,18 +44,49 @@ MIN_TOL = 1e-13  # double-precision floor for requested tolerances
 SINGULARITY_WINDOW = 1e-3  # switch to the Taylor-ratio scheme inside this
 _TAYLOR_ORDER = 4
 _DEFAULT_MAX_EVALS = 2_000_000
-# largest k whose prefactor denominator (2k-1)! still converts to a float:
-# 169! is about 4e304, 171! exceeds the double range
+# largest k whose float prefactors (2k-1)! and (2k)! (the telescope traces
+# use the latter) still convert to a float: 170! is about 7e306, 171! exceeds
+# the double range
 MAX_BETA_EVEN_K = 85
 
 
-def _rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = _legendre.leggauss(n)
-    return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
+# Gauss-Legendre nodes and weights on [-1, 1] for n = 7 and n = 15, as
+# (nodes, weights).  Each float is the exact value numpy's
+# polynomial.legendre.leggauss(n) returns (Golub & Welsch, Math. Comp. 23
+# (1969)), frozen so that every quadrature result stays bit-identical without
+# a runtime dependency; a plain-float Newton solve lands some ulps away.
+_G7 = (
+    (
+        -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+        0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+    ),
+    (
+        0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+        0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+    ),
+)
+_G15 = (
+    (
+        -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+        -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+        0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+        0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+    ),
+    (
+        0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+        0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+        0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+        0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+    ),
+)
 
 
-_G7 = _rule(7)
-_G15 = _rule(15)
+def _check_prefactor_k(k: int, factorial: str) -> None:
+    if k > MAX_BETA_EVEN_K:
+        raise ValueError(
+            f"k={k} exceeds the largest supported k ({MAX_BETA_EVEN_K}): "
+            f"{factorial} overflows a float"
+        )
 
 
 @dataclass(frozen=True)
@@ -217,11 +246,7 @@ def beta_even_quadrature(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > MAX_BETA_EVEN_K:
-        raise ValueError(
-            f"k={k} exceeds the largest supported k ({MAX_BETA_EVEN_K}): "
-            "(2k-1)! overflows a float"
-        )
+    _check_prefactor_k(k, "(2k-1)!")
     if tol < MIN_TOL:
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     sign = (-1) ** (k - 1) if printed_sign else (-1) ** k

@@ -19,7 +19,11 @@ from functools import lru_cache
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
 from .quadrature import (
+    _COS_AT_HALF_OVER_U,
+    _TAYLOR_ORDER,
     SINGULARITY_WINDOW,
+    _check_prefactor_k,
+    _horner,
     beta_even_integrand,
     integrate_adaptive,
 )
@@ -33,9 +37,6 @@ __all__ = [
     "partial_sum_I_star",
     "partial_sum_J",
 ]
-
-_TAYLOR_ORDER = 4
-
 
 @lru_cache(maxsize=256)
 def _estar_float_data(k: int) -> tuple[tuple[float, ...], float]:
@@ -55,10 +56,7 @@ def e_star(k: int, t: float) -> float:
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
     poly, scale = _estar_float_data(k)
-    acc = 0.0
-    for c in reversed(poly):
-        acc = acc * t + c
-    return acc - scale * math.sin(math.pi * t)
+    return _horner(poly, t) - scale * math.sin(math.pi * t)
 
 
 def correction_term(k: int, m: int) -> Fraction:
@@ -85,17 +83,9 @@ def correction_term(k: int, m: int) -> Fraction:
 # with the factor u already divided out.
 _SIN2PI_AT_0_OVER_U = (2 * math.pi, 0.0, -((2 * math.pi) ** 3) / 6.0, 0.0)
 _SIN2PI_AT_HALF_OVER_U = (-2 * math.pi, 0.0, (2 * math.pi) ** 3 / 6.0, 0.0)
-_COS_AT_HALF_OVER_U = (-math.pi, 0.0, math.pi**3 / 6.0, 0.0)
 # sin(pi t) itself (a numerator ingredient): full series including order 0
 _SINPI_AT_0 = (0.0, math.pi, 0.0, -(math.pi**3) / 6.0, 0.0)
 _SINPI_AT_HALF = (1.0, 0.0, -(math.pi**2) / 2.0, 0.0, math.pi**4 / 24.0)
-
-
-def _horner(coeffs: tuple[float, ...], u: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
 
 
 @lru_cache(maxsize=256)
@@ -241,10 +231,13 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
 
     I*(k, m) differs from I(k, m) only by the m = 0 correction term, so the
     partial sums come from the closed form of I: no quadrature is needed,
-    and traces to n in the thousands are cheap.
+    and traces to n in the thousands are cheap.  k may not exceed
+    quadrature.MAX_BETA_EVEN_K, past which the float prefactor (2k)!
+    overflows.
     """
     if k < 0 or n_max < 0:
         raise ValueError("k and n_max must be >= 0")
+    _check_prefactor_k(k, "(2k)!")
     pref = (-1) ** k * math.factorial(2 * k) / math.pi ** (2 * k + 1)
     corr = float(correction_term(k, 0))
     power = 2 * k + 1
@@ -263,9 +256,12 @@ def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
 
     The closed form gives the terms; the target integral of
     E_{2k-1}(t) sec(pi t) / 2 is evaluated once by quadrature at `tol`.
+    k may not exceed quadrature.MAX_BETA_EVEN_K, past which the float
+    prefactor (2k-1)! overflows.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_prefactor_k(k, "(2k-1)!")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     target = integrate_adaptive(

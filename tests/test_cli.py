@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +199,21 @@ class TestTelescopeCommand:
         r = run_betakit(["telescope", "--family", "j", "--k", "0", "--N", "10"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("family", ["istar", "j"])
+    def test_k_past_float_prefactor_is_usage_error(self, run_betakit, family):
+        r = run_betakit(["telescope", "--family", family, "--k", "90", "--N", "100",
+                         "--max-k", "200"])
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"largest supported k (85)" in r.stderr
+        assert b"Traceback" not in r.stderr
+
+    def test_largest_supported_k_succeeds(self, run_betakit):
+        r = run_betakit(["telescope", "--family", "istar", "--k", "85", "--N", "10",
+                         "--max-k", "200", "--format", "json"])
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["entries"][-1][0] == 10
+
 
 class TestAuxCommand:
     def test_closed_and_numeric_agree(self, run_betakit):
@@ -249,3 +266,18 @@ class TestRunCliInProcess:
 
     def test_usage_error_in_process(self, capsys):
         assert run_cli(["beta", "odd"]) == 2
+
+
+def test_import_loads_no_third_party_module():
+    # a fresh process: the test session itself may already hold numpy
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import betakit.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'betakit'}))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().splitlines() == ["[]", "False"]

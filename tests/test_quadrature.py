@@ -11,6 +11,8 @@ from betakit.betavalues import beta_series, render_decimal
 from betakit.eulerpoly import euler_polynomial
 from betakit.highprec import BudgetExceededError
 from betakit.quadrature import (
+    _G7,
+    _G15,
     IntegrandSpec,
     aux_integral_I_closed,
     aux_integral_J_closed,
@@ -45,6 +47,49 @@ class TestIntegrateAdaptive:
         a = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
         b = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
         assert (a.value, a.abs_error_estimate, a.n_evals) == (b.value, b.abs_error_estimate, b.n_evals)
+
+
+def _legendre(n: int, x: Fraction) -> Fraction:
+    # three-term recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, exact
+    prev, cur = Fraction(1), x
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+    return cur
+
+
+@pytest.mark.parametrize("n, rule", [(7, _G7), (15, _G15)])
+class TestGaussLegendreTables:
+    """The frozen node and weight tables, checked with the standard library only."""
+
+    def test_symmetric_and_sorted(self, n, rule):
+        nodes, weights = rule
+        assert len(nodes) == len(weights) == n
+        assert list(nodes) == sorted(set(nodes))
+        assert nodes == tuple(-x for x in reversed(nodes))
+        assert weights == tuple(reversed(weights))
+        assert all(w > 0 for w in weights)
+
+    def test_moments_exact_to_degree_2n_minus_1(self, n, rule):
+        # sum_i w_i x_i^j against integral_{-1}^{1} x^j dx, in exact arithmetic
+        nodes, weights = rule
+        for j in range(2 * n):
+            moment = sum(F(w) * F(x) ** j for x, w in zip(nodes, weights))
+            exact = F(2, j + 1) if j % 2 == 0 else F(0)
+            assert abs(moment - exact) <= 4 * F(math.ulp(0.5)), j
+
+    def test_nodes_are_roots_of_legendre_polynomial(self, n, rule):
+        # P_n changes sign within two ulps of every node; n disjoint brackets
+        # around n sorted nodes account for all n roots
+        for x in rule[0]:
+            delta = 2 * F(math.ulp(x))
+            lo, hi = _legendre(n, F(x) - delta), _legendre(n, F(x) + delta)
+            assert lo * hi < 0, x
+
+    def test_bitwise_equal_to_numpy_leggauss(self, n, rule):
+        legendre = pytest.importorskip("numpy.polynomial.legendre")
+        nodes, weights = legendre.leggauss(n)
+        assert [v.hex() for v in rule[0]] == [float(v).hex() for v in nodes]
+        assert [v.hex() for v in rule[1]] == [float(v).hex() for v in weights]
 
 
 class TestBetaEvenIntegrand:

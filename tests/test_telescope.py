@@ -144,6 +144,12 @@ class TestPartialSumIStar:
         assert ns[:10] == list(range(10))
         assert 1000 in ns and 2000 in ns
 
+    def test_largest_supported_k(self):
+        # (2k)! = 170! still converts to a float, 172! does not
+        assert all(math.isfinite(s) for _, s in partial_sum_I_star(85, 10).entries)
+        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
+            partial_sum_I_star(86, 10)
+
 
 class TestPartialSumJ:
     def test_k1_limit_value(self):
@@ -172,6 +178,10 @@ class TestPartialSumJ:
     def test_requires_k_at_least_one(self):
         with pytest.raises(ValueError):
             partial_sum_J(0, 10, 1e-8)
+
+    def test_k_past_float_prefactor(self):
+        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
+            partial_sum_J(86, 10, 1e-8)
 
 
 class TestIStarDecomposition:
