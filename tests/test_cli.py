@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -13,6 +15,33 @@ from betakit.cli import run_cli
 from betakit.highprec import BudgetExceededError
 
 GOLDEN = Path(__file__).parent / "golden"
+MATRIX = GOLDEN / "cli_matrix.json"
+
+
+def _run_captured(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+class TestOutputMatrix:
+    """Every subcommand, format and usage error, pinned byte for byte.
+
+    cli_matrix.json maps each space-joined argv to its exit code, stdout
+    and stderr.  After a deliberate output change, rewrite the recorded
+    results for the same argvs with
+    ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
+    """
+
+    _cases = json.loads(MATRIX.read_text())
+
+    @pytest.mark.parametrize("key", list(_cases), ids=lambda key: key or "(no arguments)")
+    def test_matches_recording(self, key, monkeypatch):
+        # argparse wraps usage and help text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("BETAKIT_DIGITS", raising=False)
+        assert _run_captured(key.split()) == self._cases[key]
 
 
 class TestGoldenOutputs:
@@ -281,3 +310,13 @@ def test_import_loads_no_third_party_module():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().splitlines() == ["[]", "False"]
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("BETAKIT_DIGITS", None)
+    cases = json.loads(MATRIX.read_text())
+    recorded = {key: _run_captured(key.split()) for key in cases}
+    MATRIX.write_text(json.dumps(recorded, indent=1) + "\n")
