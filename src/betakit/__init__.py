@@ -6,7 +6,6 @@ of the Euler/Bernoulli identity machinery connecting them.
 """
 
 from .betavalues import (
-    BudgetExceededError,
     HighPrecisionReal,
     PiPowerValue,
     beta_odd_exact,
@@ -37,7 +36,7 @@ from .exact import (
     rational_from_str,
     rational_str,
 )
-from .highprec import decimal_string, pi_fraction, quantize
+from .highprec import BudgetExceededError, decimal_string, pi_fraction, quantize
 from .quadrature import (
     IntegrandSpec,
     QuadratureResult,

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import rational_str
-from .highprec import BudgetExceededError, HighPrecisionReal, pi_fraction, quantize
+from .highprec import HighPrecisionReal, pi_fraction, quantize
 
 __all__ = [
-    "BudgetExceededError",
     "HighPrecisionReal",
     "PiPowerValue",
     "beta_odd_exact",
@@ -26,12 +25,6 @@ __all__ = [
     "beta_series",
     "render_decimal",
 ]
-
-# plain alternating summation is kept only where its elementary tail bound
-# is cheap to honor; everything else goes through acceleration
-_PLAIN_MAX_DIGITS = 12
-_PLAIN_TERM_CAP = 5_000_000
-
 
 @dataclass(frozen=True)
 class PiPowerValue:
@@ -94,28 +87,6 @@ def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
     return PiPowerValue(coeff, 2 * k + 1)
 
 
-def _beta_plain(s: int, digits: int) -> Fraction:
-    # alternating tail bound: |beta(s) - S_N| <= 1/(2N+3)^s, so pick the
-    # smallest N with (2N+3)^s >= 2 * 10^digits
-    bound = 2 * 10**digits
-    m = max(3, int(round(bound ** (1.0 / s))))
-    while m**s < bound:
-        m += 1
-    while m > 3 and (m - 1) ** s >= bound:
-        m -= 1
-    if m % 2 == 0:
-        m += 1
-    n_terms = (m - 1) // 2  # sum m = 0 .. n_terms-1, first omitted is m = n_terms
-    if n_terms > _PLAIN_TERM_CAP:
-        raise BudgetExceededError(
-            f"plain summation for beta({s}) at {digits} digits needs {n_terms} terms"
-        )
-    total = math.fsum(
-        (1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** s) for m in range(n_terms)
-    )
-    return Fraction(total)
-
-
 def _beta_accelerated(s: int, digits: int) -> Fraction:
     """Chebyshev-based acceleration of the alternating series.
 
@@ -153,19 +124,16 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
 def beta_series(s: int, digits: int) -> HighPrecisionReal:
     """beta(s) to `digits` decimal digits, from the defining series.
 
-    For s >= 2 at modest precision the series is summed directly and the
-    truncation error is certified by the first omitted term.  For s = 1
-    (where direct summation is hopeless) and for high digit counts, the
-    accelerated evaluation with its geometric error bound is used instead.
+    Every s and digit count goes through the accelerated evaluation
+    (Cohen, Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)),
+    whose geometric error bound certifies the result; it is rounded to
+    digits + 5 places.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if s >= 2 and digits <= _PLAIN_MAX_DIGITS:
-        value = _beta_plain(s, digits)
-    else:
-        value = quantize(_beta_accelerated(s, digits), digits + 5)
+    value = quantize(_beta_accelerated(s, digits), digits + 5)
     return HighPrecisionReal(value, digits)
 
 

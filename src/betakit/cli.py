@@ -142,181 +142,145 @@ def _validate_common(args) -> None:
         p.error("max-k must be >= 1")
 
 
-def _cmd_beta_odd(args) -> int:
-    _validate_common(args)
+def _check_guard(args, name: str, value: int, limit: int) -> None:
+    if value > limit:
+        args._parser.error(f"{name} exceeds the max-k guard ({limit})")
+
+
+def _emit(fmt: str, record: tuple) -> None:
+    """Print one result; record is (text lines, JSON object, CSV lines)."""
+    text, payload, csv = record
+    if fmt == "json":
+        print(_dumps(payload))
+    else:
+        for line in text if fmt == "text" else csv:
+            print(line)
+
+
+def _cmd_beta_odd(args):
     if args.k < 0:
         args._parser.error("k must be >= 0")
-    if args.k > args.max_k:
-        args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
+    _check_guard(args, "k", args.k, args.max_k)
     value = beta_odd_exact(args.k)
-    via_euler = beta_odd_exact_via_euler(args.k) if args.cross_check else None
-    match = via_euler == value if args.cross_check else True
-    if args.format == "json":
-        payload = value.to_json(args.digits)
-        if args.cross_check:
-            payload["cross_check"] = {
-                "coeff": rational_str(via_euler.coeff),
-                "pi_power": via_euler.power,
-                "match": match,
-            }
-        print(_dumps(payload))
-    elif args.format == "csv":
-        dec = render_decimal(value, args.digits).decimal_str(args.digits)
-        print("coeff,pi_power,decimal,digits")
-        print(f"{rational_str(value.coeff)},{value.power},{dec},{args.digits}")
-    else:
-        dec = render_decimal(value, args.digits).decimal_str(args.digits)
-        print(f"beta({2 * args.k + 1}) = {value} = {dec}")
-        if args.cross_check:
-            status = "exact match" if match else "MISMATCH"
-            print(f"cross-check via Euler numbers: {via_euler} ({status})")
-    return EXIT_OK if match else EXIT_VERIFICATION_FAILURE
+    payload = value.to_json(args.digits)
+    dec = payload["decimal"]
+    text = [f"beta({2 * args.k + 1}) = {value} = {dec}"]
+    match = True
+    if args.cross_check:
+        via_euler = beta_odd_exact_via_euler(args.k)
+        match = via_euler == value
+        payload["cross_check"] = {
+            "coeff": rational_str(via_euler.coeff),
+            "pi_power": via_euler.power,
+            "match": match,
+        }
+        status = "exact match" if match else "MISMATCH"
+        text.append(f"cross-check via Euler numbers: {via_euler} ({status})")
+    csv = ["coeff,pi_power,decimal,digits", f"{payload['coeff']},{value.power},{dec},{args.digits}"]
+    return (text, payload, csv), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
 
 
-def _cmd_beta_even(args) -> int:
-    _validate_common(args)
+def _cmd_beta_even(args):
     if args.k < 1:
         args._parser.error("k must be >= 1")
-    if args.k > args.max_k:
-        args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
+    _check_guard(args, "k", args.k, args.max_k)
     try:
         result = beta_even_quadrature(args.k, args.tol)
     except ValueError as exc:
         args._parser.error(str(exc))
-    oracle = beta_series(2 * args.k, 10)
+    # 20 digits, so the difference measures the quadrature, not the oracle
+    oracle = beta_series(2 * args.k, 20)
+    series = oracle.decimal_str(10)
     diff = abs(result.value - float(oracle.value))
-    if args.format == "json":
-        payload = {
-            "quadrature": result.to_json(),
-            "series": {"decimal": oracle.decimal_str(10), "digits": 10},
-            "abs_diff": diff,
-        }
-        if args.show_erratum:
-            flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
-            payload["sign_variants"] = {
-                "corrected": result.value,
-                "printed": flipped.value,
-            }
-        print(_dumps(payload))
-    elif args.format == "csv":
-        print("value,abs_error_estimate,n_evals")
-        print(f"{result.value!r},{result.abs_error_estimate!r},{result.n_evals}")
+    payload = {
+        "quadrature": result.to_json(),
+        "series": {"decimal": series, "digits": 10},
+        "abs_diff": diff,
+    }
+    text = [
+        f"beta({2 * args.k}) = {result.value:.{args.digits}f} "
+        f"(abs error estimate {result.abs_error_estimate:.1e}, n_evals {result.n_evals})",
+        f"series cross-check: {series} (abs diff {diff:.1e})",
+    ]
+    if args.show_erratum:
+        flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
+        payload["sign_variants"] = {"corrected": result.value, "printed": flipped.value}
+        text += [
+            f"prefactor (-1)^k:     {result.value:.{args.digits}f}",
+            f"prefactor (-1)^(k-1): {flipped.value:.{args.digits}f} "
+            "(negates the series value: the latter sign cannot be right)",
+        ]
+    csv = [
+        "value,abs_error_estimate,n_evals",
+        f"{result.value!r},{result.abs_error_estimate!r},{result.n_evals}",
+    ]
+    return (text, payload, csv), EXIT_OK
+
+
+def _table_record(label: str, n: int, kind: str, key: str, value) -> tuple:
+    # value is a rational number, or a polynomial when key is "coefficients"
+    if key == "coefficients":
+        shown, data = str(value), [rational_str(c) for c in value.coeffs]
     else:
-        dec = f"{result.value:.{args.digits}f}"
-        print(
-            f"beta({2 * args.k}) = {dec} "
-            f"(abs error estimate {result.abs_error_estimate:.1e}, "
-            f"n_evals {result.n_evals})"
-        )
-        print(f"series cross-check: {oracle.decimal_str(10)} (abs diff {diff:.1e})")
-        if args.show_erratum:
-            flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
-            print(f"prefactor (-1)^k:     {result.value:.{args.digits}f}")
-            print(
-                f"prefactor (-1)^(k-1): {flipped.value:.{args.digits}f} "
-                "(negates the series value: the latter sign cannot be right)"
-            )
-    return EXIT_OK
+        shown = data = rational_str(value)
+    return [f"{label} = {shown}"], {"n": n, key: data}, ["n,kind,value", f"{n},{kind},{shown}"]
 
 
-def _cmd_euler(args) -> int:
-    _validate_common(args)
-    if args.n < 0:
+def _cmd_euler(args):
+    n = args.n
+    if n < 0:
         args._parser.error("n must be >= 0")
-    if args.n > 2 * args.max_k + 1:
-        args._parser.error(f"n exceeds the max-k guard ({2 * args.max_k + 1})")
+    _check_guard(args, "n", n, 2 * args.max_k + 1)
     if args.poly:
-        p = euler_polynomial(args.n)
-        if args.format == "json":
-            print(_dumps({"n": args.n, "coefficients": [rational_str(c) for c in p.coeffs]}))
-        elif args.format == "csv":
-            print("n,kind,value")
-            print(f"{args.n},euler_polynomial,{p}")
-        else:
-            print(f"E_{args.n}(x) = {p}")
-    else:
-        e = euler_number(args.n)
-        if args.format == "json":
-            print(_dumps({"n": args.n, "euler_number": rational_str(e)}))
-        elif args.format == "csv":
-            print("n,kind,value")
-            print(f"{args.n},euler_number,{rational_str(e)}")
-        else:
-            print(f"E_{args.n} = {rational_str(e)}")
-    return EXIT_OK
+        return _table_record(f"E_{n}(x)", n, "euler_polynomial", "coefficients",
+                             euler_polynomial(n)), EXIT_OK
+    return _table_record(f"E_{n}", n, "euler_number", "euler_number",
+                         euler_number(n)), EXIT_OK
 
 
-def _cmd_bernoulli(args) -> int:
-    _validate_common(args)
-    if args.n < 0:
+def _cmd_bernoulli(args):
+    n = args.n
+    if n < 0:
         args._parser.error("n must be >= 0")
-    if args.n > 2 * args.max_k + 1:
-        args._parser.error(f"n exceeds the max-k guard ({2 * args.max_k + 1})")
+    _check_guard(args, "n", n, 2 * args.max_k + 1)
     if args.chi4:
-        if args.n < 1:
+        if n < 1:
             args._parser.error("chi4 requires n >= 1")
-        v = generalized_bernoulli_chi4(args.n)
-        if args.format == "json":
-            print(_dumps({"n": args.n, "chi4": rational_str(v)}))
-        elif args.format == "csv":
-            print("n,kind,value")
-            print(f"{args.n},generalized_bernoulli_chi4,{rational_str(v)}")
-        else:
-            print(f"B_{{{args.n},chi4}} = {rational_str(v)}")
-    elif args.poly:
-        p = bernoulli_polynomial(args.n)
-        if args.format == "json":
-            print(_dumps({"n": args.n, "coefficients": [rational_str(c) for c in p.coeffs]}))
-        elif args.format == "csv":
-            print("n,kind,value")
-            print(f"{args.n},bernoulli_polynomial,{p}")
-        else:
-            print(f"B_{args.n}(x) = {p}")
-    else:
-        b = bernoulli_number(args.n)
-        if args.format == "json":
-            print(_dumps({"n": args.n, "bernoulli_number": rational_str(b)}))
-        elif args.format == "csv":
-            print("n,kind,value")
-            print(f"{args.n},bernoulli_number,{rational_str(b)}")
-        else:
-            print(f"B_{args.n} = {rational_str(b)}")
-    return EXIT_OK
+        return _table_record(f"B_{{{n},chi4}}", n, "generalized_bernoulli_chi4", "chi4",
+                             generalized_bernoulli_chi4(n)), EXIT_OK
+    if args.poly:
+        return _table_record(f"B_{n}(x)", n, "bernoulli_polynomial", "coefficients",
+                             bernoulli_polynomial(n)), EXIT_OK
+    return _table_record(f"B_{n}", n, "bernoulli_number", "bernoulli_number",
+                         bernoulli_number(n)), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    _validate_common(args)
+def _cmd_verify(args):
     if args.nmax < 0:
         args._parser.error("nmax must be >= 0")
     if args.trials < 1:
         args._parser.error("trials must be >= 1")
-    if args.nmax > 2 * args.max_k + 1:
-        args._parser.error(f"nmax exceeds the max-k guard ({2 * args.max_k + 1})")
+    _check_guard(args, "nmax", args.nmax, 2 * args.max_k + 1)
     report = run_identity_suite(args.nmax, args.trials, args.seed)
-    if args.format == "json":
-        print(report.to_json_str())
-    elif args.format == "csv":
-        print("identity_id,instances,passed,first_failure_n,first_failure_x")
-        for r in report.results:
-            ff = r.first_failure or {}
-            print(
-                f"{r.identity_id},{r.instances},{str(r.passed).lower()},"
-                f"{ff.get('n', '')},{ff.get('x') or ''}"
-            )
-    else:
-        for r in report.results:
-            status = "pass" if r.passed else f"FAIL (first failure: {r.first_failure})"
-            print(f"{r.identity_id}: {r.instances} instances, {status}")
-        print("all identities passed" if report.all_passed else "identity failures detected")
-    return EXIT_OK if report.all_passed else EXIT_VERIFICATION_FAILURE
+    text = []
+    csv = ["identity_id,instances,passed,first_failure_n,first_failure_x"]
+    for r in report.results:
+        status = "pass" if r.passed else f"FAIL (first failure: {r.first_failure})"
+        text.append(f"{r.identity_id}: {r.instances} instances, {status}")
+        ff = r.first_failure or {}
+        csv.append(
+            f"{r.identity_id},{r.instances},{str(r.passed).lower()},"
+            f"{ff.get('n', '')},{ff.get('x') or ''}"
+        )
+    text.append("all identities passed" if report.all_passed else "identity failures detected")
+    code = EXIT_OK if report.all_passed else EXIT_VERIFICATION_FAILURE
+    return (text, report.to_json(), csv), code
 
 
-def _cmd_telescope(args) -> int:
-    _validate_common(args)
+def _cmd_telescope(args):
     if args.k < 0 or args.n_max < 0:
         args._parser.error("k and N must be >= 0")
-    if args.k > args.max_k:
-        args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
+    _check_guard(args, "k", args.k, args.max_k)
     if args.family == "j" and args.k < 1:
         args._parser.error("family j requires k >= 1")
     try:
@@ -326,73 +290,53 @@ def _cmd_telescope(args) -> int:
             trace = partial_sum_J(args.k, args.n_max, args.tol)
     except ValueError as exc:
         args._parser.error(str(exc))
-    if args.format == "json":
-        print(trace.to_json_str())
-    elif args.format == "csv":
-        sys.stdout.write(trace.to_csv())
-    else:
-        print(f"family {trace.family}, k={trace.k}, target {trace.target!r}")
-        for n, s in trace.entries:
-            print(f"  N={n:<6d} S_N={s!r}")
-    return EXIT_OK
+    text = [f"family {trace.family}, k={trace.k}, target {trace.target!r}"]
+    text += [f"  N={n:<6d} S_N={s!r}" for n, s in trace.entries]
+    return (text, trace.to_json(), trace.to_csv().splitlines()), EXIT_OK
 
 
-def _cmd_aux(args) -> int:
-    _validate_common(args)
-    if args.k < 0 or args.m < 0:
+def _cmd_aux(args):
+    k, m = args.k, args.m
+    if k < 0 or m < 0:
         args._parser.error("k and m must be >= 0")
-    if args.k > args.max_k:
-        args._parser.error(f"k exceeds the max-k guard ({args.max_k})")
-    if args.family == "i":
-        closed = aux_integral_I_closed(args.k, args.m)
-        spec = IntegrandSpec("aux_I", args.k, args.m)
-        label = f"I({args.k},{args.m})"
-    else:
-        closed = aux_integral_J_closed(args.k, args.m)
-        spec = IntegrandSpec("aux_J", args.k, args.m)
-        label = f"J({args.k},{args.m})"
-    numeric = aux_integral_numeric(spec, args.tol)
-    closed_dec = render_decimal(closed, args.digits)
-    diff = abs(numeric.value - float(closed_dec.value))
-    if args.format == "json":
-        print(_dumps({
-            "label": label,
-            "closed": closed.to_json(args.digits),
-            "numeric": numeric.to_json(),
-            "abs_diff": diff,
-        }))
-    elif args.format == "csv":
-        print("label,closed_coeff,closed_pi_power,closed_decimal,numeric_value,"
-              "abs_error_estimate,n_evals,abs_diff")
-        print(
-            f"{label},{rational_str(closed.coeff)},{closed.power},"
-            f"{closed_dec.decimal_str(args.digits)},{numeric.value!r},"
-            f"{numeric.abs_error_estimate!r},{numeric.n_evals},{diff!r}"
-        )
-    else:
-        print(f"{label} = {closed} = {closed_dec.decimal_str(args.digits)}")
-        print(
-            f"numeric: {numeric.value!r} "
-            f"(abs error estimate {numeric.abs_error_estimate:.1e}, "
-            f"n_evals {numeric.n_evals}), abs diff {diff:.1e}"
-        )
-    return EXIT_OK
+    _check_guard(args, "k", k, args.max_k)
+    name = args.family.upper()
+    closed = (aux_integral_I_closed if name == "I" else aux_integral_J_closed)(k, m)
+    numeric = aux_integral_numeric(IntegrandSpec(f"aux_{name}", k, m), args.tol)
+    label = f"{name}({k},{m})"
+    closed_json = closed.to_json(args.digits)
+    dec = closed_json["decimal"]
+    # the difference is taken against the rendering's digits + 5 guard places
+    diff = abs(numeric.value - float(render_decimal(closed, args.digits).value))
+    payload = {"label": label, "closed": closed_json, "numeric": numeric.to_json(),
+               "abs_diff": diff}
+    text = [
+        f"{label} = {closed} = {dec}",
+        f"numeric: {numeric.value!r} (abs error estimate {numeric.abs_error_estimate:.1e}, "
+        f"n_evals {numeric.n_evals}), abs diff {diff:.1e}",
+    ]
+    csv = [
+        "label,closed_coeff,closed_pi_power,closed_decimal,numeric_value,"
+        "abs_error_estimate,n_evals,abs_diff",
+        f"{label},{closed_json['coeff']},{closed.power},{dec},{numeric.value!r},"
+        f"{numeric.abs_error_estimate!r},{numeric.n_evals},{diff!r}",
+    ]
+    return (text, payload, csv), EXIT_OK
 
 
 def run_cli(argv: list[str]) -> int:
     """Parse argv (without the program name) and execute one subcommand."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except SystemExit as exc:  # parser.error inside a handler
+        args = _build_parser().parse_args(argv)
+        _validate_common(args)
+        record, code = args.handler(args)
+    except SystemExit as exc:  # argparse, or parser.error in a check
         return int(exc.code or 0)
     except BudgetExceededError as exc:
         print(f"betakit: numeric budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    _emit(args.format, record)
+    return code
 
 
 def main() -> None:

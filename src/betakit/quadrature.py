@@ -26,7 +26,6 @@ from typing import Callable
 
 from .betavalues import PiPowerValue
 from .eulerpoly import euler_polynomial
-from .exact import RationalPolynomial
 from .highprec import BudgetExceededError
 
 __all__ = [
@@ -185,17 +184,29 @@ def _float_coeffs(n: int) -> tuple[float, ...]:
     return euler_polynomial(n).float_coeffs()
 
 
+# sin(pi t) about t = 0 and t = 1/2, orders 0 .. _TAYLOR_ORDER: the sine part
+# of telescope's E*_{2k}(t) = E_{2k}(t) - (E_{2k}/2^(2k)) sin(pi t)
+_SINPI_AT_0 = (0.0, math.pi, 0.0, -(math.pi**3) / 6.0, 0.0)
+_SINPI_AT_HALF = (1.0, 0.0, -(math.pi**2) / 2.0, 0.0, math.pi**4 / 24.0)
+
+
 @lru_cache(maxsize=256)
-def _poly_taylor(n: int, at_half: bool) -> tuple[float, ...]:
-    # Taylor coefficients of E_n about 1/2 (or 0), exact until the final
-    # float conversion; the constant term is exact rational arithmetic, so
-    # a zero there is a true zero, not a cancellation residue.
+def _taylor(n: int, at_half: bool, sin_scale: Fraction = Fraction(0)) -> tuple[float, ...]:
+    # Taylor coefficients of E_n(t) - sin_scale sin(pi t) about 1/2 (or 0).
+    # The polynomial part is exact until the final float conversion and the
+    # constant term is combined in rational arithmetic, so a zero there is a
+    # true zero, not a cancellation residue.
     x0 = Fraction(1, 2) if at_half else Fraction(0)
-    p: RationalPolynomial = euler_polynomial(n)
+    sin_series = _SINPI_AT_HALF if at_half else _SINPI_AT_0
+    p = euler_polynomial(n)
     out: list[float] = []
     fact = 1
     for j in range(_TAYLOR_ORDER + 1):
-        out.append(float(p(x0) / fact))
+        poly_coeff = p(x0) / fact
+        if j == 0:
+            out.append(float(poly_coeff - sin_scale * Fraction(sin_series[0])))
+        else:
+            out.append(float(poly_coeff) - float(sin_scale) * sin_series[j])
         p = p.derivative()
         fact *= j + 1
     return tuple(out)
@@ -227,7 +238,7 @@ def beta_even_integrand(k: int, t: float) -> float:
         raise ValueError(f"t={t} outside [0, 1/2]")
     u = t - 0.5
     if abs(u) < SINGULARITY_WINDOW:
-        num = _poly_taylor(2 * k - 1, True)
+        num = _taylor(2 * k - 1, True)
         # E_{2k-1}(1/2) = 0 exactly, so num[0] is a true zero: divide out u
         return _horner(num[1:], u) / _horner(_COS_AT_HALF_OVER_U, u)
     return _horner(_float_coeffs(2 * k - 1), t) / math.cos(math.pi * t)

@@ -20,10 +20,10 @@ from functools import lru_cache
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
 from .quadrature import (
     _COS_AT_HALF_OVER_U,
-    _TAYLOR_ORDER,
     SINGULARITY_WINDOW,
     _check_prefactor_k,
     _horner,
+    _taylor,
     beta_even_integrand,
     integrate_adaptive,
 )
@@ -78,36 +78,10 @@ def correction_term(k: int, m: int) -> Fraction:
     return value
 
 
-# Series for the trigonometric factors about the relevant endpoint, written
-# in u = t - t0.  Denominators all have simple zeros, so they are stored
-# with the factor u already divided out.
+# Denominator series about the relevant endpoint, written in u = t - t0,
+# with the factor u of their simple zeros already divided out.
 _SIN2PI_AT_0_OVER_U = (2 * math.pi, 0.0, -((2 * math.pi) ** 3) / 6.0, 0.0)
 _SIN2PI_AT_HALF_OVER_U = (-2 * math.pi, 0.0, (2 * math.pi) ** 3 / 6.0, 0.0)
-# sin(pi t) itself (a numerator ingredient): full series including order 0
-_SINPI_AT_0 = (0.0, math.pi, 0.0, -(math.pi**3) / 6.0, 0.0)
-_SINPI_AT_HALF = (1.0, 0.0, -(math.pi**2) / 2.0, 0.0, math.pi**4 / 24.0)
-
-
-@lru_cache(maxsize=256)
-def _estar_taylor(k: int, at_half: bool) -> tuple[float, ...]:
-    # Taylor coefficients of E*_{2k} about 0 or 1/2.  The polynomial part is
-    # exact; the leading coefficient is combined in rational arithmetic so
-    # that the structural zeros at the singular endpoints are exact zeros.
-    x0 = Fraction(1, 2) if at_half else Fraction(0)
-    scale = euler_number(2 * k) / Fraction(2) ** (2 * k)
-    sin_series = _SINPI_AT_HALF if at_half else _SINPI_AT_0
-    p = euler_polynomial(2 * k)
-    out: list[float] = []
-    fact = 1
-    for j in range(_TAYLOR_ORDER + 1):
-        poly_coeff = p(x0) / fact
-        if j == 0:
-            out.append(float(poly_coeff - scale * Fraction(sin_series[0])))
-        else:
-            out.append(float(poly_coeff) - float(scale) * sin_series[j])
-        p = p.derivative()
-        fact *= j + 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -163,21 +137,17 @@ def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
     k = spec.k
     if spec.name == "h":
         return 0.5 * beta_even_integrand(k, t)
-    if spec.name == "f":
-        if t < SINGULARITY_WINDOW:
-            num = _estar_taylor(k, False)
-            return _horner(num[1:], t) / _horner(_SIN2PI_AT_0_OVER_U, t)
-        if 0.5 - t < SINGULARITY_WINDOW:
-            u = t - 0.5
-            num = _estar_taylor(k, True)
-            return _horner(num[1:], u) / _horner(_SIN2PI_AT_HALF_OVER_U, u)
-        return e_star(k, t) / math.sin(2 * math.pi * t)
-    # g
-    if 0.5 - t < SINGULARITY_WINDOW:
-        u = t - 0.5
-        num = _estar_taylor(k, True)
-        return _horner(num[1:], u) / _horner(_COS_AT_HALF_OVER_U, u)
-    return e_star(k, t) / math.cos(math.pi * t)
+    near_zero = spec.name == "f" and t < SINGULARITY_WINDOW
+    if not near_zero and 0.5 - t >= SINGULARITY_WINDOW:
+        den = math.sin(2 * math.pi * t) if spec.name == "f" else math.cos(math.pi * t)
+        return e_star(k, t) / den
+    # Taylor ratio of E*_{2k} over the denominator, common factor u cancelled
+    num = _taylor(2 * k, not near_zero, euler_number(2 * k) / Fraction(2) ** (2 * k))
+    if near_zero:
+        return _horner(num[1:], t) / _horner(_SIN2PI_AT_0_OVER_U, t)
+    u = t - 0.5
+    den = _SIN2PI_AT_HALF_OVER_U if spec.name == "f" else _COS_AT_HALF_OVER_U
+    return _horner(num[1:], u) / _horner(den, u)
 
 
 @dataclass(frozen=True)

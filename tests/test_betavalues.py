@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betakit.betavalues import (
-    BudgetExceededError,
     PiPowerValue,
     beta_odd_exact,
     beta_odd_exact_via_euler,
@@ -122,12 +121,11 @@ class TestBetaSeries:
         with pytest.raises(ValueError):
             beta_series(2, 0)
 
-    def test_plain_budget_cap_raises(self, monkeypatch):
-        import betakit.betavalues as bv
-
-        monkeypatch.setattr(bv, "_PLAIN_TERM_CAP", 10)
-        with pytest.raises(BudgetExceededError):
-            beta_series(2, 10)
+    def test_few_digits_are_correctly_rounded(self):
+        # beta(2) = 0.915965594..., beta(4) = 0.988944551...; a float sum cut
+        # off at the first-omitted-term bound printed 0.91596 and 0.98895
+        assert beta_series(2, 5).decimal_str() == "0.91597"
+        assert beta_series(4, 5).decimal_str() == "0.98894"
 
 
 class TestRenderDecimal:
