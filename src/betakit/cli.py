@@ -2,8 +2,10 @@
 
 Subcommands expose the exact closed forms, the quadrature and series
 routes, the identity suite and the telescoping traces, each in text, JSON
-or CSV form.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 numeric budget exceeded.
+or CSV form.  Each handler returns its result in all three forms (text
+lines, a JSON object from the library serializers, CSV lines) with an exit
+code, and one emitter prints the requested form.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 numeric budget exceeded.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _emit(fmt: str, record: tuple) -> None:
             print(line)
 
 
-def _cmd_beta_odd(args):
+def _cmd_beta_odd(args) -> tuple[tuple, int]:
     if args.k < 0:
         args._parser.error("k must be >= 0")
     _check_guard(args, "k", args.k, args.max_k)
@@ -180,7 +182,7 @@ def _cmd_beta_odd(args):
     return (text, payload, csv), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
 
 
-def _cmd_beta_even(args):
+def _cmd_beta_even(args) -> tuple[tuple, int]:
     if args.k < 1:
         args._parser.error("k must be >= 1")
     _check_guard(args, "k", args.k, args.max_k)
@@ -197,8 +199,9 @@ def _cmd_beta_even(args):
         "series": {"decimal": series, "digits": 10},
         "abs_diff": diff,
     }
+    dec = f"{result.value:.{args.digits}f}"
     text = [
-        f"beta({2 * args.k}) = {result.value:.{args.digits}f} "
+        f"beta({2 * args.k}) = {dec} "
         f"(abs error estimate {result.abs_error_estimate:.1e}, n_evals {result.n_evals})",
         f"series cross-check: {series} (abs diff {diff:.1e})",
     ]
@@ -206,7 +209,7 @@ def _cmd_beta_even(args):
         flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
         payload["sign_variants"] = {"corrected": result.value, "printed": flipped.value}
         text += [
-            f"prefactor (-1)^k:     {result.value:.{args.digits}f}",
+            f"prefactor (-1)^k:     {dec}",
             f"prefactor (-1)^(k-1): {flipped.value:.{args.digits}f} "
             "(negates the series value: the latter sign cannot be right)",
         ]
@@ -226,7 +229,7 @@ def _table_record(label: str, n: int, kind: str, key: str, value) -> tuple:
     return [f"{label} = {shown}"], {"n": n, key: data}, ["n,kind,value", f"{n},{kind},{shown}"]
 
 
-def _cmd_euler(args):
+def _cmd_euler(args) -> tuple[tuple, int]:
     n = args.n
     if n < 0:
         args._parser.error("n must be >= 0")
@@ -238,7 +241,7 @@ def _cmd_euler(args):
                          euler_number(n)), EXIT_OK
 
 
-def _cmd_bernoulli(args):
+def _cmd_bernoulli(args) -> tuple[tuple, int]:
     n = args.n
     if n < 0:
         args._parser.error("n must be >= 0")
@@ -255,7 +258,7 @@ def _cmd_bernoulli(args):
                          bernoulli_number(n)), EXIT_OK
 
 
-def _cmd_verify(args):
+def _cmd_verify(args) -> tuple[tuple, int]:
     if args.nmax < 0:
         args._parser.error("nmax must be >= 0")
     if args.trials < 1:
@@ -277,7 +280,7 @@ def _cmd_verify(args):
     return (text, report.to_json(), csv), code
 
 
-def _cmd_telescope(args):
+def _cmd_telescope(args) -> tuple[tuple, int]:
     if args.k < 0 or args.n_max < 0:
         args._parser.error("k and N must be >= 0")
     _check_guard(args, "k", args.k, args.max_k)
@@ -295,7 +298,7 @@ def _cmd_telescope(args):
     return (text, trace.to_json(), trace.to_csv().splitlines()), EXIT_OK
 
 
-def _cmd_aux(args):
+def _cmd_aux(args) -> tuple[tuple, int]:
     k, m = args.k, args.m
     if k < 0 or m < 0:
         args._parser.error("k and m must be >= 0")
