@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import rational_str
-from .highprec import HighPrecisionReal, pi_fraction, quantize
+from .highprec import HighPrecisionReal, digit_string, pi_fraction, quantize
 
 __all__ = [
     "HighPrecisionReal",
@@ -99,17 +99,18 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
     chosen to push the bound below a quarter of the digit budget.
 
     The loop runs on integers: b and c are integral, and the sum is kept
-    in binary fixed point with 2^bits > 10^(digits+10).  Each of the n
-    terms floor(c_k 2^bits / (2k+1)^s) loses less than one unit, so the
-    result acc / (d_n 2^bits) is within n / (d_n 2^bits) of the exact
-    weighted sum; d_n > 10^digits makes that far smaller than 10^-(digits+10).
+    in binary fixed point.  Each of the n terms floor(c_k 2^bits / (2k+1)^s)
+    loses less than one unit, so the result acc / (d_n 2^bits) is within
+    n / (d_n 2^bits) of the exact weighted sum.  That loss is divided by
+    d_n > 10^digits, so 2^bits > n 10^10 is all it takes to keep it below
+    10^-(digits+10): fewer than 50 bits up to 10,000 digits.
     """
     n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
     u_prev, u = 2, 6
     for _ in range(n - 1):
         u_prev, u = u, 6 * u - u_prev
     d = u // 2
-    bits = (10 ** (digits + 10)).bit_length()
+    bits = (n * 10**10).bit_length()
     b = -1
     c = -d
     acc = 0
@@ -158,7 +159,7 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
         raise ValueError("digits must be >= 1")
     if v.power == 0 or v.coeff == 0:
         return HighPrecisionReal(v.coeff, digits)
-    coeff_mag = len(str(abs(v.coeff.numerator) // v.coeff.denominator + 1))
+    coeff_mag = len(digit_string(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
     bits = (10**working).bit_length()
     pi = pi_fraction(working)

@@ -178,6 +178,13 @@ def _cmd_beta_odd(args) -> tuple[tuple, int]:
         }
         status = "exact match" if match else "MISMATCH"
         text.append(f"cross-check via Euler numbers: {via_euler} ({status})")
+        if not match:
+            # stderr, so the CSV form, which has no column for it, shows it too
+            print(
+                f"betakit: cross-check mismatch: Bernoulli route coeff "
+                f"{payload['coeff']}, Euler route coeff {rational_str(via_euler.coeff)}",
+                file=sys.stderr,
+            )
     csv = ["coeff,pi_power,decimal,digits", f"{payload['coeff']},{value.power},{dec},{args.digits}"]
     return (text, payload, csv), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
 
@@ -305,7 +312,10 @@ def _cmd_aux(args) -> tuple[tuple, int]:
     _check_guard(args, "k", k, args.max_k)
     name = args.family.upper()
     closed = (aux_integral_I_closed if name == "I" else aux_integral_J_closed)(k, m)
-    numeric = aux_integral_numeric(IntegrandSpec(f"aux_{name}", k, m), args.tol)
+    try:
+        numeric = aux_integral_numeric(IntegrandSpec(f"aux_{name}", k, m), args.tol)
+    except ValueError as exc:
+        args._parser.error(str(exc))
     label = f"{name}({k},{m})"
     closed_json = closed.to_json(args.digits)
     dec = closed_json["decimal"]

@@ -179,8 +179,18 @@ def integrate_adaptive(
     return QuadratureResult(value, err_total, evals)
 
 
+# the coefficients of E_n(t) overflow a float from n = 218, so the aux
+# integrands, of degrees 2k and 2k + 1, stop at k = 108
+MAX_AUX_K = 108
+
+
 @lru_cache(maxsize=256)
 def _float_coeffs(n: int) -> tuple[float, ...]:
+    if n > 2 * MAX_AUX_K + 1:
+        raise ValueError(
+            f"E_{n}(t) has coefficients beyond the float range: "
+            f"the largest supported k is {MAX_AUX_K}"
+        )
     return euler_polynomial(n).float_coeffs()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from betakit.betavalues import (
     PiPowerValue,
+    _beta_accelerated,
     beta_odd_exact,
     beta_odd_exact_via_euler,
     beta_series,
@@ -220,6 +221,81 @@ class TestFixedPointKernels:
     def test_render_property(self, coeff, power, digits):
         v = PiPowerValue(coeff, power)
         assert render_decimal(v, digits).value == _exact_pi_power_render(v, digits)
+
+
+def _crvz_exact_sum(s: int, digits: int) -> Fraction:
+    """The CRVZ weighted sum (1/d_n) sum_k c_k / (2k+1)^s with no floors."""
+    n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
+    u_prev, u = 2, 6
+    for _ in range(n - 1):
+        u_prev, u = u, 6 * u - u_prev
+    d = u // 2
+    b, c = -1, -d
+    # one common denominator: a Fraction sum would reduce at every term
+    denom = math.lcm(*((2 * k + 1) ** s for k in range(n)))
+    acc = 0
+    for k in range(n):
+        c = b - c
+        acc += c * (denom // (2 * k + 1) ** s)
+        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
+    return Fraction(acc, d * denom)
+
+
+def _machin_pi(digits: int) -> Fraction:
+    """pi by Machin's formula, 16 arccot(5) - 4 arccot(239), on scaled integers."""
+    unity = 10 ** (digits + 10)
+
+    def arccot(x: int) -> int:
+        total, power, n, sign = 0, unity // x, 1, 1
+        while power:
+            total += sign * (power // n)
+            power //= x * x
+            n += 2
+            sign = -sign
+        return total
+
+    return Fraction(16 * arccot(5) - 4 * arccot(239), unity)
+
+
+class TestErrorBudgets:
+    """Each kernel meets the floor-loss budget its docstring proves."""
+
+    def test_series_floor_losses_below_guard(self):
+        for s in (1, 2, 7, 41):
+            for digits in (1, 13, 101, 400):
+                err = abs(_beta_accelerated(s, digits) - _crvz_exact_sum(s, digits))
+                assert err < F(1, 10 ** (digits + 10)), (s, digits)
+
+    def test_pi_agrees_with_machin(self):
+        for digits in (1, 2, 14, 15, 28, 100, 1000, 3100):
+            assert abs(pi_fraction(digits) - _machin_pi(digits)) < F(2, 10**digits), digits
+
+    def test_pi_within_three_guard_units(self):
+        # tail under one unit of 10^-(d+10), isqrt and the floor under two;
+        # the Machin reference at d + 20 digits is off by under 10^-(d+20)
+        for digits in (1, 2, 14, 15, 28, 100, 1000):
+            err = abs(pi_fraction(digits) - _machin_pi(digits + 20))
+            assert err < F(3, 10 ** (digits + 10)) + F(1, 10 ** (digits + 20)), digits
+
+
+class TestBeyondIntStrLimit:
+    """More digits than str(int) converts by default (4300 from Python 3.11)."""
+
+    def test_decimal_string_of_a_third(self):
+        assert decimal_string(F(1, 3), 5000) == "0." + "3" * 5000
+
+    def test_series_and_render_agree_at_4400_digits(self):
+        series = beta_series(3, 4400)
+        rendered = render_decimal(beta_odd_exact(1), 4400)
+        assert abs(series.value - rendered.value) < F(2, 10**4400)
+        assert series.decimal_str() == rendered.decimal_str()
+        assert len(series.decimal_str()) == 4402
+
+    def test_render_of_a_coefficient_past_the_limit(self):
+        # the render sizes its working precision by the digits of |coeff|
+        v = PiPowerValue(F(10**4400 + 1, 3), 1)
+        rendered = render_decimal(v, 5)
+        assert abs(rendered.value - v.coeff * pi_fraction(4420)) < F(1, 10**5)
 
 
 class TestDecimalFormatting:

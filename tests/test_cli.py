@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,22 @@ class TestBetaOdd:
         payload = json.loads(r.stdout)
         assert payload["cross_check"]["match"] is True
         assert payload["cross_check"]["coeff"] == payload["coeff"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_cross_check_mismatch_is_reported_on_stderr(self, monkeypatch, capsys, fmt):
+        import betakit.cli as cli_mod
+        from betakit.betavalues import PiPowerValue
+
+        monkeypatch.setattr(cli_mod, "beta_odd_exact_via_euler",
+                            lambda k: PiPowerValue(Fraction(1, 3), 2 * k + 1))
+        code = run_cli(["beta", "odd", "--k", "1", "--cross-check", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "betakit: cross-check mismatch: Bernoulli route coeff 1/32, "
+            "Euler route coeff 1/3\n"
+        )
+        assert captured.out
 
     def test_csv_format(self, run_betakit):
         r = run_betakit(["beta", "odd", "--k", "0", "--format", "csv"])
@@ -258,6 +275,21 @@ class TestAuxCommand:
         payload = json.loads(r.stdout)
         assert payload["closed"]["coeff"] == "-1"
         assert payload["closed"]["pi_power"] == -2
+
+    @pytest.mark.parametrize("family", ["i", "j"])
+    def test_k_past_float_coefficients_is_usage_error(self, run_betakit, family):
+        r = run_betakit(["aux", "--family", family, "--k", "109", "--m", "0",
+                         "--max-k", "200"])
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"the largest supported k is 108" in r.stderr
+        assert b"Traceback" not in r.stderr
+
+    def test_largest_supported_k_succeeds(self, run_betakit):
+        r = run_betakit(["aux", "--family", "i", "--k", "108", "--m", "0",
+                         "--max-k", "200", "--format", "json"])
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["numeric"]["value"] > 0
 
 
 class TestUsageAndErrors:

@@ -201,6 +201,12 @@ class TestAuxNumeric:
         with pytest.raises(ValueError):
             aux_integral_numeric(IntegrandSpec("beta_even", 1), 1e-8)
 
+    @pytest.mark.parametrize("kind", ["aux_I", "aux_J"])
+    def test_k_past_float_coefficients_raises(self, kind):
+        # E_218 and E_219 have coefficients past the double range
+        with pytest.raises(ValueError, match=r"the largest supported k is 108"):
+            aux_integral_numeric(IntegrandSpec(kind, 109, 0), 1e-8)
+
 
 class TestRecurrences:
     """Both families contract by -(a)(a-1)/((2m+1)^2 pi^2) per step."""
