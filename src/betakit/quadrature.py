@@ -47,6 +47,9 @@ _DEFAULT_MAX_EVALS = 2_000_000
 # use the latter) still convert to a float: 170! is about 7e306, 171! exceeds
 # the double range
 MAX_BETA_EVEN_K = 85
+# the coefficients of E_n(t) overflow a float from n = 218, so the aux
+# integrands, of degrees 2k and 2k + 1, stop at k = 108
+MAX_AUX_K = 108
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] for n = 7 and n = 15, as
@@ -177,11 +180,6 @@ def integrate_adaptive(
     value = math.fsum(item[1] for item in accepted)
     err_total = math.fsum(item[2] for item in accepted)
     return QuadratureResult(value, err_total, evals)
-
-
-# the coefficients of E_n(t) overflow a float from n = 218, so the aux
-# integrands, of degrees 2k and 2k + 1, stop at k = 108
-MAX_AUX_K = 108
 
 
 @lru_cache(maxsize=256)
