@@ -7,7 +7,8 @@ constant), but
 
 The integrand looks singular at t = 1/2 where sec blows up, but E_{2k-1}
 vanishes there too and the quotient extends continuously; the evaluator
-switches to a Taylor-ratio form near the endpoint.  The prefactor sign
+expands E_{2k-1} in powers of t - 1/2, where that zero is an exact zero
+coefficient, and divides it out.  The prefactor sign
 matters: this script also evaluates the (-1)^(k-1) variant to show it
 contradicts the manifestly positive series.
 """

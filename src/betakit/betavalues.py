@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
-from .exact import rational_str
-from .highprec import HighPrecisionReal, digit_string, pi_fraction, quantize
+from .exact import digit_string, rational_str
+from .highprec import HighPrecisionReal, pi_fraction, quantize
 
 __all__ = [
     "HighPrecisionReal",

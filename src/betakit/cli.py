@@ -215,6 +215,12 @@ def _cmd_beta_even(args) -> tuple[tuple, int]:
     if args.show_erratum:
         flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
         payload["sign_variants"] = {"corrected": result.value, "printed": flipped.value}
+        # stderr, so the CSV form, which has no column for them, shows them too
+        print(
+            f"betakit: prefactor sign variants: (-1)^k {result.value!r}, "
+            f"(-1)^(k-1) {flipped.value!r}",
+            file=sys.stderr,
+        )
         text += [
             f"prefactor (-1)^k:     {dec}",
             f"prefactor (-1)^(k-1): {flipped.value:.{args.digits}f} "

@@ -24,6 +24,7 @@ __all__ = [
     "Rational",
     "RationalPolynomial",
     "binomial",
+    "digit_string",
     "poly_compose_affine",
     "poly_derivative",
     "poly_eval",
@@ -32,12 +33,30 @@ __all__ = [
 ]
 
 
+# str(int) refuses more digits than sys.get_int_max_str_digits() (4300 by
+# default from Python 3.11, never set below 640), a process-wide setting,
+# so digit_string converts 600 digits at a time
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def digit_string(n: int) -> str:
+    """Decimal digits of the integer n >= 0, of any length."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def rational_str(q: RationalLike) -> str:
     """Serialize a rational as ``"p/q"``, or just ``"p"`` when q = 1."""
     q = Fraction(q)
+    num = ("-" if q < 0 else "") + digit_string(abs(q.numerator))
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return num
+    return f"{num}/{digit_string(q.denominator)}"
 
 
 def rational_from_str(s: str) -> Fraction:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact import digit_string
+
 __all__ = [
     "BudgetExceededError",
     "HighPrecisionReal",
@@ -99,23 +101,6 @@ def _round_half_even_scaled(x: Fraction, places: int) -> int:
 def quantize(x: Fraction, places: int) -> Fraction:
     """Round x to the nearest multiple of 10^-places (ties to even)."""
     return Fraction(_round_half_even_scaled(x, places), 10**places)
-
-
-# str(int) refuses more digits than sys.get_int_max_str_digits() (4300 by
-# default from Python 3.11, never set below 640), a process-wide setting,
-# so digit_string converts 600 digits at a time
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def digit_string(n: int) -> str:
-    """Decimal digits of the integer n >= 0, of any length."""
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(str(low).zfill(_CHUNK_DIGITS))
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
 
 
 def decimal_string(x: Fraction, places: int) -> str:

@@ -4,9 +4,9 @@ beta(2k) has no known closed form, but it equals
 
     (-1)^k pi^(2k) / (2 (2k-1)!) * integral_0^(1/2) E_{2k-1}(t) sec(pi t) dt.
 
-The integrand has a removable singularity at t = 1/2 (both E_{2k-1} and
-cos(pi t) have simple zeros there), repaired by evaluating the ratio of
-short Taylor expansions instead of dividing nearly-zero by nearly-zero.
+The integrand has a removable singularity at t = 1/2, where E_{2k-1} and
+cos(pi t) both vanish.  In powers of u = t - 1/2, E_{2k-1} has a constant
+term of exactly 0 (DLMF 24.4), so the zero divides out with no cancellation.
 The auxiliary integrals
 
     I(k, m) = integral_0^(1/2) E_{2k}(t)   sin((2m+1) pi t) dt
@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .betavalues import PiPowerValue
-from .eulerpoly import euler_polynomial
+from .eulerpoly import euler_number, euler_polynomial
 from .highprec import BudgetExceededError
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 MIN_TOL = 1e-13  # double-precision floor for requested tolerances
-SINGULARITY_WINDOW = 1e-3  # switch to the Taylor-ratio scheme inside this
-_TAYLOR_ORDER = 4
 _DEFAULT_MAX_EVALS = 2_000_000
 # largest k whose float prefactors (2k-1)! and (2k)! (the telescope traces
 # use the latter) still convert to a float: 170! is about 7e306, 171! exceeds
@@ -183,41 +181,23 @@ def integrate_adaptive(
 
 
 @lru_cache(maxsize=256)
-def _float_coeffs(n: int) -> tuple[float, ...]:
+def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
+    """E_n's float coefficients in powers of t, or of u = t - 1/2 if at_half.
+
+    The u-basis is the Appell sum E_n(1/2 + u) = sum_i C(n, i) E_{n-i} u^i /
+    2^(n-i) (DLMF 24.4), each term rounded once; odd n - i terms are exactly 0.
+    """
     if n > 2 * MAX_AUX_K + 1:
         raise ValueError(
             f"E_{n}(t) has coefficients beyond the float range: "
             f"the largest supported k is {MAX_AUX_K}"
         )
-    return euler_polynomial(n).float_coeffs()
-
-
-# sin(pi t) about t = 0 and t = 1/2, orders 0 .. _TAYLOR_ORDER: the sine part
-# of telescope's E*_{2k}(t) = E_{2k}(t) - (E_{2k}/2^(2k)) sin(pi t)
-_SINPI_AT_0 = (0.0, math.pi, 0.0, -(math.pi**3) / 6.0, 0.0)
-_SINPI_AT_HALF = (1.0, 0.0, -(math.pi**2) / 2.0, 0.0, math.pi**4 / 24.0)
-
-
-@lru_cache(maxsize=256)
-def _taylor(n: int, at_half: bool, sin_scale: Fraction = Fraction(0)) -> tuple[float, ...]:
-    # Taylor coefficients of E_n(t) - sin_scale sin(pi t) about 1/2 (or 0).
-    # The polynomial part is exact until the final float conversion and the
-    # constant term is combined in rational arithmetic, so a zero there is a
-    # true zero, not a cancellation residue.
-    x0 = Fraction(1, 2) if at_half else Fraction(0)
-    sin_series = _SINPI_AT_HALF if at_half else _SINPI_AT_0
-    p = euler_polynomial(n)
-    out: list[float] = []
-    fact = 1
-    for j in range(_TAYLOR_ORDER + 1):
-        poly_coeff = p(x0) / fact
-        if j == 0:
-            out.append(float(poly_coeff - sin_scale * Fraction(sin_series[0])))
-        else:
-            out.append(float(poly_coeff) - float(sin_scale) * sin_series[j])
-        p = p.derivative()
-        fact *= j + 1
-    return tuple(out)
+    if not at_half:
+        return euler_polynomial(n).float_coeffs()
+    return tuple(
+        math.comb(n, i) * euler_number(n - i).numerator / 2 ** (n - i) if (n - i) % 2 == 0 else 0.0
+        for i in range(n + 1)
+    )
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -227,29 +207,23 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return acc
 
 
-# cos(pi t) about t = 1/2 is -sin(pi u) = -pi u + (pi u)^3/6 - ...; after
-# factoring out u this is the denominator series used by the Taylor-ratio.
-_COS_AT_HALF_OVER_U = (-math.pi, 0.0, math.pi**3 / 6.0, 0.0)
-
-
 def beta_even_integrand(k: int, t: float) -> float:
     """E_{2k-1}(t) * sec(pi t) on [0, 1/2], continuous at the endpoint.
 
-    Within SINGULARITY_WINDOW of t = 1/2 the value is the ratio of the
-    degree-4 Taylor expansions of E_{2k-1}(t) and cos(pi t) about 1/2 with
-    the common factor (t - 1/2) cancelled; at t = 1/2 exactly this reduces
-    to the limit -(2k-1) E_{2k-2}(1/2) / pi.
+    With u = t - 1/2 the value is -H(u) / sin(pi u), where H is E_{2k-1} in
+    powers of u.  H's constant term E_{2k-1}(1/2) is exactly 0, so the
+    quotient loses nothing to cancellation as t nears 1/2, and at t = 1/2
+    it is the limit -H'(0) / pi = -(2k-1) E_{2k-2}(1/2) / pi.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
+    coeffs = _float_coeffs(2 * k - 1, True)
     u = t - 0.5
-    if abs(u) < SINGULARITY_WINDOW:
-        num = _taylor(2 * k - 1, True)
-        # E_{2k-1}(1/2) = 0 exactly, so num[0] is a true zero: divide out u
-        return _horner(num[1:], u) / _horner(_COS_AT_HALF_OVER_U, u)
-    return _horner(_float_coeffs(2 * k - 1), t) / math.cos(math.pi * t)
+    if u == 0.0:
+        return -coeffs[1] / math.pi
+    return -_horner(coeffs, u) / math.sin(math.pi * u)
 
 
 def beta_even_quadrature(

@@ -15,15 +15,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
 from .quadrature import (
-    _COS_AT_HALF_OVER_U,
-    SINGULARITY_WINDOW,
     _check_prefactor_k,
+    _float_coeffs,
     _horner,
-    _taylor,
     beta_even_integrand,
     integrate_adaptive,
 )
@@ -38,11 +36,6 @@ __all__ = [
     "partial_sum_J",
 ]
 
-@lru_cache(maxsize=256)
-def _estar_float_data(k: int) -> tuple[tuple[float, ...], float]:
-    poly = euler_polynomial(2 * k).float_coeffs()
-    return poly, float(euler_number(2 * k) / 2 ** (2 * k))
-
 
 def e_star(k: int, t: float) -> float:
     """The modified integrand E*_{2k}(t) = E_{2k}(t) - (E_{2k}/2^(2k)) sin(pi t).
@@ -55,8 +48,9 @@ def e_star(k: int, t: float) -> float:
         raise ValueError("k must be >= 0")
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
-    poly, scale = _estar_float_data(k)
-    return _horner(poly, t) - scale * math.sin(math.pi * t)
+    # E_{2k}/2^(2k) = E_{2k}(1/2), the constant term of the expansion about 1/2
+    scale = _float_coeffs(2 * k, True)[0]
+    return _horner(_float_coeffs(2 * k), t) - scale * math.sin(math.pi * t)
 
 
 def correction_term(k: int, m: int) -> Fraction:
@@ -76,12 +70,6 @@ def correction_term(k: int, m: int) -> Fraction:
     if value != alt:
         raise RuntimeError(f"correction term self-check failed for k={k}")
     return value
-
-
-# Denominator series about the relevant endpoint, written in u = t - t0,
-# with the factor u of their simple zeros already divided out.
-_SIN2PI_AT_0_OVER_U = (2 * math.pi, 0.0, -((2 * math.pi) ** 3) / 6.0, 0.0)
-_SIN2PI_AT_HALF_OVER_U = (-2 * math.pi, 0.0, (2 * math.pi) ** 3 / 6.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,23 +119,34 @@ class ExtendedFunctionSpec:
 
 
 def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
-    """Evaluate f, g or h, using the Taylor-ratio repair near singular points."""
+    """Evaluate f, g or h, continuous at their singular endpoints.
+
+    h is half the beta(2k) integrand.  Let s = E_{2k}(1/2).  On [1/4, 1/2],
+    E_{2k} in powers of u = t - 1/2 is s + sum_{i>=2} c_i u^i and
+    sin(pi t) = 1 - 2 sin^2(pi u/2), so with s cancelled exactly
+    g = -(u^2 sum_{i>=2} c_i u^(i-2) + 2 s sin^2(pi u/2)) / sin(pi u) and
+    f = g / (2 sin(pi t)), both 0 at t = 1/2.  On [0, 1/4), g is the plain
+    quotient, and E_{2k}(t) = t P(t) for k >= 1, so
+    f = (P(t) t / sin(pi t) - s) / (2 cos(pi t)), with t / sin(pi t) = 1/pi at 0.
+    """
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
     k = spec.k
     if spec.name == "h":
         return 0.5 * beta_even_integrand(k, t)
-    near_zero = spec.name == "f" and t < SINGULARITY_WINDOW
-    if not near_zero and 0.5 - t >= SINGULARITY_WINDOW:
-        den = math.sin(2 * math.pi * t) if spec.name == "f" else math.cos(math.pi * t)
-        return e_star(k, t) / den
-    # Taylor ratio of E*_{2k} over the denominator, common factor u cancelled
-    num = _taylor(2 * k, not near_zero, euler_number(2 * k) / Fraction(2) ** (2 * k))
-    if near_zero:
-        return _horner(num[1:], t) / _horner(_SIN2PI_AT_0_OVER_U, t)
+    if t < 0.25:
+        if spec.name == "g":
+            return e_star(k, t) / math.cos(math.pi * t)
+        s = _float_coeffs(2 * k, True)[0]
+        ratio = t / math.sin(math.pi * t) if t else 1 / math.pi
+        return (_horner(_float_coeffs(2 * k)[1:], t) * ratio - s) / (2 * math.cos(math.pi * t))
+    coeffs = _float_coeffs(2 * k, True)
     u = t - 0.5
-    den = _SIN2PI_AT_HALF_OVER_U if spec.name == "f" else _COS_AT_HALF_OVER_U
-    return _horner(num[1:], u) / _horner(den, u)
+    if u == 0.0:
+        return 0.0
+    num = u * u * _horner(coeffs[2:], u) + 2 * coeffs[0] * math.sin(0.5 * math.pi * u) ** 2
+    g = -num / math.sin(math.pi * u)
+    return g if spec.name == "g" else g / (2 * math.sin(math.pi * t))
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,13 @@ def _trace_samples(n_max: int) -> list[int]:
     return sorted(samples)
 
 
+def _alternating_sums(power: int, n_max: int) -> Iterator[tuple[int, float]]:
+    # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n
+    for n in _trace_samples(n_max):
+        terms = ((1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power) for m in range(n + 1))
+        yield n, math.fsum(terms)
+
+
 def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
     """Partial sums of sum_m (-1)^m I*(k, m), which telescope to zero.
 
@@ -210,15 +216,8 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
     _check_prefactor_k(k, "(2k)!")
     pref = (-1) ** k * math.factorial(2 * k) / math.pi ** (2 * k + 1)
     corr = float(correction_term(k, 0))
-    power = 2 * k + 1
-    entries = []
-    for n in _trace_samples(n_max):
-        s = math.fsum(
-            (1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power)
-            for m in range(n + 1)
-        )
-        entries.append((n, pref * s - corr))
-    return PartialSumTrace("I_star", k, 0.0, tuple(entries))
+    entries = tuple((n, pref * s - corr) for n, s in _alternating_sums(2 * k + 1, n_max))
+    return PartialSumTrace("I_star", k, 0.0, entries)
 
 
 def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
@@ -238,12 +237,5 @@ def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
         lambda t: 0.5 * beta_even_integrand(k, t), 0.0, 0.5, tol
     )
     pref = (-1) ** k * math.factorial(2 * k - 1) / math.pi ** (2 * k)
-    power = 2 * k
-    entries = []
-    for n in _trace_samples(n_max):
-        s = math.fsum(
-            (1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power)
-            for m in range(n + 1)
-        )
-        entries.append((n, pref * s))
-    return PartialSumTrace("J", k, target.value, tuple(entries))
+    entries = tuple((n, pref * s) for n, s in _alternating_sums(2 * k, n_max))
+    return PartialSumTrace("J", k, target.value, entries)

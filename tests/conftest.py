@@ -64,6 +64,47 @@ def gf_euler_poly_oracle(n: int) -> RationalPolynomial:
     return quot[n] * Fraction(fact[n])
 
 
+# float sample points for the accuracy checks at the removable singularities:
+# t = 1/2 - 10^-j, both sides of the points 1e-3 from each singular endpoint,
+# and a few interior points
+ACCURACY_GRID = tuple(
+    [0.5 - 10.0**-j for j in range(1, 13)]
+    + [math.nextafter(0.5 - 1e-3, 1.0), 1e-3, math.nextafter(1e-3, 0.0)]
+    + [0.0, 0.1, 0.25, 0.37]
+)
+
+
+def sin_cos_oracle(x: Fraction) -> tuple[Fraction, Fraction]:
+    """sin x and cos x for |x| <= 2 from their Taylor series, within 1e-60."""
+    sin, cos = Fraction(0), Fraction(0)
+    term, j = Fraction(1), 0  # term = x^j / j!
+    while j < 2 or abs(term) > Fraction(1, 10**60):
+        if j % 2:
+            sin += term if j % 4 == 1 else -term
+        else:
+            cos += term if j % 4 == 0 else -term
+        j += 1
+        term = term * x / j
+    return sin, cos
+
+
+def relative_error(got: float, want) -> float:
+    """|got - want| / |want| for an exact or mpmath want; 0 or inf if want is 0."""
+    if want == 0:
+        return 0.0 if got == 0 else math.inf
+    exact = Fraction(got) if isinstance(want, Fraction) else got
+    return float(abs((exact - want) / want))
+
+
+def chunked_digits(n: int) -> str:
+    """Decimal digits of n >= 0, 1000 per str() call, below any int-to-str limit."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def _poly_antiderivative(p: RationalPolynomial) -> RationalPolynomial:
     coeffs = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)]
     return RationalPolynomial.from_coefficients(coeffs)

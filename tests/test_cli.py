@@ -161,6 +161,18 @@ class TestBetaEven:
         assert variants["corrected"] > 0 > variants["printed"]
         assert variants["printed"] == -variants["corrected"]
 
+    def test_show_erratum_csv_names_both_signs_on_stderr(self, capsys):
+        plain = run_cli(["beta", "even", "--k", "1", "--format", "csv"])
+        plain_out = capsys.readouterr().out
+        code = run_cli(["beta", "even", "--k", "1", "--show-erratum", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == plain == 0
+        assert captured.out == plain_out  # three columns, as without the flag
+        value = captured.out.splitlines()[1].split(",")[0]
+        assert captured.err == (
+            f"betakit: prefactor sign variants: (-1)^k {value}, (-1)^(k-1) -{value}\n"
+        )
+
     def test_rejects_k_zero(self, run_betakit):
         assert run_betakit(["beta", "even", "--k", "0"]).returncode == 2
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import chunked_digits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,13 @@ class TestRationalSerialization:
     def test_round_trip(self):
         for s in ["0", "-1/2", "355/113"]:
             assert rational_str(rational_from_str(s)) == s
+
+    def test_past_the_int_str_limit(self):
+        # 4401 digits: more than str(int) converts by default from Python 3.11
+        big = 10**4400 + 1
+        assert rational_str(F(big, 3)) == chunked_digits(big) + "/3"
+        assert rational_str(F(-big, 3)) == "-" + chunked_digits(big) + "/3"
+        assert rational_str(F(3, big)) == "3/" + chunked_digits(big)
 
 
 class TestCanonicalForm:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    ACCURACY_GRID,
+    PI_LITERAL,
+    chunked_digits,
+    gf_euler_poly_oracle,
+    relative_error,
+    sin_cos_oracle,
+)
 
 from betakit.betavalues import beta_series, render_decimal
 from betakit.eulerpoly import euler_polynomial
@@ -120,6 +129,29 @@ class TestBetaEvenIntegrand:
         assert max(ratios) <= 3 * max(ratios[0], 1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def _cos_pi(t: float) -> Fraction:
+    return sin_cos_oracle(PI_LITERAL * F(t))[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 20, 50])
+class TestBetaEvenIntegrandAccuracy:
+    """Relative error within 1e-15 at the float t, even next to t = 1/2."""
+
+    def test_against_exact_oracle(self, k):
+        poly = gf_euler_poly_oracle(2 * k - 1)
+        for t in ACCURACY_GRID:
+            want = poly(F(t)) / _cos_pi(t)
+            assert relative_error(beta_even_integrand(k, t), want) <= 1e-15, t
+
+    def test_against_mpmath(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for t in ACCURACY_GRID:
+                want = mpmath.eulerpoly(2 * k - 1, t) / mpmath.cos(mpmath.pi * t)
+                assert relative_error(beta_even_integrand(k, t), want) <= 1e-15, t
+
+
 class TestBetaEvenQuadrature:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_series_oracle(self, k):
@@ -158,6 +190,12 @@ class TestAuxClosedForms:
         assert (v.coeff, v.power) == (F(1, 3), -1)
         v = aux_integral_I_closed(1, 0)
         assert (v.coeff, v.power) == (F(-2), -3)
+
+    def test_str_past_the_int_str_limit(self):
+        # 1600! has 4437 digits, more than str(int) converts by default
+        assert str(aux_integral_I_closed(800, 0)) == (
+            chunked_digits(math.factorial(1600)) + " * pi^-1601"
+        )
 
     def test_j_values(self):
         v = aux_integral_J_closed(0, 0)

@@ -7,6 +7,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    ACCURACY_GRID,
+    PI_LITERAL,
+    gf_euler_poly_oracle,
+    relative_error,
+    sin_cos_oracle,
+)
 
 from betakit.betavalues import beta_series
 from betakit.eulerpoly import euler_number
@@ -108,6 +115,41 @@ class TestExtendedFunctions:
         t = 0.3
         direct = e_star(2, t) / math.sin(2 * math.pi * t)
         assert abs(extended_eval(spec, t) - direct) < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2])
+class TestExtendedAccuracy:
+    """f and g within 1e-13 relative error at the float t, next to both endpoints."""
+
+    def _check(self, k, t, f_want, g_want):
+        assert relative_error(extended_eval(ExtendedFunctionSpec("f", k), t), f_want) <= 1e-13, t
+        assert relative_error(extended_eval(ExtendedFunctionSpec("g", k), t), g_want) <= 1e-13, t
+
+    def test_against_exact_oracle(self, k):
+        poly = gf_euler_poly_oracle(2 * k)
+        s = poly(F(1, 2))
+        for t in ACCURACY_GRID:
+            sin, cos = sin_cos_oracle(PI_LITERAL * F(t))
+            estar = poly(F(t)) - s * sin
+            if t == 0.0:  # f's limit (E_{2k}'(0) - pi s) / (2 pi)
+                f_want = (poly.derivative()(0) - PI_LITERAL * s) / (2 * PI_LITERAL)
+            else:
+                f_want = estar / (2 * sin * cos)
+            self._check(k, t, f_want, estar / cos)
+
+    def test_against_mpmath(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            s = mpmath.eulerpoly(2 * k, 0.5)
+            for t in ACCURACY_GRID:
+                x = mpmath.pi * t
+                estar = mpmath.eulerpoly(2 * k, t) - s * mpmath.sin(x)
+                if t == 0.0:  # E_{2k}'(0) = 2k E_{2k-1}(0)
+                    slope = 2 * k * mpmath.eulerpoly(2 * k - 1, 0)
+                    f_want = (slope - mpmath.pi * s) / (2 * mpmath.pi)
+                else:
+                    f_want = estar / mpmath.sin(2 * x)
+                self._check(k, t, f_want, estar / mpmath.cos(x))
 
 
 class TestPartialSumIStar:
