@@ -193,10 +193,7 @@ def _cmd_beta_even(args) -> tuple[tuple, int]:
     if args.k < 1:
         args._parser.error("k must be >= 1")
     _check_guard(args, "k", args.k, args.max_k)
-    try:
-        result = beta_even_quadrature(args.k, args.tol)
-    except ValueError as exc:
-        args._parser.error(str(exc))
+    result = beta_even_quadrature(args.k, args.tol)
     # 20 digits, so the difference measures the quadrature, not the oracle
     oracle = beta_series(2 * args.k, 20)
     series = oracle.decimal_str(10)
@@ -304,7 +301,7 @@ def _cmd_telescope(args) -> tuple[tuple, int]:
             trace = partial_sum_I_star(args.k, args.n_max)
         else:
             trace = partial_sum_J(args.k, args.n_max, args.tol)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         args._parser.error(str(exc))
     text = [f"family {trace.family}, k={trace.k}, target {trace.target!r}"]
     text += [f"  N={n:<6d} S_N={s!r}" for n, s in trace.entries]

@@ -59,9 +59,22 @@ def rational_str(q: RationalLike) -> str:
     return f"{num}/{digit_string(q.denominator)}"
 
 
+def _parse_digits(s: str) -> int:
+    # digit_string inverted, one _CHUNK_DIGITS chunk per int() call
+    s = s.zfill(-(-len(s) // _CHUNK_DIGITS) * _CHUNK_DIGITS)
+    n = 0
+    for i in range(0, len(s), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(s[i : i + _CHUNK_DIGITS])
+    return n
+
+
 def rational_from_str(s: str) -> Fraction:
-    """Inverse of :func:`rational_str`."""
-    return Fraction(s)
+    """Inverse of :func:`rational_str`, of any length: ``"p/q"`` or ``"p"``."""
+    parts = s.removeprefix("-").split("/")
+    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"not a rational string: {s[:40]!r}")
+    value = Fraction(*map(_parse_digits, parts))
+    return -value if s.startswith("-") else value
 
 
 def binomial(n: int, k: int) -> int:
@@ -158,9 +171,6 @@ class RationalPolynomial:
 
     def compose_affine(self, a: RationalLike, b: RationalLike) -> "RationalPolynomial":
         return poly_compose_affine(self, a, b)
-
-    def float_coeffs(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:

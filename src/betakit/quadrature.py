@@ -4,8 +4,14 @@ beta(2k) has no known closed form, but it equals
 
     (-1)^k pi^(2k) / (2 (2k-1)!) * integral_0^(1/2) E_{2k-1}(t) sec(pi t) dt.
 
-The integrand has a removable singularity at t = 1/2, where E_{2k-1} and
-cos(pi t) both vanish.  In powers of u = t - 1/2, E_{2k-1} has a constant
+The float paths evaluate p_n(t) = pi^(n+1) E_n(t) / n!, whose t^i
+coefficient [pi^(j+1) E_j(0) / j!] [pi^i / i!] (Appell form, j = n - i) is
+O(1) for every n, where E_n's grow like n!/pi^(n+1) (DLMF 24.11).  So
+beta(2k) = (-1)^k / 2 * integral_0^(1/2) p_{2k-1}(t) sec(pi t) dt has no
+prefactor; results on E_n's scale are p_n's times s(n) = n!/pi^(n+1).
+
+The integrand has a removable singularity at t = 1/2, where p_{2k-1} and
+cos(pi t) both vanish.  In powers of u = t - 1/2, p_{2k-1} has a constant
 term of exactly 0 (DLMF 24.4), so the zero divides out with no cancellation.
 The auxiliary integrals
 
@@ -26,7 +32,7 @@ from typing import Callable
 
 from .betavalues import PiPowerValue
 from .eulerpoly import euler_number, euler_polynomial
-from .highprec import BudgetExceededError
+from .highprec import BudgetExceededError, pi_fraction
 
 __all__ = [
     "IntegrandSpec",
@@ -40,14 +46,6 @@ __all__ = [
 ]
 
 MIN_TOL = 1e-13  # double-precision floor for requested tolerances
-_DEFAULT_MAX_EVALS = 2_000_000
-# largest k whose float prefactors (2k-1)! and (2k)! (the telescope traces
-# use the latter) still convert to a float: 170! is about 7e306, 171! exceeds
-# the double range
-MAX_BETA_EVEN_K = 85
-# the coefficients of E_n(t) overflow a float from n = 218, so the aux
-# integrands, of degrees 2k and 2k + 1, stop at k = 108
-MAX_AUX_K = 108
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] for n = 7 and n = 15, as
@@ -81,14 +79,6 @@ _G15 = (
 )
 
 
-def _check_prefactor_k(k: int, factorial: str) -> None:
-    if k > MAX_BETA_EVEN_K:
-        raise ValueError(
-            f"k={k} exceeds the largest supported k ({MAX_BETA_EVEN_K}): "
-            f"{factorial} overflows a float"
-        )
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -105,23 +95,16 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Selects one of the built-in integrands on [0, 1/2].
-
-    kind is "beta_even" (parameter k >= 1), "aux_I" or "aux_J"
-    (parameters k >= 0 and m >= 0).
-    """
+    """Selects I(k, m) (kind "aux_I") or J(k, m) ("aux_J"), k, m >= 0."""
 
     kind: str
     k: int
     m: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("beta_even", "aux_I", "aux_J"):
+        if self.kind not in ("aux_I", "aux_J"):
             raise ValueError(f"unknown integrand kind {self.kind!r}")
-        if self.kind == "beta_even":
-            if self.k < 1:
-                raise ValueError("beta_even requires k >= 1")
-        elif self.k < 0 or self.m < 0:
+        if self.k < 0 or self.m < 0:
             raise ValueError("auxiliary integrals require k, m >= 0")
 
 
@@ -138,7 +121,7 @@ def integrate_adaptive(
     b: float,
     tol: float,
     max_panel_width: float | None = None,
-    max_evals: int = _DEFAULT_MAX_EVALS,
+    max_evals: int = 2_000_000,
 ) -> QuadratureResult:
     """Adaptive composite Gauss-Legendre quadrature of f over [a, b].
 
@@ -180,24 +163,41 @@ def integrate_adaptive(
     return QuadratureResult(value, err_total, evals)
 
 
+def _pi_power_over_factorial(n: int) -> tuple[int, int]:
+    # (x, d) with x / d within 2^-64 relative of pi^(n+1) / n!.  p / 2^b is
+    # within 2^(1-b) of pi, so x = floor(p^(n+1) / 2^(bn)) is within
+    # (n + 2) 2^-b < 2^-64 relative of pi^(n+1) 2^b; d = n! 2^b
+    bits = 64 + (n + 2).bit_length()
+    pi = pi_fraction(bits // 3 + 1)
+    p = (pi.numerator << bits) // pi.denominator
+    return p ** (n + 1) >> (bits * n), math.factorial(n) << bits
+
+
+@lru_cache(maxsize=256)
+def _scale(n: int) -> float:
+    """s(n) = n!/pi^(n+1), so that E_n = s(n) p_n; a ValueError past n = 218."""
+    x, d = _pi_power_over_factorial(n)
+    try:
+        return d / x
+    except OverflowError:
+        raise ValueError(f"n!/pi^(n+1) exceeds the double range at n={n}") from None
+
+
 @lru_cache(maxsize=256)
 def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
-    """E_n's float coefficients in powers of t, or of u = t - 1/2 if at_half.
+    """p_n's coefficients in powers of t, or of u = t - 1/2 if at_half.
 
-    The u-basis is the Appell sum E_n(1/2 + u) = sum_i C(n, i) E_{n-i} u^i /
-    2^(n-i) (DLMF 24.4), each term rounded once; odd n - i terms are exactly 0.
+    E_n's exact coefficients, C(n, i) E_{n-i}(0) or, by the Appell sum about
+    1/2 (DLMF 24.4), C(n, i) E_{n-i} / 2^(n-i), each times pi^(n+1) / n! and
+    rounded once by an integer division: within an ulp, exact zeros stay 0.
     """
-    if n > 2 * MAX_AUX_K + 1:
-        raise ValueError(
-            f"E_{n}(t) has coefficients beyond the float range: "
-            f"the largest supported k is {MAX_AUX_K}"
-        )
-    if not at_half:
-        return euler_polynomial(n).float_coeffs()
-    return tuple(
-        math.comb(n, i) * euler_number(n - i).numerator / 2 ** (n - i) if (n - i) % 2 == 0 else 0.0
-        for i in range(n + 1)
-    )
+    if at_half:
+        exact = [(math.comb(n, i) * euler_number(n - i).numerator, 2 ** (n - i))
+                 for i in range(n + 1)]
+    else:
+        exact = [c.as_integer_ratio() for c in euler_polynomial(n).coeffs]
+    x, d = _pi_power_over_factorial(n)
+    return tuple(x * a / (d * b) for a, b in exact)
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -207,18 +207,7 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return acc
 
 
-def beta_even_integrand(k: int, t: float) -> float:
-    """E_{2k-1}(t) * sec(pi t) on [0, 1/2], continuous at the endpoint.
-
-    With u = t - 1/2 the value is -H(u) / sin(pi u), where H is E_{2k-1} in
-    powers of u.  H's constant term E_{2k-1}(1/2) is exactly 0, so the
-    quotient loses nothing to cancellation as t nears 1/2, and at t = 1/2
-    it is the limit -H'(0) / pi = -(2k-1) E_{2k-2}(1/2) / pi.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= t <= 0.5:
-        raise ValueError(f"t={t} outside [0, 1/2]")
+def _sec_integrand(k: int, t: float) -> float:
     coeffs = _float_coeffs(2 * k - 1, True)
     u = t - 0.5
     if u == 0.0:
@@ -226,28 +215,37 @@ def beta_even_integrand(k: int, t: float) -> float:
     return -_horner(coeffs, u) / math.sin(math.pi * u)
 
 
-def beta_even_quadrature(
-    k: int, tol: float, printed_sign: bool = False, max_evals: int = _DEFAULT_MAX_EVALS
-) -> QuadratureResult:
-    """beta(2k) by quadrature of the integral representation.
+def beta_even_integrand(k: int, t: float) -> float:
+    """E_{2k-1}(t) * sec(pi t) on [0, 1/2], continuous at the endpoint.
 
-    The prefactor is (-1)^k pi^(2k) / (2 (2k-1)!).  Passing
-    printed_sign=True flips it to (-1)^(k-1); that variant makes beta(2)
-    come out negative and exists only so the discrepancy can be
-    demonstrated against the series oracle.  k may not exceed
-    MAX_BETA_EVEN_K, past which the float prefactor overflows.
+    The value is s(2k-1) times p_{2k-1}(t) sec(pi t) = -H(u) / sin(pi u),
+    where H is p_{2k-1} in powers of u = t - 1/2.  H's constant term is
+    exactly 0, so the quotient loses nothing to cancellation as t nears 1/2,
+    and at t = 1/2 it is the limit -H'(0) / pi.  Needs k <= 109.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_prefactor_k(k, "(2k-1)!")
+    if not 0.0 <= t <= 0.5:
+        raise ValueError(f"t={t} outside [0, 1/2]")
+    return _scale(2 * k - 1) * _sec_integrand(k, t)
+
+
+def beta_even_quadrature(k: int, tol: float, printed_sign: bool = False) -> QuadratureResult:
+    """beta(2k) by quadrature of the integral representation.
+
+    beta(2k) = (-1)^k / 2 * integral_0^(1/2) p_{2k-1}(t) sec(pi t) dt for any
+    k >= 1, the integral taken to 2 tol.  Passing printed_sign=True flips the
+    sign to (-1)^(k-1); that variant makes beta(2) come out negative and
+    exists only so the discrepancy can be demonstrated against the series
+    oracle.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if tol < MIN_TOL:
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
-    sign = (-1) ** (k - 1) if printed_sign else (-1) ** k
-    pref = sign * math.pi ** (2 * k) / (2.0 * math.factorial(2 * k - 1))
-    inner = integrate_adaptive(
-        lambda t: beta_even_integrand(k, t), 0.0, 0.5, tol / abs(pref), max_evals=max_evals
-    )
-    return QuadratureResult(pref * inner.value, abs(pref) * inner.abs_error_estimate, inner.n_evals)
+    half = 0.5 * ((-1) ** (k - 1) if printed_sign else (-1) ** k)
+    inner = integrate_adaptive(lambda t: _sec_integrand(k, t), 0.0, 0.5, 2 * tol)
+    return QuadratureResult(half * inner.value, 0.5 * inner.abs_error_estimate, inner.n_evals)
 
 
 def aux_integral_I_closed(k: int, m: int) -> PiPowerValue:
@@ -266,28 +264,21 @@ def aux_integral_J_closed(k: int, m: int) -> PiPowerValue:
     return PiPowerValue(coeff, -(2 * k + 2))
 
 
-def _aux_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
-    freq = (2 * spec.m + 1) * math.pi
-    if spec.kind == "aux_I":
-        poly = _float_coeffs(2 * spec.k)
-        return lambda t: _horner(poly, t) * math.sin(freq * t)
-    poly = _float_coeffs(2 * spec.k + 1)
-    return lambda t: _horner(poly, t) * math.cos(freq * t)
-
-
-def aux_integral_numeric(
-    spec: IntegrandSpec, tol: float, max_evals: int = _DEFAULT_MAX_EVALS
-) -> QuadratureResult:
+def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     """Numerically integrate I(k, m) or J(k, m) over [0, 1/2].
 
+    p_n times the sine or cosine, n = 2k for I and 2k + 1 for J, is
+    integrated to tol / s(n), and the value and estimate scaled back by s(n).
     Initial panels are capped at a quarter of 1/(2m+1) so no panel spans
     more than a fraction of an oscillation period.
     """
-    if spec.kind not in ("aux_I", "aux_J"):
-        raise ValueError("aux_integral_numeric expects an aux_I or aux_J spec")
     if tol < MIN_TOL:
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
+    n, trig = (2 * spec.k, math.sin) if spec.kind == "aux_I" else (2 * spec.k + 1, math.cos)
+    scale = _scale(n)
+    poly = _float_coeffs(n)
+    freq = (2 * spec.m + 1) * math.pi
     cap = 1.0 / (4.0 * (2 * spec.m + 1))
-    return integrate_adaptive(
-        _aux_integrand(spec), 0.0, 0.5, tol, max_panel_width=cap, max_evals=max_evals
-    )
+    inner = integrate_adaptive(lambda t: _horner(poly, t) * trig(freq * t), 0.0, 0.5,
+                               tol / scale, max_panel_width=cap)
+    return QuadratureResult(scale * inner.value, scale * inner.abs_error_estimate, inner.n_evals)

@@ -19,9 +19,10 @@ from typing import Iterator
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
 from .quadrature import (
-    _check_prefactor_k,
     _float_coeffs,
     _horner,
+    _scale,
+    _sec_integrand,
     beta_even_integrand,
     integrate_adaptive,
 )
@@ -42,15 +43,14 @@ def e_star(k: int, t: float) -> float:
 
     The subtraction makes both endpoint values vanish for k >= 1 (and the
     t = 1/2 value vanish for every k), which is what lets the telescoped
-    series cancel.
+    series cancel.  It is s(2k) times the same difference for p_{2k}: k <= 109.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
-    # E_{2k}/2^(2k) = E_{2k}(1/2), the constant term of the expansion about 1/2
-    scale = _float_coeffs(2 * k, True)[0]
-    return _horner(_float_coeffs(2 * k), t) - scale * math.sin(math.pi * t)
+    at_half = _float_coeffs(2 * k, True)[0]
+    return _scale(2 * k) * (_horner(_float_coeffs(2 * k), t) - at_half * math.sin(math.pi * t))
 
 
 def correction_term(k: int, m: int) -> Fraction:
@@ -121,31 +121,34 @@ class ExtendedFunctionSpec:
 def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
     """Evaluate f, g or h, continuous at their singular endpoints.
 
-    h is half the beta(2k) integrand.  Let s = E_{2k}(1/2).  On [1/4, 1/2],
-    E_{2k} in powers of u = t - 1/2 is s + sum_{i>=2} c_i u^i and
-    sin(pi t) = 1 - 2 sin^2(pi u/2), so with s cancelled exactly
-    g = -(u^2 sum_{i>=2} c_i u^(i-2) + 2 s sin^2(pi u/2)) / sin(pi u) and
+    h is half the beta(2k) integrand; f and g are s(2k) times the same
+    quotients for p_{2k}: k <= 109.  Let a = p_{2k}(1/2).  On [1/4, 1/2],
+    p_{2k} in powers of u = t - 1/2 is a + sum_{i>=2} c_i u^i and
+    sin(pi t) = 1 - 2 sin^2(pi u/2), so with a cancelled exactly
+    g = -(u^2 sum_{i>=2} c_i u^(i-2) + 2 a sin^2(pi u/2)) / sin(pi u) and
     f = g / (2 sin(pi t)), both 0 at t = 1/2.  On [0, 1/4), g is the plain
-    quotient, and E_{2k}(t) = t P(t) for k >= 1, so
-    f = (P(t) t / sin(pi t) - s) / (2 cos(pi t)), with t / sin(pi t) = 1/pi at 0.
+    quotient, and p_{2k}(t) = t P(t) for k >= 1, so
+    f = (P(t) t / sin(pi t) - a) / (2 cos(pi t)), with t / sin(pi t) = 1/pi at 0.
     """
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
     k = spec.k
     if spec.name == "h":
         return 0.5 * beta_even_integrand(k, t)
+    if t < 0.25 and spec.name == "g":
+        return e_star(k, t) / math.cos(math.pi * t)
+    scale = _scale(2 * k)
     if t < 0.25:
-        if spec.name == "g":
-            return e_star(k, t) / math.cos(math.pi * t)
-        s = _float_coeffs(2 * k, True)[0]
+        a = _float_coeffs(2 * k, True)[0]
         ratio = t / math.sin(math.pi * t) if t else 1 / math.pi
-        return (_horner(_float_coeffs(2 * k)[1:], t) * ratio - s) / (2 * math.cos(math.pi * t))
+        p = _horner(_float_coeffs(2 * k)[1:], t)
+        return scale * (p * ratio - a) / (2 * math.cos(math.pi * t))
     coeffs = _float_coeffs(2 * k, True)
     u = t - 0.5
     if u == 0.0:
         return 0.0
     num = u * u * _horner(coeffs[2:], u) + 2 * coeffs[0] * math.sin(0.5 * math.pi * u) ** 2
-    g = -num / math.sin(math.pi * u)
+    g = -scale * num / math.sin(math.pi * u)
     return g if spec.name == "g" else g / (2 * math.sin(math.pi * t))
 
 
@@ -197,6 +200,8 @@ def _trace_samples(n_max: int) -> list[int]:
 
 def _alternating_sums(power: int, n_max: int) -> Iterator[tuple[int, float]]:
     # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n
+    if (2 * n_max + 1) ** power >= 2**1024 - 2**970:  # float() would round it to inf
+        raise OverflowError(f"(2N+1)^{power} exceeds the double range at N={n_max}")
     for n in _trace_samples(n_max):
         terms = ((1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power) for m in range(n + 1))
         yield n, math.fsum(terms)
@@ -207,14 +212,13 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
 
     I*(k, m) differs from I(k, m) only by the m = 0 correction term, so the
     partial sums come from the closed form of I: no quadrature is needed,
-    and traces to n in the thousands are cheap.  k may not exceed
-    quadrature.MAX_BETA_EVEN_K, past which the float prefactor (2k)!
-    overflows.
+    and traces to n in the thousands are cheap.  The prefactor is
+    (-1)^k s(2k), so k <= 109, and the terms are floats: (2 n_max + 1)^(2k+1)
+    past the double range raises OverflowError.
     """
     if k < 0 or n_max < 0:
         raise ValueError("k and n_max must be >= 0")
-    _check_prefactor_k(k, "(2k)!")
-    pref = (-1) ** k * math.factorial(2 * k) / math.pi ** (2 * k + 1)
+    pref = (-1) ** k * _scale(2 * k)
     corr = float(correction_term(k, 0))
     entries = tuple((n, pref * s - corr) for n, s in _alternating_sums(2 * k + 1, n_max))
     return PartialSumTrace("I_star", k, 0.0, entries)
@@ -223,19 +227,16 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
 def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
     """Partial sums of sum_m (-1)^m J(k-1, m) against their integral target.
 
-    The closed form gives the terms; the target integral of
-    E_{2k-1}(t) sec(pi t) / 2 is evaluated once by quadrature at `tol`.
-    k may not exceed quadrature.MAX_BETA_EVEN_K, past which the float
-    prefactor (2k-1)! overflows.
+    The closed form gives the terms, with the prefactor (-1)^k s(2k-1); the
+    target, the integral of E_{2k-1}(t) sec(pi t) / 2, is s(2k-1) times that
+    of p_{2k-1}(t) sec(pi t) / 2, evaluated once by quadrature at tol / s(2k-1).
+    As for I*, k <= 109 and (2 n_max + 1)^(2k) must fit a double.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_prefactor_k(k, "(2k-1)!")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    target = integrate_adaptive(
-        lambda t: 0.5 * beta_even_integrand(k, t), 0.0, 0.5, tol
-    )
-    pref = (-1) ** k * math.factorial(2 * k - 1) / math.pi ** (2 * k)
-    entries = tuple((n, pref * s) for n, s in _alternating_sums(2 * k, n_max))
-    return PartialSumTrace("J", k, target.value, entries)
+    scale = _scale(2 * k - 1)
+    target = integrate_adaptive(lambda t: 0.5 * _sec_integrand(k, t), 0.0, 0.5, tol / scale)
+    entries = tuple((n, (-1) ** k * scale * s) for n, s in _alternating_sums(2 * k, n_max))
+    return PartialSumTrace("J", k, scale * target.value, entries)

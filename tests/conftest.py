@@ -30,8 +30,8 @@ PI_LITERAL = Fraction(
 CATALAN_LITERAL = Fraction(915965594177219015054603514932, 10**30)
 
 
-def gf_euler_number_oracle(n: int) -> Fraction:
-    """E_n from exact series division of 2 e^t / (e^(2t) + 1)."""
+def gf_euler_numbers(n: int) -> list[Fraction]:
+    """E_0 .. E_n from exact series division of 2 e^t / (e^(2t) + 1)."""
     fact = [math.factorial(i) for i in range(n + 1)]
     num = [Fraction(2, fact[i]) for i in range(n + 1)]
     den = [Fraction(2**i, fact[i]) for i in range(n + 1)]
@@ -42,7 +42,12 @@ def gf_euler_number_oracle(n: int) -> Fraction:
         for j in range(1, i + 1):
             acc -= den[j] * quot[i - j]
         quot.append(acc / den[0])
-    return quot[n] * fact[n]
+    return [q * f for q, f in zip(quot, fact)]
+
+
+def gf_euler_number_oracle(n: int) -> Fraction:
+    """E_n from exact series division of 2 e^t / (e^(2t) + 1)."""
+    return gf_euler_numbers(n)[n]
 
 
 def gf_euler_poly_oracle(n: int) -> RationalPolynomial:

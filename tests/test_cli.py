@@ -179,16 +179,12 @@ class TestBetaEven:
     def test_tol_floor_is_usage_error(self, run_betakit):
         assert run_betakit(["beta", "even", "--k", "1", "--tol", "1e-14"]).returncode == 2
 
-    def test_k_past_float_prefactor_is_usage_error(self, run_betakit):
-        r = run_betakit(["beta", "even", "--k", "86", "--max-k", "200"])
-        assert r.returncode == 2
-        assert r.stdout == b""
-        assert b"largest supported k (85)" in r.stderr
-        assert b"Traceback" not in r.stderr
-
-    def test_largest_supported_k_succeeds(self, run_betakit):
-        r = run_betakit(["beta", "even", "--k", "85", "--max-k", "200", "--format", "json"])
+    @pytest.mark.parametrize("k", ["86", "150"])
+    def test_k_past_the_float_factorial(self, run_betakit, k):
+        # (2k-1)! overflows a double from k = 86; --max-k is the one limit
+        r = run_betakit(["beta", "even", "--k", k, "--max-k", k, "--format", "json"])
         assert r.returncode == 0
+        assert b"Traceback" not in r.stderr
         assert json.loads(r.stdout)["abs_diff"] < 1e-8
 
 
@@ -258,19 +254,28 @@ class TestTelescopeCommand:
         assert r.returncode == 2
 
     @pytest.mark.parametrize("family", ["istar", "j"])
-    def test_k_past_float_prefactor_is_usage_error(self, run_betakit, family):
-        r = run_betakit(["telescope", "--family", family, "--k", "90", "--N", "100",
+    def test_scale_past_the_double_range_is_usage_error(self, run_betakit, family):
+        r = run_betakit(["telescope", "--family", family, "--k", "110", "--N", "100",
                          "--max-k", "200"])
         assert r.returncode == 2
         assert r.stdout == b""
-        assert b"largest supported k (85)" in r.stderr
+        assert b"exceeds the double range" in r.stderr
         assert b"Traceback" not in r.stderr
 
-    def test_largest_supported_k_succeeds(self, run_betakit):
-        r = run_betakit(["telescope", "--family", "istar", "--k", "85", "--N", "10",
+    @pytest.mark.parametrize("family", ["istar", "j"])
+    def test_k_past_the_float_factorial(self, run_betakit, family):
+        r = run_betakit(["telescope", "--family", family, "--k", "86", "--N", "10",
                          "--max-k", "200", "--format", "json"])
         assert r.returncode == 0
         assert json.loads(r.stdout)["entries"][-1][0] == 10
+
+    def test_denominators_past_the_double_range_are_usage_error(self, run_betakit):
+        # (2m+1)^61 overflows a double from m = 56,536
+        r = run_betakit(["telescope", "--family", "istar", "--k", "30", "--N", "100000"])
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"exceeds the double range at N=100000" in r.stderr
+        assert b"Traceback" not in r.stderr
 
 
 class TestAuxCommand:
@@ -288,20 +293,24 @@ class TestAuxCommand:
         assert payload["closed"]["coeff"] == "-1"
         assert payload["closed"]["pi_power"] == -2
 
-    @pytest.mark.parametrize("family", ["i", "j"])
-    def test_k_past_float_coefficients_is_usage_error(self, run_betakit, family):
-        r = run_betakit(["aux", "--family", family, "--k", "109", "--m", "0",
+    @pytest.mark.parametrize("family, k", [("j", "109"), ("i", "110"), ("j", "110")])
+    def test_scale_past_the_double_range_is_usage_error(self, run_betakit, family, k):
+        # J(109, m) needs s(219) = 219!/pi^220, past the double range
+        r = run_betakit(["aux", "--family", family, "--k", k, "--m", "0",
                          "--max-k", "200"])
         assert r.returncode == 2
         assert r.stdout == b""
-        assert b"the largest supported k is 108" in r.stderr
+        assert b"exceeds the double range" in r.stderr
         assert b"Traceback" not in r.stderr
 
-    def test_largest_supported_k_succeeds(self, run_betakit):
-        r = run_betakit(["aux", "--family", "i", "--k", "108", "--m", "0",
+    def test_k_past_the_float_coefficients(self, run_betakit):
+        # E_218 has coefficients past the double range; p_218 does not
+        r = run_betakit(["aux", "--family", "i", "--k", "109", "--m", "0",
                          "--max-k", "200", "--format", "json"])
         assert r.returncode == 0
-        assert json.loads(r.stdout)["numeric"]["value"] > 0
+        payload = json.loads(r.stdout)
+        assert payload["numeric"]["value"] < 0
+        assert payload["abs_diff"] <= 1e-15 * abs(payload["numeric"]["value"])
 
 
 class TestUsageAndErrors:

@@ -160,6 +160,17 @@ class TestRationalSerialization:
         assert rational_str(F(-big, 3)) == "-" + chunked_digits(big) + "/3"
         assert rational_str(F(3, big)) == "3/" + chunked_digits(big)
 
+    @pytest.mark.parametrize(
+        "q", [F(10**4400 + 1, 3), F(-(10**4400 + 1), 3), F(3, 10**4400 + 1)]
+    )
+    def test_round_trip_past_the_int_str_limit(self, q):
+        assert rational_from_str(rational_str(q)) == q
+
+    @pytest.mark.parametrize("s", ["", "-", "1/", "/2", "1.5", " 1", "1_0", "1/-2", "--1"])
+    def test_rejects_non_rational_strings(self, s):
+        with pytest.raises(ValueError):
+            rational_from_str(s)
+
 
 class TestCanonicalForm:
     def test_trailing_zeros_stripped(self):

@@ -10,7 +10,9 @@ import pytest
 from conftest import (
     ACCURACY_GRID,
     PI_LITERAL,
+    akiyama_tanigawa_bernoulli,
     chunked_digits,
+    gf_euler_numbers,
     gf_euler_poly_oracle,
     relative_error,
     sin_cos_oracle,
@@ -23,6 +25,7 @@ from betakit.quadrature import (
     _G7,
     _G15,
     IntegrandSpec,
+    _float_coeffs,
     aux_integral_I_closed,
     aux_integral_J_closed,
     aux_integral_numeric,
@@ -101,6 +104,53 @@ class TestGaussLegendreTables:
         assert [v.hex() for v in rule[1]] == [float(v).hex() for v in weights]
 
 
+# 60 decimals of pi, truncated: pi^301 from it is off by under 1e-57 relative
+PI_60 = F(3141592653589793238462643383279502884197169399375105820974944, 10**60)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_p_coeffs(n: int, at_half: bool) -> tuple[Fraction, ...]:
+    # p_n = pi^(n+1) E_n / n! in powers of t or of u = t - 1/2.  E_n's
+    # coefficients are C(n, i) E_j(0), with E_j(0) = -2 (2^(j+1) - 1)
+    # B_(j+1) / (j+1), or C(n, i) E_j / 2^j, with j = n - i
+    if at_half:
+        e = gf_euler_numbers(n)
+        c = [math.comb(n, i) * e[n - i] / 2 ** (n - i) for i in range(n + 1)]
+    else:
+        b = akiyama_tanigawa_bernoulli(n + 1)
+        c = [
+            math.comb(n, i) * -2 * (2 ** (n - i + 1) - 1) * b[n - i + 1] / (n - i + 1)
+            for i in range(n + 1)
+        ]
+    scale = PI_60 ** (n + 1) / math.factorial(n)
+    return tuple(scale * x for x in c)
+
+
+@pytest.mark.parametrize("at_half", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 99, 100, 218, 300])
+class TestFloatCoeffs:
+    """p_n's float coefficients: finite for every n, each within one ulp."""
+
+    def test_against_exact_oracle(self, n, at_half):
+        got = _float_coeffs(n, at_half)
+        want = _exact_p_coeffs(n, at_half)
+        assert len(got) == len(want) == n + 1
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert math.isfinite(g), i
+            assert abs(F(g) - w) <= F(math.ulp(float(w))), i
+            if w == 0:  # E_n(0) for even n >= 2, E_n(1/2) for odd n
+                assert g == 0.0, i
+
+    def test_against_mpmath(self, n, at_half):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for i, g in enumerate(_float_coeffs(n, at_half)):
+                j = n - i
+                e = mpmath.eulernum(j) / 2**j if at_half else mpmath.eulerpoly(j, 0)
+                w = mpmath.pi ** (n + 1) * e / (mpmath.factorial(i) * mpmath.factorial(j))
+                assert abs(g - w) <= math.ulp(float(w)), i
+
+
 class TestBetaEvenIntegrand:
     def test_left_endpoint(self):
         assert beta_even_integrand(1, 0.0) == -0.5
@@ -171,11 +221,19 @@ class TestBetaEvenQuadrature:
         with pytest.raises(ValueError):
             beta_even_quadrature(1, 1e-14)
 
-    def test_largest_supported_k(self):
-        # beta(170) is 1 to well within the tolerance
-        assert abs(beta_even_quadrature(85, 1e-8).value - 1.0) < 1e-8
-        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
-            beta_even_quadrature(86, 1e-8)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-13])
+    def test_error_against_series(self, tol):
+        # the normalized integrand leaves about an ulp of beta(2k) <= 1
+        for k in range(1, 86):
+            r = beta_even_quadrature(k, tol)
+            err = abs(F(r.value) - beta_series(2 * k, 30).value)
+            assert err <= F(4.5e-16), (k, float(err))
+
+    @pytest.mark.parametrize("k", [86, 150])
+    def test_k_past_the_float_factorial(self, k):
+        # (2k-1)! overflows a double from k = 86; beta(2k) needs no factorial
+        r = beta_even_quadrature(k, 1e-10)
+        assert abs(F(r.value) - beta_series(2 * k, 30).value) <= F(1e-10)
 
     def test_result_json_schema(self):
         payload = beta_even_quadrature(1, 1e-8).to_json()
@@ -239,11 +297,18 @@ class TestAuxNumeric:
         with pytest.raises(ValueError):
             aux_integral_numeric(IntegrandSpec("beta_even", 1), 1e-8)
 
-    @pytest.mark.parametrize("kind", ["aux_I", "aux_J"])
-    def test_k_past_float_coefficients_raises(self, kind):
-        # E_218 and E_219 have coefficients past the double range
-        with pytest.raises(ValueError, match=r"the largest supported k is 108"):
-            aux_integral_numeric(IntegrandSpec(kind, 109, 0), 1e-8)
+    def test_k_past_the_float_coefficients(self):
+        # E_218 has coefficients past the double range; I(109, 0) =
+        # -218!/pi^219 = -s(218) still fits
+        closed = render_decimal(aux_integral_I_closed(109, 0), 5).value
+        r = aux_integral_numeric(IntegrandSpec("aux_I", 109, 0), 1e-8)
+        assert abs(F(r.value) - closed) <= 1e-15 * abs(closed)
+
+    @pytest.mark.parametrize("kind, k", [("aux_J", 109), ("aux_I", 110), ("aux_J", 110)])
+    def test_scale_past_the_double_range_raises(self, kind, k):
+        # s(n) = n!/pi^(n+1) leaves the double range at n = 219
+        with pytest.raises(ValueError, match=r"exceeds the double range at n=2(19|20|21)"):
+            aux_integral_numeric(IntegrandSpec(kind, k, 0), 1e-8)
 
 
 class TestRecurrences:

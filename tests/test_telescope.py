@@ -186,11 +186,19 @@ class TestPartialSumIStar:
         assert ns[:10] == list(range(10))
         assert 1000 in ns and 2000 in ns
 
-    def test_largest_supported_k(self):
-        # (2k)! = 170! still converts to a float, 172! does not
-        assert all(math.isfinite(s) for _, s in partial_sum_I_star(85, 10).entries)
-        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
-            partial_sum_I_star(86, 10)
+    def test_k_past_the_float_factorial(self):
+        # (2k)! = 172! overflows a double; the prefactor s(172) does not
+        assert all(math.isfinite(s) for _, s in partial_sum_I_star(86, 10).entries)
+
+    def test_scale_past_the_double_range_raises(self):
+        with pytest.raises(ValueError, match=r"exceeds the double range at n=220"):
+            partial_sum_I_star(110, 10)
+
+    def test_denominators_past_the_double_range_raise(self):
+        # (2m+1)^61 leaves the double range from m = 56,536
+        with pytest.raises(OverflowError, match=r"exceeds the double range at N=100000"):
+            partial_sum_I_star(30, 10**5)
+        assert partial_sum_I_star(30, 56535).entries[-1][0] == 56535
 
 
 class TestPartialSumJ:
@@ -221,9 +229,17 @@ class TestPartialSumJ:
         with pytest.raises(ValueError):
             partial_sum_J(0, 10, 1e-8)
 
-    def test_k_past_float_prefactor(self):
-        with pytest.raises(ValueError, match=r"largest supported k \(85\)"):
-            partial_sum_J(86, 10, 1e-8)
+    def test_k_past_the_float_factorial(self):
+        # (2k-1)! = 171! overflows a double; the limit 171! beta(172) / pi^172
+        # does not
+        tr = partial_sum_J(86, 10, 1e-8)
+        expected = F(math.factorial(171)) / PI_LITERAL**172 * beta_series(172, 20).value
+        assert abs(F(tr.target) - expected) <= 1e-14 * expected
+        assert abs(F(tr.final()) - expected) <= 1e-14 * expected
+
+    def test_scale_past_the_double_range_raises(self):
+        with pytest.raises(ValueError, match=r"exceeds the double range at n=219"):
+            partial_sum_J(110, 10, 1e-8)
 
 
 class TestIStarDecomposition:
