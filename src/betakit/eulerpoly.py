@@ -3,8 +3,12 @@
 The Euler polynomials E_n(x) are generated by 2 e^(xt) / (e^t + 1), the
 Euler numbers E_n by 2 e^t / (e^(2t) + 1), and the Bernoulli polynomials
 B_n(x) by the classical recurrence with the B_1 = -1/2 convention.  Tables
-are built once by exact recurrences and memoized; every classical identity
-relating them is available as an executable, exactly-checked suite.
+are built once on integers and memoized: the Euler rows from the tangent
+numbers and the Euler numbers from the secant numbers, two integer
+triangles, and the Bernoulli table from its own sum recurrence over one
+common denominator.  No table is derived from another, so the dual-route
+checks compare independent computations; every classical identity relating
+them is available as an executable, exactly-checked suite.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import RationalPolynomial, binomial, rational_str
+from .exact import RationalPolynomial, rational_str
 from .highprec import HighPrecisionReal, quantize
 
 __all__ = [
@@ -36,24 +40,48 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
+def _binomials(m: int) -> list[int]:
+    # C(m, 0), ..., C(m, m), one small multiply and exact division each
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (m - i) // (i + 1))
+    return row
+
+
+def _triangle_step(col: list[int], c: int) -> list[int]:
+    # The next column of Brent & Harvey's tangent (c = 2) or secant (c = 1)
+    # triangle, after Knuth & Buckholtz (1967): from T_i = (i-1)! and
+    # S_i = i!, their pass p updates X_i <- (i - p) X_(i-1) + (i - p + c) X_i
+    # in place for i >= p (tangent) or i > p (secant).  Run one index at a
+    # time instead, col holds that index's value after each pass in turn, so
+    # col[-1] is the finished T_len(col), or S_(len(col)-1).
+    j = len(col)
+    nxt = [j * col[0]]
+    for p in range(1, j):
+        nxt.append((j - p) * col[p] + (j + c - p) * nxt[-1])
+    nxt.append(c * nxt[-1])
+    return nxt
+
+
 class EulerTable:
     """Monotone cache of Euler polynomials and Euler numbers.
 
-    ``polys[n]`` is E_n(x), ``numbers[n]`` is E_n = 2^n E_n(1/2).  The
-    polynomials form an Appell sequence (DLMF 24.4),
+    ``polys[n]`` is E_n(x), ``numbers[n]`` is E_n = 2^n E_n(1/2).  Both come
+    from integer triangles (Brent & Harvey, "Fast computation of Bernoulli,
+    tangent and secant numbers", 2013), with no rational arithmetic:
 
-        E_n(x) = sum_j C(n, j) E_j(0) x^(n-j),
+      * the tangent numbers T_k give E_(2k-1)(0) = (-1)^k T_k / 2^(2k-1),
+        and E_(2k)(0) = 0 for k >= 1;
+      * the secant numbers S_k give E_(2k) = (-1)^k S_k, and E_(2k+1) = 0.
 
-    so a table needs only the scalars E_m(0).  Multiplying the generating
-    function through by (e^t + 1) and matching coefficients of t^m/m! at
-    x = 0 gives their recurrence
-
-        E_m(0) = [m = 0] - (1/2) * sum_{j<m} C(m, j) E_j(0),
-
-    and each row is then read off as coeffs[i] = C(m, i) E_{m-i}(0).  Both
-    steps cost O(m) rational operations per row, O(n^2) for the table, and
-    neither touches the Bernoulli route, so the dual-route checks in
-    :func:`run_identity_suite` stay independent.
+    The polynomials form an Appell sequence (DLMF 24.4), E_n(x) =
+    sum_i C(n, i) E_(n-i)(0) x^i, so with the integers a_j = 2^j E_j(0) row
+    m is the integer form over 2^m with coefficient i equal to
+    C(m, i) 2^i a_(m-i).  Each new index costs O(n) integer operations on
+    each triangle, O(n^2) for the table.  The numbers never pass through the
+    polynomials, so identity 1.2 of :func:`run_identity_suite` checks one
+    triangle against the other, and neither touches the Bernoulli route, so
+    the dual-route checks stay independent.
 
     Growth happens under a lock (single writer); entries never change once
     written, so concurrent reads of the built prefix need no synchronization.
@@ -62,7 +90,11 @@ class EulerTable:
     def __init__(self) -> None:
         self.polys: list[RationalPolynomial] = []
         self.numbers: list[Fraction] = []
-        self._at_zero: list[Fraction] = []  # E_m(0), grown under the lock
+        # grown under the lock: a_j = 2^j E_j(0), and the last columns of
+        # the triangles, for T_1 and S_0 so far
+        self._scaled_at_zero: list[int] = []
+        self._tangent = [1]
+        self._secant = [1]
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
@@ -71,17 +103,24 @@ class EulerTable:
         if len(self.polys) > n:
             return
         with self._lock:
-            at_zero = self._at_zero
-            for m in range(len(at_zero), n + 1):
-                s = sum((binomial(m, j) * at_zero[j] for j in range(m)), Fraction(0))
-                at_zero.append(Fraction(1) if m == 0 else -_HALF * s)
+            a = self._scaled_at_zero
             for m in range(len(self.polys), n + 1):
-                poly = RationalPolynomial.from_coefficients(
-                    binomial(m, i) * at_zero[m - i] for i in range(m + 1)
+                if m % 2:
+                    if m > 1:
+                        self._tangent = _triangle_step(self._tangent, 2)
+                    a.append((-1) ** ((m + 1) // 2) * self._tangent[-1])
+                    number = 0
+                else:
+                    if m:
+                        self._secant = _triangle_step(self._secant, 1)
+                    a.append(0 if m else 1)
+                    number = (-1) ** (m // 2) * self._secant[-1]
+                poly = RationalPolynomial._from_integer_form(
+                    1 << m, [c * a[m - i] << i for i, c in enumerate(_binomials(m))]
                 )
                 # numbers first: readers gate on len(polys), which must be
                 # the last thing to grow
-                self.numbers.append(2**m * poly(_HALF))
+                self.numbers.append(Fraction(number))
                 self.polys.append(poly)
 
     def poly(self, n: int) -> RationalPolynomial:
@@ -96,13 +135,22 @@ class EulerTable:
 class BernoulliTable:
     """Monotone cache of Bernoulli polynomials and numbers (B_1 = -1/2).
 
-    Numbers come from the sum recurrence sum_{j<=m} C(m+1, j) B_j = 0 and
-    the polynomials from B_n(x) = sum_j C(n, j) B_j x^(n-j).
+    Numbers come from their own sum recurrence, sum_(j<=m) C(m+1, j) B_j = 0,
+    run on integers: with D = lcm(1, ..., n + 1) the table keeps D B_j, and
+    D B_m = -(sum_(j<m) C(m+1, j) D B_j) / (m + 1) is an exact integer
+    division, because the denominator of B_m is a product of primes p <= m + 1
+    (von Staudt-Clausen).  D grows with the table, rescaling the kept
+    integers.  The polynomials B_n(x) = sum_i C(n, i) B_(n-i) x^i are then
+    integer forms over D.  Neither the tangent numbers nor the zigzag
+    triangle is used, so this route stays independent of the Euler table.
     """
 
     def __init__(self) -> None:
         self.polys: list[RationalPolynomial] = []
         self.numbers: list[Fraction] = []
+        # grown under the lock: the common denominator D and D * B_j
+        self._den = 1
+        self._scaled: list[int] = []
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
@@ -111,18 +159,19 @@ class BernoulliTable:
         if len(self.polys) > n:
             return
         with self._lock:
-            nums = list(self.numbers)
-            for m in range(len(nums), n + 1):
-                if m == 0:
-                    nums.append(Fraction(1))
-                else:
-                    s = sum((binomial(m + 1, j) * nums[j] for j in range(m)), Fraction(0))
-                    nums.append(-s / (m + 1))
-            # numbers first: readers gate on len(polys)
-            self.numbers = nums
+            scaled = self._scaled
+            den = math.lcm(self._den, *range(len(scaled) + 1, n + 2))
+            scaled[:] = [b * (den // self._den) for b in scaled]
+            self._den = den
+            for m in range(len(scaled), n + 1):
+                s = sum(c * b for c, b in zip(_binomials(m + 1), scaled) if b)
+                scaled.append(-s // (m + 1) if m else den)
+                # numbers first: readers gate on len(polys)
+                self.numbers.append(Fraction(scaled[m], den))
             for m in range(len(self.polys), n + 1):
-                coeffs = [binomial(m, j) * nums[j] for j in range(m, -1, -1)]
-                self.polys.append(RationalPolynomial.from_coefficients(coeffs))
+                self.polys.append(RationalPolynomial._from_integer_form(
+                    den, [c * scaled[m - i] for i, c in enumerate(_binomials(m))]
+                ))
 
     def poly(self, n: int) -> RationalPolynomial:
         self.ensure(n)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat, zip_longest
 from typing import Iterable, Union
 
 # The universal exact scalar.  Fraction already maintains the canonical form
@@ -94,6 +95,11 @@ class RationalPolynomial:
     is nonzero; the zero polynomial is the empty tuple (its degree is the
     conventional sentinel -1).  Use :meth:`from_coefficients` to build one
     from arbitrary input; the raw constructor trusts its argument.
+
+    Arithmetic runs on the integer form (D, c), self = (1/D) sum c_i x^i with
+    D > 0 and gcd(D, c_0, ..., c_d) = 1, never on ``Fraction`` scalars: each
+    operation combines plain integers, divides out one gcd and creates each
+    result coefficient once, with the result's integer form already cached.
     """
 
     coeffs: tuple[Fraction, ...] = ()
@@ -104,6 +110,21 @@ class RationalPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
+
+    @classmethod
+    def _from_integer_form(cls, d: int, ints: Iterable[int]) -> "RationalPolynomial":
+        # (1/d) sum ints[i] x^i for d > 0, trimmed and reduced by
+        # gcd(d, ints...) to the pair _integer_form computes, which is cached
+        cs = list(ints)
+        while cs and not cs[-1]:
+            cs.pop()
+        g = math.gcd(d, *cs)
+        if g > 1:
+            d //= g
+            cs = [c // g for c in cs]
+        p = cls(tuple(map(Fraction, cs, repeat(d))))
+        vars(p)["_integer_form"] = (d, tuple(cs))
+        return p
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -137,32 +158,35 @@ class RationalPolynomial:
     def __call__(self, x: RationalLike) -> Fraction:
         return poly_eval(self, x)
 
+    def _plus(self, other: "RationalPolynomial", sign: int) -> "RationalPolynomial":
+        # self + sign * other over the lcm of the two denominators
+        (d1, a), (d2, b) = self._integer_form, other._integer_form
+        d = math.lcm(d1, d2)
+        m1, m2 = d // d1, sign * (d // d2)
+        return RationalPolynomial._from_integer_form(
+            d, [x * m1 + y * m2 for x, y in zip_longest(a, b, fillvalue=0)]
+        )
+
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial.from_coefficients(out)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
+        d, ints = self._integer_form
+        return RationalPolynomial._from_integer_form(d, [-c for c in ints])
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, scalar: RationalLike) -> "RationalPolynomial":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        s = Fraction(scalar)
-        if s == 0:
-            return RationalPolynomial(())
-        return RationalPolynomial(tuple(c * s for c in self.coeffs))
+        u, v = scalar.as_integer_ratio()
+        d, ints = self._integer_form
+        return RationalPolynomial._from_integer_form(d * v, [c * u for c in ints])
 
     __rmul__ = __mul__
 
@@ -223,9 +247,8 @@ def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
 
 def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
     """Formal derivative, in canonical form."""
-    if len(p.coeffs) <= 1:
-        return RationalPolynomial(())
-    return RationalPolynomial(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
+    d, ints = p._integer_form
+    return RationalPolynomial._from_integer_form(d, [i * c for i, c in enumerate(ints) if i])
 
 
 def poly_compose_affine(
@@ -233,29 +256,30 @@ def poly_compose_affine(
 ) -> RationalPolynomial:
     """The polynomial q with q(x) = p(a*x + b), computed exactly.
 
-    Horner in the polynomial ring, on the common-denominator integer form
-    p = (1/D) sum c_i x^i.  With a*x + b = (u_a*x + u_b)/v over one common
-    denominator v, q(x) = (sum c_i v^(d-i) (u_a*x + u_b)^i) / (D v^d), so
-    the fold acc <- acc * (u_a*x + u_b) + c_i v^(d-i) runs on plain
-    integers and each coefficient is reduced once at the end.
+    On the common-denominator integer form p = (1/D) sum c_i x^i, with
+    a*x + b = (u_a*x + u_b)/v over one common denominator v,
+    q(x) = R(u_a*x) / (D v^d) where R(z) = sum c_i v^(d-i) (z + u_b)^i.  R
+    is the Taylor shift of the integers c_i v^(d-i) by u_b (Horner's
+    d(d+1)/2 multiply-adds, none when b = 0) and its coefficient of z^j is
+    then scaled by u_a^j, all on plain integers; the result is reduced once
+    at the end.
     """
     a = Fraction(a)
     b = Fraction(b)
-    if not p.coeffs:
-        return RationalPolynomial(())
     d, ints = p._integer_form
     v = math.lcm(a.denominator, b.denominator)
     ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
     deg = len(ints) - 1
-    acc = [ints[deg]]
-    vpow = 1
+    r, vpow = list(ints), 1
     for i in range(deg - 1, -1, -1):
         vpow *= v
-        nxt = [0] * (len(acc) + 1)
-        for j, c in enumerate(acc):
-            nxt[j] += c * ub
-            nxt[j + 1] += c * ua
-        nxt[0] += ints[i] * vpow
-        acc = nxt
-    den = d * vpow
-    return RationalPolynomial.from_coefficients(Fraction(c, den) for c in acc)
+        r[i] *= vpow
+    if ub:
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                r[j] += ub * r[j + 1]
+    upow = 1
+    for j in range(1, deg + 1):
+        upow *= ua
+        r[j] *= upow
+    return RationalPolynomial._from_integer_form(d * vpow, r)

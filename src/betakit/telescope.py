@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
+from .highprec import pi_fraction
 from .quadrature import (
     _float_coeffs,
     _horner,
@@ -81,10 +82,13 @@ class ExtendedFunctionSpec:
       h(t) = E_{2k-1}(t) / (2 cos(pi t))   (k >= 1; singular at 1/2)
 
     f needs k >= 1 because E*_0(0) = 1: the quotient genuinely diverges at
-    t = 0 for k = 0, so no continuous extension exists there.
+    t = 0 for k = 0, so no continuous extension exists there.  k <= 109:
+    :func:`extended_eval` scales by s(2k) (f, g) or s(2k-1) (h), so a larger
+    k is a ValueError naming the double range.
     endpoint_values maps the singular endpoints ("0", "1/2") to the exact
-    limits, precomputed from polynomial data rather than by numeric
-    limiting.
+    limits, f(0) = k E_{2k-1}(0) / pi - E_{2k} / 2^(2k+1) and
+    h(1/2) = -(2k-1) E_{2k-2}(1/2) / (2 pi), formed exactly from the tables
+    and a certified pi and rounded once to a double.
     """
 
     name: str
@@ -101,20 +105,23 @@ class ExtendedFunctionSpec:
             raise ValueError(f"{name} requires k >= 1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "k", k)
+        _scale(2 * k - 1 if name == "h" else 2 * k)  # raises past k = 109
+        # f's two terms agree to about 3^-2k of their size (their difference
+        # is led by the n = 1 terms of the odd zeta and beta sums), so pi to
+        # k + 20 digits leaves about 20 correct digits; both limits fit a
+        # double wherever the scale does (the largest, h at k = 109, 1.8e306)
         ev: dict[str, float] = {}
         if name == "f":
-            at_zero = (
-                2 * k * float(euler_polynomial(2 * k - 1)(Fraction(0)))
-                - math.pi * float(euler_number(2 * k) / 2 ** (2 * k))
-            ) / (2 * math.pi)
-            ev["0"] = at_zero
+            at_zero = euler_polynomial(2 * k - 1).coefficient(0)
+            ev["0"] = float(
+                k * at_zero / pi_fraction(k + 20) - euler_number(2 * k) / 2 ** (2 * k + 1)
+            )
             ev["1/2"] = 0.0
         elif name == "g":
             ev["1/2"] = 0.0
         else:
-            ev["1/2"] = -(2 * k - 1) * float(
-                euler_polynomial(2 * k - 2)(Fraction(1, 2))
-            ) / (2 * math.pi)
+            at_half = euler_number(2 * k - 2) / 2 ** (2 * k - 2)
+            ev["1/2"] = float(-(2 * k - 1) * at_half / (2 * pi_fraction(k + 20)))
         object.__setattr__(self, "endpoint_values", ev)
 
 

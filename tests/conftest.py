@@ -4,7 +4,9 @@ The oracles here deliberately avoid the recurrences used inside the
 package: Euler data is recovered by exact power-series division of the
 generating functions, and Bernoulli polynomials by the
 derivative/mean-zero characterization.  Expected values frozen in the
-tests were computed by these routes.
+tests were computed by these routes.  The package's integer tables are
+also held equal to the Fraction recurrences it used to run
+(:func:`appell_euler_table`, :func:`bernoulli_sum_table`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,71 @@ PI_LITERAL = Fraction(
 # beta(2) = Catalan's constant, 30 digits; no closed form is known, so this
 # literal is the external anchor for the even-argument checks
 CATALAN_LITERAL = Fraction(915965594177219015054603514932, 10**30)
+
+
+def machin_pi(digits: int) -> Fraction:
+    """pi by Machin's formula, 16 arccot(5) - 4 arccot(239), on scaled integers."""
+    unity = 10 ** (digits + 10)
+
+    def arccot(x: int) -> int:
+        total, power, n, sign = 0, unity // x, 1, 1
+        while power:
+            total += sign * (power // n)
+            power //= x * x
+            n += 2
+            sign = -sign
+        return total
+
+    return Fraction(16 * arccot(5) - 4 * arccot(239), unity)
+
+
+def appell_euler_at_zero(n: int) -> list[Fraction]:
+    """E_0(0) .. E_n(0) by the Appell recurrence in Fractions.
+
+    Multiplying 2 e^(xt) / (e^t + 1) through by (e^t + 1) and matching
+    coefficients of t^m/m! at x = 0 gives
+    E_m(0) = [m = 0] - (1/2) sum_(j<m) C(m, j) E_j(0).
+    """
+    at_zero: list[Fraction] = []
+    for m in range(n + 1):
+        s = sum((math.comb(m, j) * at_zero[j] for j in range(m)), Fraction(0))
+        at_zero.append(Fraction(1) if m == 0 else -Fraction(1, 2) * s)
+    return at_zero
+
+
+def appell_euler_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction]]:
+    """(E_0(x) .. E_n(x), E_0 .. E_n) from the Appell form over E_m(0).
+
+    The rows are E_m(x) = sum_i C(m, i) E_(m-i)(0) x^i and the numbers
+    E_m = 2^m E_m(1/2): the Fraction reference for the integer triangles.
+    """
+    at_zero = appell_euler_at_zero(n)
+    polys = [
+        RationalPolynomial.from_coefficients(
+            math.comb(m, i) * at_zero[m - i] for i in range(m + 1)
+        )
+        for m in range(n + 1)
+    ]
+    return polys, [2**m * p(Fraction(1, 2)) for m, p in enumerate(polys)]
+
+
+def bernoulli_sum_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction]]:
+    """(B_0(x) .. B_n(x), B_0 .. B_n) from sum_(j<=m) C(m+1, j) B_j = 0 in Fractions.
+
+    The Fraction form of the recurrence betakit's Bernoulli table runs on
+    integers, with the rows B_m(x) = sum_j C(m, j) B_j x^(m-j).
+    """
+    nums: list[Fraction] = []
+    for m in range(n + 1):
+        s = sum((math.comb(m + 1, j) * nums[j] for j in range(m)), Fraction(0))
+        nums.append(Fraction(1) if m == 0 else -s / (m + 1))
+    polys = [
+        RationalPolynomial.from_coefficients(
+            math.comb(m, j) * nums[j] for j in range(m, -1, -1)
+        )
+        for m in range(n + 1)
+    ]
+    return polys, nums
 
 
 def gf_euler_numbers(n: int) -> list[Fraction]:

@@ -20,7 +20,7 @@ from betakit.betavalues import (
 from betakit.highprec import decimal_string, pi_fraction, quantize
 from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
-from conftest import CATALAN_LITERAL, PI_LITERAL
+from conftest import CATALAN_LITERAL, PI_LITERAL, machin_pi
 
 F = Fraction
 
@@ -241,22 +241,6 @@ def _crvz_exact_sum(s: int, digits: int) -> Fraction:
     return Fraction(acc, d * denom)
 
 
-def _machin_pi(digits: int) -> Fraction:
-    """pi by Machin's formula, 16 arccot(5) - 4 arccot(239), on scaled integers."""
-    unity = 10 ** (digits + 10)
-
-    def arccot(x: int) -> int:
-        total, power, n, sign = 0, unity // x, 1, 1
-        while power:
-            total += sign * (power // n)
-            power //= x * x
-            n += 2
-            sign = -sign
-        return total
-
-    return Fraction(16 * arccot(5) - 4 * arccot(239), unity)
-
-
 class TestErrorBudgets:
     """Each kernel meets the floor-loss budget its docstring proves."""
 
@@ -268,13 +252,13 @@ class TestErrorBudgets:
 
     def test_pi_agrees_with_machin(self):
         for digits in (1, 2, 14, 15, 28, 100, 1000, 3100):
-            assert abs(pi_fraction(digits) - _machin_pi(digits)) < F(2, 10**digits), digits
+            assert abs(pi_fraction(digits) - machin_pi(digits)) < F(2, 10**digits), digits
 
     def test_pi_within_three_guard_units(self):
         # tail under one unit of 10^-(d+10), isqrt and the floor under two;
         # the Machin reference at d + 20 digits is off by under 10^-(d+20)
         for digits in (1, 2, 14, 15, 28, 100, 1000):
-            err = abs(pi_fraction(digits) - _machin_pi(digits + 20))
+            err = abs(pi_fraction(digits) - machin_pi(digits + 20))
             assert err < F(3, 10 ** (digits + 10)) + F(1, 10 ** (digits + 20)), digits
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from betakit.exact import RationalPolynomial
 
 from conftest import (
     akiyama_tanigawa_bernoulli,
+    appell_euler_table,
     bernoulli_poly_oracle,
+    bernoulli_sum_table,
     gf_euler_number_oracle,
     gf_euler_poly_oracle,
 )
@@ -176,6 +179,74 @@ class TestTables:
             th.join()
         assert not errors
         assert t.numbers == [euler_number(n) for n in range(41)]
+
+
+REFERENCE_N = 201
+
+
+@pytest.fixture(scope="module")
+def euler_reference():
+    return appell_euler_table(REFERENCE_N)
+
+
+@pytest.fixture(scope="module")
+def bernoulli_reference():
+    return bernoulli_sum_table(REFERENCE_N)
+
+
+def _pickled(polys, numbers) -> bytes:
+    for p in polys:
+        p._integer_form  # force the cache, which a pickle carries
+    return pickle.dumps((polys, numbers))
+
+
+class TestIntegerTables:
+    """The integer builds equal the Fraction recurrences they replaced, n <= 201."""
+
+    @pytest.mark.parametrize("table, reference", [
+        (EulerTable, "euler_reference"), (BernoulliTable, "bernoulli_reference"),
+    ])
+    def test_grown_in_steps_equals_reference(self, table, reference, request):
+        ref_polys, ref_numbers = request.getfixturevalue(reference)
+        t = table()
+        for n in (0, 7, 60, REFERENCE_N):  # each step resumes the triangles
+            t.ensure(n)
+            assert t.numbers == ref_numbers[: n + 1], n
+            assert t.polys == ref_polys[: n + 1], n
+        assert _pickled(t.polys, t.numbers) == _pickled(ref_polys, ref_numbers)
+
+    def test_concurrent_growth_equals_reference(self, euler_reference, bernoulli_reference):
+        # more threads than cores, switching every microsecond, each growing
+        # both tables to its own size: a lost update to the triangles or to
+        # the rescaled Bernoulli integers would leave a wrong entry
+        import sys
+        import threading
+
+        et, bt = EulerTable(), BernoulliTable()
+        sizes = (120, 7, REFERENCE_N, 60, 1, 150, 33, REFERENCE_N)
+        threads = [threading.Thread(target=lambda n=n: (et.ensure(n), bt.ensure(n)))
+                   for n in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert (et.polys, et.numbers) == euler_reference
+        assert (bt.polys, bt.numbers) == bernoulli_reference
+
+    @pytest.mark.parametrize("table", [EulerTable, BernoulliTable])
+    def test_rows_carry_their_canonical_integer_form(self, table):
+        t = table()
+        t.ensure(REFERENCE_N)
+        for p in t.polys:
+            d, ints = vars(p)["_integer_form"]  # seeded by the build
+            assert (d, ints) == RationalPolynomial(p.coeffs)._integer_form
+            assert math.gcd(d, *ints) == 1
 
 
 class TestGfCoefficientCheck:

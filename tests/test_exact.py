@@ -93,18 +93,37 @@ def _fraction_horner_compose(p, a, b):
     return acc
 
 
+def _trim(cs: list) -> tuple:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    n = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (n - len(a)), list(b) + [F(0)] * (n - len(b))
+    return _trim([x + sign * y for x, y in zip(a, b)])
+
+
+def _assert_canonical(r: RationalPolynomial, expected: tuple) -> None:
+    assert r.coeffs == expected
+    assert all(type(c) is F for c in r.coeffs)
+    assert not r.coeffs or r.coeffs[-1] != 0
+    # the integer form each operation caches is the one the coefficients give
+    assert vars(r)["_integer_form"] == RationalPolynomial(r.coeffs)._integer_form
+
+
 class TestComposeAffineIntegerFold:
     @given(
         polys,
         st.one_of(st.just(F(0)), rationals),
         st.one_of(st.just(F(0)), rationals),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_fraction_horner(self, p, a, b):
         q = poly_compose_affine(p, a, b)
-        assert list(q.coeffs) == _fraction_horner_compose(p, a, b)
-        assert all(type(c) is Fraction for c in q.coeffs)
-        assert not q.coeffs or q.coeffs[-1] != 0
+        _assert_canonical(q, tuple(_fraction_horner_compose(p, a, b)))
         if a == 0:
             assert q.degree <= 0
 
@@ -186,6 +205,51 @@ class TestCanonicalForm:
     def test_operations_preserve_canonical_form(self, p):
         for q in [p + p, -p, poly_derivative(p), poly_compose_affine(p, F(1, 2), 3)]:
             assert not q.coeffs or q.coeffs[-1] != 0
+
+
+scalars = st.one_of(st.just(0), st.just(F(0)), st.integers(-50, 50), rationals)
+# a lower-degree remainder r and p, so q = r - p cancels p's leading terms
+cancelling = st.tuples(polys, st.lists(rationals, max_size=4)).map(
+    lambda pr: (pr[0], RationalPolynomial.from_coefficients(
+        _ref_add(tuple(pr[1]), pr[0].coeffs, -1)))
+)
+
+
+class TestOperationsAgainstFractionReference:
+    """Each operation on integer forms equals the same operation in Fractions."""
+
+    @given(polys, polys)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_add_and_sub(self, p, q):
+        _assert_canonical(p + q, _ref_add(p.coeffs, q.coeffs))
+        _assert_canonical(p - q, _ref_add(p.coeffs, q.coeffs, -1))
+
+    @given(cancelling)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_cancellation_lowers_the_degree(self, pq):
+        p, q = pq
+        _assert_canonical(p + q, _ref_add(p.coeffs, q.coeffs))
+        assert (p + q).degree <= 3
+        _assert_canonical(p - p, ())
+        _assert_canonical(p + (-p), ())
+
+    @given(polys)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_neg_and_derivative(self, p):
+        _assert_canonical(-p, tuple(-c for c in p.coeffs))
+        _assert_canonical(p.derivative(), _trim([i * c for i, c in enumerate(p.coeffs)][1:]))
+
+    @given(polys, scalars)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_scalar_multiple(self, p, s):
+        expected = _trim([c * s for c in p.coeffs])
+        _assert_canonical(p * s, expected)
+        _assert_canonical(s * p, expected)
+
+    def test_zero_polynomial(self):
+        z = RationalPolynomial.zero()
+        for r in (z + z, z - z, -z, z * 7, 3 * z, z.derivative(), z.compose_affine(2, 1)):
+            _assert_canonical(r, ())
 
 
 class TestAlgebraicProperties:

@@ -10,7 +10,9 @@ import pytest
 from conftest import (
     ACCURACY_GRID,
     PI_LITERAL,
+    appell_euler_at_zero,
     gf_euler_poly_oracle,
+    machin_pi,
     relative_error,
     sin_cos_oracle,
 )
@@ -75,6 +77,30 @@ class TestExtendedFunctions:
         assert ExtendedFunctionSpec("g", 1).endpoint_values["1/2"] == 0.0
         h = ExtendedFunctionSpec("h", 1)
         assert abs(h.endpoint_values["1/2"] - (-1 / (2 * math.pi))) < 1e-15
+
+    def test_endpoint_limits_at_large_k(self):
+        # the limits from the Appell scalars E_m(0), with E_2k = 2^2k E_2k(1/2)
+        # by the Appell sum, and a 300-digit pi; f's terms cancel to 3^-2k
+        at_zero = appell_euler_at_zero(218)
+        pi = machin_pi(300)
+
+        def euler(n):
+            return sum(math.comb(n, i) * at_zero[n - i] * 2 ** (n - i) for i in range(n + 1))
+
+        for k in (10, 50, 85, 109):
+            f_want = k * at_zero[2 * k - 1] / pi - euler(2 * k) / F(2) ** (2 * k + 1)
+            h_want = -(2 * k - 1) * euler(2 * k - 2) / F(2) ** (2 * k - 1) / pi
+            assert relative_error(ExtendedFunctionSpec("f", k).endpoint_values["0"],
+                                  f_want) <= 1e-15, k
+            assert relative_error(ExtendedFunctionSpec("h", k).endpoint_values["1/2"],
+                                  h_want) <= 1e-15, k
+
+    @pytest.mark.parametrize("name", ["f", "g", "h"])
+    def test_past_the_double_range(self, name):
+        # extended_eval scales by s(2k) or s(2k - 1), which leaves the double
+        # range at k = 110; h's limit there, 1e309, would too
+        with pytest.raises(ValueError, match="double range"):
+            ExtendedFunctionSpec(name, 110)
 
     def test_g_at_zero_is_regular(self):
         spec = ExtendedFunctionSpec("g", 1)
