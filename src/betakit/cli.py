@@ -5,7 +5,8 @@ routes, the identity suite and the telescoping traces, each in text, JSON
 or CSV form.  Each handler returns its result in all three forms (text
 lines, a JSON object from the library serializers, CSV lines) with an exit
 code, and one emitter prints the requested form.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numeric budget exceeded.
+1 verification failure, 2 usage error, 3 numeric budget exceeded; a stdout
+closed early (``| head``) drops the rest of the output, not the exit code.
 """
 
 from __future__ import annotations
@@ -351,7 +352,14 @@ def run_cli(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"betakit: numeric budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(args.format, record)
+    try:
+        _emit(args.format, record)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): drop the rest, and point
+        # stdout at devnull so that the flush at interpreter exit cannot fail
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

@@ -115,7 +115,7 @@ class EulerTable:
                         self._secant = _triangle_step(self._secant, 1)
                     a.append(0 if m else 1)
                     number = (-1) ** (m // 2) * self._secant[-1]
-                poly = RationalPolynomial._from_integer_form(
+                poly = RationalPolynomial(
                     1 << m, [c * a[m - i] << i for i, c in enumerate(_binomials(m))]
                 )
                 # numbers first: readers gate on len(polys), which must be
@@ -169,7 +169,7 @@ class BernoulliTable:
                 # numbers first: readers gate on len(polys)
                 self.numbers.append(Fraction(scaled[m], den))
             for m in range(len(self.polys), n + 1):
-                self.polys.append(RationalPolynomial._from_integer_form(
+                self.polys.append(RationalPolynomial(
                     den, [c * scaled[m - i] for i, c in enumerate(_binomials(m))]
                 ))
 

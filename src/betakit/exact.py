@@ -1,8 +1,8 @@
 """Exact rational and polynomial arithmetic.
 
-Everything in the symbolic layer is computed on arbitrary-precision
-rationals (``fractions.Fraction``, re-exported as :data:`Rational`) and on
-dense polynomials with rational coefficients.  All values are immutable and
+Scalars are arbitrary-precision rationals (``fractions.Fraction``,
+re-exported as :data:`Rational`); dense polynomials are stored as reduced
+integer forms and computed on plain integers.  All values are immutable and
 all operations are pure, so they can be shared freely between threads.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat, zip_longest
 from typing import Iterable, Union
 
@@ -74,7 +73,10 @@ def rational_from_str(s: str) -> Fraction:
     parts = s.removeprefix("-").split("/")
     if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"not a rational string: {s[:40]!r}")
-    value = Fraction(*map(_parse_digits, parts))
+    try:
+        value = Fraction(*map(_parse_digits, parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational string: {s[:40]!r}") from None
     return -value if s.startswith("-") else value
 
 
@@ -91,102 +93,83 @@ def binomial(n: int, k: int) -> int:
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x^i.  Canonical form: the last entry
-    is nonzero; the zero polynomial is the empty tuple (its degree is the
-    conventional sentinel -1).  Use :meth:`from_coefficients` to build one
-    from arbitrary input; the raw constructor trusts its argument.
-
-    Arithmetic runs on the integer form (D, c), self = (1/D) sum c_i x^i with
-    D > 0 and gcd(D, c_0, ..., c_d) = 1, never on ``Fraction`` scalars: each
-    operation combines plain integers, divides out one gcd and creates each
-    result coefficient once, with the result's integer form already cached.
+    (1/den) sum nums[i] x^i for an integer den > 0 and integers nums.  The
+    constructor reduces them to the one canonical form, gcd(den, nums...) = 1
+    with no trailing zero (the zero polynomial is den 1, nums (), degree -1),
+    so equal polynomials have equal fields and arithmetic, ``==``, ``hash``
+    and pickles run on plain integers.  :meth:`from_coefficients` builds one
+    from rationals, and :attr:`coeffs` derives ``Fraction`` coefficients.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    den: int
+    nums: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        nums = list(self.nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(self.den, *nums)
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> "RationalPolynomial":
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @classmethod
-    def _from_integer_form(cls, d: int, ints: Iterable[int]) -> "RationalPolynomial":
-        # (1/d) sum ints[i] x^i for d > 0, trimmed and reduced by
-        # gcd(d, ints...) to the pair _integer_form computes, which is cached
-        cs = list(ints)
-        while cs and not cs[-1]:
-            cs.pop()
-        g = math.gcd(d, *cs)
-        if g > 1:
-            d //= g
-            cs = [c // g for c in cs]
-        p = cls(tuple(map(Fraction, cs, repeat(d))))
-        vars(p)["_integer_form"] = (d, tuple(cs))
-        return p
+        d = math.lcm(*(c.denominator for c in cs))
+        return cls(d, [c.numerator * (d // c.denominator) for c in cs])
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
-        return cls(())
+        return cls(1, ())
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
-        c = Fraction(coeff)
-        if c == 0:
-            return cls(())
-        return cls((Fraction(0),) * power + (c,))
+        if power < 0:
+            raise ValueError(f"monomial power must be >= 0, got {power}")
+        u, v = Fraction(coeff).as_integer_ratio()
+        return cls(v, (0,) * power + (u,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x^i; built on each read."""
+        return tuple(map(Fraction, self.nums, repeat(self.den)))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
-
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
-        # Common-denominator form (D, c) with self = (1/D) * sum c_i x^i.
-        # Cached so repeated evaluation works on plain integers.
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d, tuple(int(c * d) for c in self.coeffs)
 
     def __call__(self, x: RationalLike) -> Fraction:
         return poly_eval(self, x)
 
-    def _plus(self, other: "RationalPolynomial", sign: int) -> "RationalPolynomial":
-        # self + sign * other over the lcm of the two denominators
-        (d1, a), (d2, b) = self._integer_form, other._integer_form
-        d = math.lcm(d1, d2)
-        m1, m2 = d // d1, sign * (d // d2)
-        return RationalPolynomial._from_integer_form(
-            d, [x * m1 + y * m2 for x, y in zip_longest(a, b, fillvalue=0)]
-        )
-
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._plus(other, 1)
+        d = math.lcm(self.den, other.den)
+        m1, m2 = d // self.den, d // other.den
+        return RationalPolynomial(
+            d, [x * m1 + y * m2 for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
+        )
 
     def __neg__(self) -> "RationalPolynomial":
-        d, ints = self._integer_form
-        return RationalPolynomial._from_integer_form(d, [-c for c in ints])
+        return RationalPolynomial(self.den, [-c for c in self.nums])
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._plus(other, -1)
+        return self + -other
 
     def __mul__(self, scalar: RationalLike) -> "RationalPolynomial":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         u, v = scalar.as_integer_ratio()
-        d, ints = self._integer_form
-        return RationalPolynomial._from_integer_form(d * v, [c * u for c in ints])
+        return RationalPolynomial(self.den * v, [c * u for c in self.nums])
 
     __rmul__ = __mul__
 
@@ -197,11 +180,8 @@ class RationalPolynomial:
         return poly_compose_affine(self, a, b)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -215,7 +195,7 @@ class RationalPolynomial:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return "".join(parts) or "0"
 
 
 def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
@@ -225,10 +205,10 @@ def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
     value is (sum c_i u^i v^(d-i)) / (D v^d), one gcd at the end instead of
     one per operation.
     """
-    if not p.coeffs:
+    if not p.nums:
         return Fraction(0)
     x = Fraction(x)
-    d, ints = p._integer_form
+    d, ints = p.den, p.nums
     u, v = x.numerator, x.denominator
     deg = len(ints) - 1
     if v == 1:
@@ -247,8 +227,7 @@ def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
 
 def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
     """Formal derivative, in canonical form."""
-    d, ints = p._integer_form
-    return RationalPolynomial._from_integer_form(d, [i * c for i, c in enumerate(ints) if i])
+    return RationalPolynomial(p.den, [i * c for i, c in enumerate(p.nums) if i])
 
 
 def poly_compose_affine(
@@ -266,7 +245,7 @@ def poly_compose_affine(
     """
     a = Fraction(a)
     b = Fraction(b)
-    d, ints = p._integer_form
+    d, ints = p.den, p.nums
     v = math.lcm(a.denominator, b.denominator)
     ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
     deg = len(ints) - 1
@@ -282,4 +261,4 @@ def poly_compose_affine(
     for j in range(1, deg + 1):
         upow *= ua
         r[j] *= upow
-    return RationalPolynomial._from_integer_form(d * vpow, r)
+    return RationalPolynomial(d * vpow, r)

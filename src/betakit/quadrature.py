@@ -187,17 +187,19 @@ def _scale(n: int) -> float:
 def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
     """p_n's coefficients in powers of t, or of u = t - 1/2 if at_half.
 
-    E_n's exact coefficients, C(n, i) E_{n-i}(0) or, by the Appell sum about
-    1/2 (DLMF 24.4), C(n, i) E_{n-i} / 2^(n-i), each times pi^(n+1) / n! and
-    rounded once by an integer division: within an ulp, exact zeros stay 0.
+    E_n's exact coefficients, the table's nums[i] / den or, by the Appell
+    sum about 1/2 (DLMF 24.4), C(n, i) E_{n-i} 2^i / 2^n, each times
+    pi^(n+1) / n! and rounded once by an integer division: within an ulp,
+    exact zeros stay 0.
     """
     if at_half:
-        exact = [(math.comb(n, i) * euler_number(n - i).numerator, 2 ** (n - i))
-                 for i in range(n + 1)]
+        den = 1 << n
+        nums = [math.comb(n, i) * euler_number(n - i).numerator << i for i in range(n + 1)]
     else:
-        exact = [c.as_integer_ratio() for c in euler_polynomial(n).coeffs]
+        p = euler_polynomial(n)
+        den, nums = p.den, p.nums
     x, d = _pi_power_over_factorial(n)
-    return tuple(x * a / (d * b) for a, b in exact)
+    return tuple(x * c / (d * den) for c in nums)
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:

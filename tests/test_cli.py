@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -350,6 +351,21 @@ class TestRunCliInProcess:
         assert run_cli(["beta", "odd"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--nmax", "40"], ["euler", "--n", "30", "--poly"]])
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # stdout is a pipe whose reader is gone, as after `betakit ... | head -c 5`
+    # once head exits, so every write to it fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "betakit", *argv],
+                           stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in r.stderr, r.stderr.decode()
+    assert r.returncode == 0
+
+
 def test_import_loads_no_third_party_module():
     # a fresh process: the test session itself may already hold numpy
     script = (
@@ -366,8 +382,6 @@ def test_import_loads_no_third_party_module():
 
 
 if __name__ == "__main__":
-    import os
-
     os.environ["COLUMNS"] = "80"
     os.environ.pop("BETAKIT_DIGITS", None)
     cases = json.loads(MATRIX.read_text())

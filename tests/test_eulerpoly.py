@@ -195,8 +195,6 @@ def bernoulli_reference():
 
 
 def _pickled(polys, numbers) -> bytes:
-    for p in polys:
-        p._integer_form  # force the cache, which a pickle carries
     return pickle.dumps((polys, numbers))
 
 
@@ -244,9 +242,8 @@ class TestIntegerTables:
         t = table()
         t.ensure(REFERENCE_N)
         for p in t.polys:
-            d, ints = vars(p)["_integer_form"]  # seeded by the build
-            assert (d, ints) == RationalPolynomial(p.coeffs)._integer_form
-            assert math.gcd(d, *ints) == 1
+            assert p == RationalPolynomial.from_coefficients(p.coeffs)
+            assert math.gcd(p.den, *p.nums) == 1
 
 
 class TestGfCoefficientCheck:

@@ -110,8 +110,8 @@ def _assert_canonical(r: RationalPolynomial, expected: tuple) -> None:
     assert r.coeffs == expected
     assert all(type(c) is F for c in r.coeffs)
     assert not r.coeffs or r.coeffs[-1] != 0
-    # the integer form each operation caches is the one the coefficients give
-    assert vars(r)["_integer_form"] == RationalPolynomial(r.coeffs)._integer_form
+    # the fields each operation stores are the ones the coefficients give
+    assert r == RationalPolynomial.from_coefficients(r.coeffs)
 
 
 class TestComposeAffineIntegerFold:
@@ -185,7 +185,9 @@ class TestRationalSerialization:
     def test_round_trip_past_the_int_str_limit(self, q):
         assert rational_from_str(rational_str(q)) == q
 
-    @pytest.mark.parametrize("s", ["", "-", "1/", "/2", "1.5", " 1", "1_0", "1/-2", "--1"])
+    @pytest.mark.parametrize(
+        "s", ["", "-", "1/", "/2", "1.5", " 1", "1_0", "1/-2", "--1", "1/0", "0/0", "-1/000"]
+    )
     def test_rejects_non_rational_strings(self, s):
         with pytest.raises(ValueError):
             rational_from_str(s)
@@ -199,6 +201,32 @@ class TestCanonicalForm:
     def test_zero_polynomial_degree(self):
         assert RationalPolynomial.zero().degree == -1
         assert RationalPolynomial.from_coefficients([0, 0]).degree == -1
+
+    @given(
+        st.integers(1, 10**6),
+        st.lists(st.integers(-(10**6), 10**6), max_size=8),
+        st.integers(1, 10**6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_constructor_reduces_to_one_form(self, den, nums, g, zeros):
+        p = RationalPolynomial(den, nums)
+        scaled = RationalPolynomial(den * g, [c * g for c in nums] + [0] * zeros)
+        assert scaled == p
+        assert hash(scaled) == hash(p)
+        assert (scaled.den, scaled.nums) == (p.den, p.nums)
+        assert not p.nums or p.nums[-1] != 0
+        assert p == RationalPolynomial.from_coefficients(F(c, den) for c in nums)
+        assert RationalPolynomial(den, [0] * zeros) == RationalPolynomial.zero()
+        z = RationalPolynomial(5, (0, 0))
+        assert (z, z.den, z.nums, z.degree) == (RationalPolynomial.zero(), 1, (), -1)
+        for bad in (0, -den):
+            with pytest.raises(ValueError):
+                RationalPolynomial(bad, nums)
+
+    def test_monomial_rejects_negative_power(self):
+        with pytest.raises(ValueError):
+            RationalPolynomial.monomial(-1, 3)
 
     @given(polys)
     @settings(max_examples=60, deadline=None)
