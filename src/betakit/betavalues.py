@@ -50,6 +50,10 @@ class PiPowerValue:
             "digits": digits,
         }
 
+    def __float__(self) -> float:
+        # pi^power within 1e-20 relative, so one rounding lands within an ulp
+        return float(self.coeff * pi_fraction(20 + len(str(abs(self.power)))) ** self.power)
+
     def __str__(self) -> str:
         if self.power == 0:
             return rational_str(self.coeff)

@@ -3,10 +3,12 @@
 Subcommands expose the exact closed forms, the quadrature and series
 routes, the identity suite and the telescoping traces, each in text, JSON
 or CSV form.  Each handler returns its result in all three forms (text
-lines, a JSON object from the library serializers, CSV lines) with an exit
-code, and one emitter prints the requested form.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numeric budget exceeded; a stdout
-closed early (``| head``) drops the rest of the output, not the exit code.
+lines, a JSON object from the library serializers, CSV lines) and its
+stderr notes with an exit code; run_cli prints the form asked for and the
+notes through one guarded writer.  Exit codes: 0 success, 1 verification
+failure (a failed self-check included), 2 usage error, 3 numeric budget
+exceeded; a stdout or stderr closed early (``| head``) drops the rest of
+that stream, not the exit code.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import json
 import os
 import sys
 
-from .betavalues import (
-    beta_odd_exact,
-    beta_odd_exact_via_euler,
-    beta_series,
-    render_decimal,
-)
+from .betavalues import beta_odd_exact, beta_odd_exact_via_euler, beta_series
 from .eulerpoly import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -59,10 +56,6 @@ def _default_digits(parser: argparse.ArgumentParser) -> int:
         return int(raw)
     except ValueError:
         parser.error(f"BETAKIT_DIGITS must be an integer, got {raw!r}")
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,14 +143,15 @@ def _check_guard(args, name: str, value: int, limit: int) -> None:
         args._parser.error(f"{name} exceeds the max-k guard ({limit})")
 
 
-def _emit(fmt: str, record: tuple) -> None:
-    """Print one result; record is (text lines, JSON object, CSV lines)."""
-    text, payload, csv = record
-    if fmt == "json":
-        print(_dumps(payload))
-    else:
-        for line in text if fmt == "text" else csv:
-            print(line)
+def _write(stream, lines: list[str]) -> None:
+    try:
+        stream.write("".join(line + "\n" for line in lines))
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the stream early (`| head`): drop the rest, and
+        # point it at devnull so that the flush at interpreter exit cannot fail
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _cmd_beta_odd(args) -> tuple[tuple, int]:
@@ -179,15 +173,12 @@ def _cmd_beta_odd(args) -> tuple[tuple, int]:
         }
         status = "exact match" if match else "MISMATCH"
         text.append(f"cross-check via Euler numbers: {via_euler} ({status})")
-        if not match:
-            # stderr, so the CSV form, which has no column for it, shows it too
-            print(
-                f"betakit: cross-check mismatch: Bernoulli route coeff "
-                f"{payload['coeff']}, Euler route coeff {rational_str(via_euler.coeff)}",
-                file=sys.stderr,
-            )
+    # stderr, so the CSV form, which has no column for it, shows it too
+    notes = [] if match else [
+        f"betakit: cross-check mismatch: Bernoulli route coeff {payload['coeff']}, "
+        f"Euler route coeff {rational_str(via_euler.coeff)}"]
     csv = ["coeff,pi_power,decimal,digits", f"{payload['coeff']},{value.power},{dec},{args.digits}"]
-    return (text, payload, csv), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
+    return (text, payload, csv, notes), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
 
 
 def _cmd_beta_even(args) -> tuple[tuple, int]:
@@ -210,15 +201,13 @@ def _cmd_beta_even(args) -> tuple[tuple, int]:
         f"(abs error estimate {result.abs_error_estimate:.1e}, n_evals {result.n_evals})",
         f"series cross-check: {series} (abs diff {diff:.1e})",
     ]
+    notes = []
     if args.show_erratum:
         flipped = beta_even_quadrature(args.k, args.tol, printed_sign=True)
         payload["sign_variants"] = {"corrected": result.value, "printed": flipped.value}
         # stderr, so the CSV form, which has no column for them, shows them too
-        print(
-            f"betakit: prefactor sign variants: (-1)^k {result.value!r}, "
-            f"(-1)^(k-1) {flipped.value!r}",
-            file=sys.stderr,
-        )
+        notes.append(f"betakit: prefactor sign variants: (-1)^k {result.value!r}, "
+                     f"(-1)^(k-1) {flipped.value!r}")
         text += [
             f"prefactor (-1)^k:     {dec}",
             f"prefactor (-1)^(k-1): {flipped.value:.{args.digits}f} "
@@ -228,7 +217,7 @@ def _cmd_beta_even(args) -> tuple[tuple, int]:
         "value,abs_error_estimate,n_evals",
         f"{result.value!r},{result.abs_error_estimate!r},{result.n_evals}",
     ]
-    return (text, payload, csv), EXIT_OK
+    return (text, payload, csv, notes), EXIT_OK
 
 
 def _table_record(label: str, n: int, kind: str, key: str, value) -> tuple:
@@ -237,7 +226,7 @@ def _table_record(label: str, n: int, kind: str, key: str, value) -> tuple:
         shown, data = str(value), [rational_str(c) for c in value.coeffs]
     else:
         shown = data = rational_str(value)
-    return [f"{label} = {shown}"], {"n": n, key: data}, ["n,kind,value", f"{n},{kind},{shown}"]
+    return [f"{label} = {shown}"], {"n": n, key: data}, ["n,kind,value", f"{n},{kind},{shown}"], []
 
 
 def _cmd_euler(args) -> tuple[tuple, int]:
@@ -288,7 +277,7 @@ def _cmd_verify(args) -> tuple[tuple, int]:
         )
     text.append("all identities passed" if report.all_passed else "identity failures detected")
     code = EXIT_OK if report.all_passed else EXIT_VERIFICATION_FAILURE
-    return (text, report.to_json(), csv), code
+    return (text, report.to_json(), csv, []), code
 
 
 def _cmd_telescope(args) -> tuple[tuple, int]:
@@ -306,7 +295,7 @@ def _cmd_telescope(args) -> tuple[tuple, int]:
         args._parser.error(str(exc))
     text = [f"family {trace.family}, k={trace.k}, target {trace.target!r}"]
     text += [f"  N={n:<6d} S_N={s!r}" for n, s in trace.entries]
-    return (text, trace.to_json(), trace.to_csv().splitlines()), EXIT_OK
+    return (text, trace.to_json(), trace.to_csv().splitlines(), []), EXIT_OK
 
 
 def _cmd_aux(args) -> tuple[tuple, int]:
@@ -323,43 +312,43 @@ def _cmd_aux(args) -> tuple[tuple, int]:
     label = f"{name}({k},{m})"
     closed_json = closed.to_json(args.digits)
     dec = closed_json["decimal"]
-    # the difference is taken against the rendering's digits + 5 guard places
-    diff = abs(numeric.value - float(render_decimal(closed, args.digits).value))
+    match = numeric.value == float(closed)
     payload = {"label": label, "closed": closed_json, "numeric": numeric.to_json(),
-               "abs_diff": diff}
+               "match": match}
     text = [
         f"{label} = {closed} = {dec}",
         f"numeric: {numeric.value!r} (abs error estimate {numeric.abs_error_estimate:.1e}, "
-        f"n_evals {numeric.n_evals}), abs diff {diff:.1e}",
+        f"n_evals {numeric.n_evals}), {'exact match' if match else 'MISMATCH'}",
     ]
     csv = [
         "label,closed_coeff,closed_pi_power,closed_decimal,numeric_value,"
-        "abs_error_estimate,n_evals,abs_diff",
+        "abs_error_estimate,n_evals,match",
         f"{label},{closed_json['coeff']},{closed.power},{dec},{numeric.value!r},"
-        f"{numeric.abs_error_estimate!r},{numeric.n_evals},{diff!r}",
+        f"{numeric.abs_error_estimate!r},{numeric.n_evals},{str(match).lower()}",
     ]
-    return (text, payload, csv), EXIT_OK
+    notes = [] if match else [
+        f"betakit: aux mismatch: integration by parts {numeric.value!r}, "
+        f"closed form {float(closed)!r}"]
+    return (text, payload, csv, notes), EXIT_OK if match else EXIT_VERIFICATION_FAILURE
 
 
 def run_cli(argv: list[str]) -> int:
     """Parse argv (without the program name) and execute one subcommand."""
+    out: list[str] = []
     try:
         args = _build_parser().parse_args(argv)
         _validate_common(args)
-        record, code = args.handler(args)
+        (text, payload, csv, notes), code = args.handler(args)
+        forms = {"text": text, "json": [json.dumps(payload, separators=(",", ":"))], "csv": csv}
+        out = forms[args.format]
     except SystemExit as exc:  # argparse, or parser.error in a check
         return int(exc.code or 0)
     except BudgetExceededError as exc:
-        print(f"betakit: numeric budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        _emit(args.format, record)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): drop the rest, and point
-        # stdout at devnull so that the flush at interpreter exit cannot fail
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        notes, code = [f"betakit: numeric budget exceeded: {exc}"], EXIT_BUDGET
+    except RuntimeError as exc:  # a self-check between two exact routes failed
+        notes, code = [f"betakit: {exc}"], EXIT_VERIFICATION_FAILURE
+    _write(sys.stderr, notes)
+    _write(sys.stdout, out)
     return code
 
 

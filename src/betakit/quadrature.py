@@ -18,8 +18,8 @@ The auxiliary integrals
     I(k, m) = integral_0^(1/2) E_{2k}(t)   sin((2m+1) pi t) dt
     J(k, m) = integral_0^(1/2) E_{2k+1}(t) cos((2m+1) pi t) dt
 
-are smooth, and their exact closed forms are provided alongside the
-quadrature so each route can check the other.
+need no quadrature: integration by parts, the paper's own step, reduces
+them exactly to table entries, and the result must equal their closed forms.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ def integrate_adaptive(
     a: float,
     b: float,
     tol: float,
-    max_panel_width: float | None = None,
     max_evals: int = 2_000_000,
 ) -> QuadratureResult:
     """Adaptive composite Gauss-Legendre quadrature of f over [a, b].
@@ -129,16 +128,14 @@ def integrate_adaptive(
     disagreement is the panel's error estimate, and panels that miss their
     proportional share of tol/2 are bisected.  Contributions are summed in
     left-to-right order, so the result is reproducible regardless of how
-    panels were scheduled.  max_panel_width seeds a finer initial subdivision
-    for oscillatory integrands.
+    panels were scheduled.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if b <= a:
         raise ValueError("need b > a")
     width = b - a
-    n0 = 1 if max_panel_width is None else max(1, math.ceil(width / max_panel_width))
-    stack = [(a + i * width / n0, a + (i + 1) * width / n0) for i in range(n0 - 1, -1, -1)]
+    stack = [(a, b)]
     accepted: list[tuple[float, float, float]] = []
     evals = 0
     while stack:
@@ -267,20 +264,35 @@ def aux_integral_J_closed(k: int, m: int) -> PiPowerValue:
 
 
 def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
-    """Numerically integrate I(k, m) or J(k, m) over [0, 1/2].
+    """I(k, m) or J(k, m) by repeated integration by parts, rounded to a double.
 
-    p_n times the sine or cosine, n = 2k for I and 2k + 1 for J, is
-    integrated to tol / s(n), and the value and estimate scaled back by s(n).
-    Initial panels are capped at a quarter of 1/(2m+1) so no panel spans
-    more than a fraction of an oscillation period.
+    With n = 2k (I, sine) or 2k + 1 (J, cosine) and c = (2m+1) pi, step i
+    leaves +-E_n^(i)(x)/c^(i+1), E_n^(i) = n!/(n-i)! E_(n-i) (DLMF 24.4), at
+    x = 1/2 (times sin(c/2) = (-1)^m; cos(c/2) = 0) or x = 0.  As E_j(0) = 0
+    for even j >= 2 and E_j(1/2) = 0 for odd j, one term survives; it must
+    equal the closed form, else a RuntimeError.  The value is within an ulp,
+    the bound reported as its estimate; tol is only held to MIN_TOL.
     """
     if tol < MIN_TOL:
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
-    n, trig = (2 * spec.k, math.sin) if spec.kind == "aux_I" else (2 * spec.k + 1, math.cos)
-    scale = _scale(n)
-    poly = _float_coeffs(n)
-    freq = (2 * spec.m + 1) * math.pi
-    cap = 1.0 / (4.0 * (2 * spec.m + 1))
-    inner = integrate_adaptive(lambda t: _horner(poly, t) * trig(freq * t), 0.0, 0.5,
-                               tol / scale, max_panel_width=cap)
-    return QuadratureResult(scale * inner.value, scale * inner.abs_error_estimate, inner.n_evals)
+    sine = spec.kind == "aux_I"
+    n = 2 * spec.k + (not sine)
+    closed = (aux_integral_I_closed if sine else aux_integral_J_closed)(spec.k, spec.m)
+    terms = []
+    for i in range(n + 1):
+        # x = 0 on the sine's even steps, where [-cos ct] leaves +1, and on the
+        # cosine's odd ones, -1 from the first step; at 1/2, sin(c/2) = (-1)^m
+        at_zero = (i % 2 == 0) == sine
+        e = euler_polynomial(n - i).coefficient(0) if at_zero else euler_number(n - i) / 2**(n - i)
+        edge = (1 if sine else -1) if at_zero else (-1) ** spec.m
+        coeff = (-1) ** (i // 2) * edge * math.perm(n, i) * e / (2 * spec.m + 1) ** (i + 1)
+        if coeff:
+            terms.append(PiPowerValue(coeff, -(i + 1)))
+    if terms != [closed]:
+        raise RuntimeError(f"aux self-check failed: integration by parts disagrees with "
+                           f"the closed form of {spec.kind[-1]}({spec.k},{spec.m})")
+    try:
+        value = float(closed)
+    except OverflowError:
+        raise ValueError(f"n!/((2m+1) pi)^(n+1) exceeds the double range at n={n}") from None
+    return QuadratureResult(value, math.ulp(value), 0)

@@ -168,6 +168,21 @@ def relative_error(got: float, want) -> float:
     return float(abs((exact - want) / want))
 
 
+def integrate_in_pieces(f, pieces: int, tol: float) -> float:
+    """integrate_adaptive over [0, 1/2] cut into equal pieces, each to tol/pieces.
+
+    Each piece gets its proportional share of tol, so panels are held to the
+    same per-width rule as one call over [0, 1/2]; the pieces keep every
+    panel within a fraction of an oscillation period.
+    """
+    from betakit.quadrature import integrate_adaptive
+
+    edges = [0.5 * i / pieces for i in range(pieces + 1)]
+    return math.fsum(
+        integrate_adaptive(f, a, b, tol / pieces).value for a, b in zip(edges, edges[1:])
+    )
+
+
 def chunked_digits(n: int) -> str:
     """Decimal digits of n >= 0, 1000 per str() call, below any int-to-str limit."""
     chunks = []

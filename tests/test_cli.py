@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -285,7 +286,7 @@ class TestAuxCommand:
         payload = json.loads(r.stdout)
         assert payload["closed"]["coeff"] == "-2"
         assert payload["closed"]["pi_power"] == -3
-        assert payload["abs_diff"] < 1e-8
+        assert payload["match"] is True
         assert set(payload["numeric"]) == {"value", "abs_error_estimate", "n_evals"}
 
     def test_family_j(self, run_betakit):
@@ -311,7 +312,32 @@ class TestAuxCommand:
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert payload["numeric"]["value"] < 0
-        assert payload["abs_diff"] <= 1e-15 * abs(payload["numeric"]["value"])
+        assert payload["match"] is True
+
+    def test_moderate_k_with_m_one(self, run_betakit):
+        # the quadrature printed 6.1e11 here, with exit 0
+        r = run_betakit(["aux", "--family", "i", "--k", "20", "--m", "1", "--format", "json"])
+        assert r.returncode == 0
+        value = json.loads(r.stdout)["numeric"]["value"]
+        assert abs(value - 92582487.28510782) <= math.ulp(92582487.28510782)
+
+    def test_j_past_the_old_scale_limit(self, run_betakit):
+        # J(109, 1) = 219!/(3 pi)^220 fits a double although 219!/pi^220 does not
+        r = run_betakit(["aux", "--family", "j", "--k", "109", "--m", "1", "--max-k", "200"])
+        assert r.returncode == 0
+        assert r.stdout.decode().splitlines()[1].endswith("exact match")
+
+    def test_mismatch_exits_1_with_one_stderr_line(self, monkeypatch, capsys):
+        import betakit.cli as cli_mod
+        from betakit.betavalues import PiPowerValue
+
+        monkeypatch.setattr(cli_mod, "aux_integral_I_closed", lambda k, m: PiPowerValue(1, -3))
+        code = run_cli(["aux", "--family", "i", "--k", "1", "--m", "0", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines()[1].endswith(",false")
+        assert captured.err.startswith("betakit: aux mismatch: integration by parts ")
+        assert captured.err.count("\n") == 1
 
 
 class TestUsageAndErrors:
@@ -341,6 +367,31 @@ class TestUsageAndErrors:
         assert "numeric budget exceeded" in captured.err
 
 
+class TestSelfCheckFailure:
+    """A corrupted Euler table entry trips a self-check: exit 1, one line, no traceback."""
+
+    @pytest.mark.parametrize("argv, index", [
+        (["aux", "--family", "i", "--k", "3", "--m", "1"], 5),  # E_6'(1/2) = 6 E_5(1/2)
+        (["telescope", "--family", "istar", "--k", "3", "--N", "10"], 6),  # correction term
+    ])
+    def test_corrupted_entry_exits_1(self, argv, index, capsys):
+        from betakit.eulerpoly import _EULER, euler_number
+
+        euler_number(10)  # the entry exists before it is replaced
+        saved = _EULER.numbers[index]
+        _EULER.numbers[index] = saved + 2
+        try:
+            code = run_cli(argv)
+        finally:
+            _EULER.numbers[index] = saved
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "self-check failed" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestRunCliInProcess:
     def test_returns_exit_code_instead_of_raising(self, capsys):
         assert run_cli(["beta", "odd", "--k", "2", "--format", "json"]) == 0
@@ -364,6 +415,25 @@ def test_closed_stdout_keeps_the_exit_code(argv):
         os.close(write_end)
     assert b"Traceback" not in r.stderr, r.stderr.decode()
     assert r.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "even", "--k", "1", "--show-erratum"],
+    ["beta", "even", "--k", "1", "--show-erratum", "--format", "csv"],
+])
+def test_closed_stderr_keeps_the_exit_code(argv):
+    # stderr is a pipe whose reader is gone, as after `2>&1 | head -c 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "betakit", *argv],
+                           stdout=subprocess.PIPE, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    plain = subprocess.run([sys.executable, "-m", "betakit", *argv],
+                           capture_output=True, timeout=120)
+    assert r.returncode == plain.returncode == 0
+    assert r.stdout == plain.stdout != b""  # stdout is written in full
 
 
 def test_import_loads_no_third_party_module():

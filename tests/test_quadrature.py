@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     akiyama_tanigawa_bernoulli,
     chunked_digits,
     gf_euler_numbers,
+    integrate_in_pieces,
     gf_euler_poly_oracle,
     relative_error,
     sin_cos_oracle,
@@ -43,13 +45,6 @@ class TestIntegrateAdaptive:
         assert abs(r.value - 1 / 3) < 1e-12
         assert r.abs_error_estimate <= 1e-10
         assert r.n_evals >= 22
-
-    def test_oscillatory_with_panel_cap(self):
-        # integral of sin(42 pi t) over [0, 1/2] is (1 - cos(21 pi))/(42 pi) = 1/(21 pi)
-        r = integrate_adaptive(
-            lambda t: math.sin(42 * math.pi * t), 0.0, 0.5, 1e-10, max_panel_width=1.0 / 84
-        )
-        assert abs(r.value - 1 / (21 * math.pi)) < 1e-10
 
     def test_eval_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -311,6 +306,68 @@ class TestAuxNumeric:
             aux_integral_numeric(IntegrandSpec(kind, k, 0), 1e-8)
 
 
+class TestAuxByParts:
+    """I and J by integration by parts: the closed form exactly, within an ulp."""
+
+    SWEEP = [
+        (kind, k, m)
+        for kind in ("aux_I", "aux_J")
+        for k in range(0, 31, 3)
+        for m in (0, 1, 2, 5, 20)
+    ]
+
+    @staticmethod
+    def _closed(kind, k, m):
+        return (aux_integral_I_closed if kind == "aux_I" else aux_integral_J_closed)(k, m)
+
+    def _sweep(self):
+        start = time.perf_counter()
+        results = [aux_integral_numeric(IntegrandSpec(*case), 1e-8) for case in self.SWEEP]
+        return results, time.perf_counter() - start
+
+    def test_sweep_matches_closed_form_exactly(self):
+        results, seconds = self._sweep()
+        assert len(results) == 110
+        assert seconds < 1.0
+        for case, r in zip(self.SWEEP, results):
+            # aux_integral_numeric raises unless its sum is the closed form
+            assert r.value == float(self._closed(*case)), case
+            assert r.n_evals == 0, case
+
+    def test_sweep_estimate_bounds_the_error(self):
+        results, _ = self._sweep()
+        for case, r in zip(self.SWEEP, results):
+            closed = self._closed(*case)
+            want = closed.coeff * PI_LITERAL**closed.power
+            assert abs(F(r.value) - want) <= F(r.abs_error_estimate), case
+
+    def test_sweep_estimate_bounds_the_error_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        results, _ = self._sweep()
+        with mpmath.workdps(60):
+            for case, r in zip(self.SWEEP, results):
+                closed = self._closed(*case)
+                coeff = mpmath.mpf(closed.coeff.numerator) / closed.coeff.denominator
+                want = coeff * mpmath.pi**closed.power
+                assert abs(mpmath.mpf(r.value) - want) <= r.abs_error_estimate, case
+
+    def test_moderate_k_with_m_one(self):
+        # I(20, 1) = 40!/(3 pi)^41; quadrature drowned it in rounding, 6.1e11
+        r = aux_integral_numeric(IntegrandSpec("aux_I", 20, 1), 1e-8)
+        assert abs(r.value - 92582487.28510782) <= math.ulp(92582487.28510782)
+
+    def test_j_past_the_old_scale_limit(self):
+        # J(109, 1) = 219!/(3 pi)^220 fits a double although 219!/pi^220 does not
+        r = aux_integral_numeric(IntegrandSpec("aux_J", 109, 1), 1e-8)
+        want = aux_integral_J_closed(109, 1)
+        assert abs(F(r.value) - want.coeff * PI_LITERAL**want.power) <= F(r.abs_error_estimate)
+        assert r.value > 0
+
+    def test_tol_floor_still_checked(self):
+        with pytest.raises(ValueError, match="floor"):
+            aux_integral_numeric(IntegrandSpec("aux_I", 1, 1), 1e-14)
+
+
 class TestRecurrences:
     """Both families contract by -(a)(a-1)/((2m+1)^2 pi^2) per step."""
 
@@ -345,27 +402,20 @@ class TestOscillatoryDecay:
         spec = ExtendedFunctionSpec("g", 1)
         cs = []
         for n in (10, 100, 1000):
+            # pieces a quarter period wide
             r_freq = (2 * n + 2) * math.pi
-            res = integrate_adaptive(
-                lambda t: extended_eval(spec, t) * math.sin(r_freq * t),
-                0.0,
-                0.5,
-                1e-10,
-                max_panel_width=math.pi / (2 * r_freq),
+            value = integrate_in_pieces(
+                lambda t: extended_eval(spec, t) * math.sin(r_freq * t), 2 * n + 2, 1e-10
             )
-            cs.append(abs(res.value) * r_freq)
+            cs.append(abs(value) * r_freq)
         self._bounded_constant(cs)
 
     def test_half_secant_times_cos(self):
         cs = []
         for n in (10, 100, 1000):
             r_freq = (2 * n + 2) * math.pi
-            res = integrate_adaptive(
-                lambda t: 0.5 * beta_even_integrand(1, t) * math.cos(r_freq * t),
-                0.0,
-                0.5,
-                1e-10,
-                max_panel_width=math.pi / (2 * r_freq),
+            value = integrate_in_pieces(
+                lambda t: 0.5 * beta_even_integrand(1, t) * math.cos(r_freq * t), 2 * n + 2, 1e-10
             )
-            cs.append(abs(res.value) * r_freq)
+            cs.append(abs(value) * r_freq)
         self._bounded_constant(cs)

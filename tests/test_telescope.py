@@ -12,6 +12,7 @@ from conftest import (
     PI_LITERAL,
     appell_euler_at_zero,
     gf_euler_poly_oracle,
+    integrate_in_pieces,
     machin_pi,
     relative_error,
     sin_cos_oracle,
@@ -274,24 +275,17 @@ class TestIStarDecomposition:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_against_quadrature(self, k, m):
-        from betakit.quadrature import (
-            IntegrandSpec,
-            aux_integral_I_closed,
-            integrate_adaptive,
-        )
+        from betakit.quadrature import aux_integral_I_closed
         from betakit.betavalues import render_decimal
 
+        # pieces a quarter period wide
         freq = (2 * m + 1) * math.pi
-        r = integrate_adaptive(
-            lambda t: e_star(k, t) * math.sin(freq * t),
-            0.0,
-            0.5,
-            1e-11,
-            max_panel_width=1.0 / (4 * (2 * m + 1)),
+        value = integrate_in_pieces(
+            lambda t: e_star(k, t) * math.sin(freq * t), 2 * (2 * m + 1), 1e-11
         )
         closed_i = float(render_decimal(aux_integral_I_closed(k, m), 16).value)
         expected = closed_i - float(correction_term(k, m))
-        assert abs(r.value - expected) < 1e-9
+        assert abs(value - expected) < 1e-9
 
 
 class TestTraceSerialization:
