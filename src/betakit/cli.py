@@ -132,7 +132,7 @@ def _validate_common(args) -> None:
         args.digits = _default_digits(p)
     if not 1 <= args.digits <= _MAX_DIGITS:
         p.error(f"digits must be in [1, {_MAX_DIGITS}]")
-    if args.tol < 1e-13:
+    if not args.tol >= 1e-13:  # NaN fails it too
         p.error("tol must be >= 1e-13")
     if args.max_k < 1:
         p.error("max-k must be >= 1")
@@ -266,15 +266,12 @@ def _cmd_verify(args) -> tuple[tuple, int]:
     _check_guard(args, "nmax", args.nmax, 2 * args.max_k + 1)
     report = run_identity_suite(args.nmax, args.trials, args.seed)
     text = []
-    csv = ["identity_id,instances,passed,first_failure_n,first_failure_x"]
+    csv = ["identity_id,instances,passed,first_failure_n"]
     for r in report.results:
         status = "pass" if r.passed else f"FAIL (first failure: {r.first_failure})"
         text.append(f"{r.identity_id}: {r.instances} instances, {status}")
         ff = r.first_failure or {}
-        csv.append(
-            f"{r.identity_id},{r.instances},{str(r.passed).lower()},"
-            f"{ff.get('n', '')},{ff.get('x') or ''}"
-        )
+        csv.append(f"{r.identity_id},{r.instances},{str(r.passed).lower()},{ff.get('n', '')}")
     text.append("all identities passed" if report.all_passed else "identity failures detected")
     code = EXIT_OK if report.all_passed else EXIT_VERIFICATION_FAILURE
     return (text, report.to_json(), csv, []), code

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import RationalPolynomial, rational_str
+from .exact import RationalPolynomial
 from .highprec import HighPrecisionReal, quantize
 
 __all__ = [
@@ -277,8 +276,6 @@ class IdentityResult:
 @dataclass
 class IdentityReport:
     nmax: int
-    trials: int
-    seed: int
     results: list[IdentityResult] = field(default_factory=list)
 
     @property
@@ -288,8 +285,6 @@ class IdentityReport:
     def to_json(self) -> dict:
         return {
             "nmax": self.nmax,
-            "trials": self.trials,
-            "seed": self.seed,
             "all_passed": self.all_passed,
             "identities": [r.to_json() for r in self.results],
         }
@@ -298,29 +293,21 @@ class IdentityReport:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    # reproducible test points p/q with |p| <= 1000, 1 <= q <= 1000
-    return Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-
-
 class _FamilyChecker:
     def __init__(self, identity_id: str) -> None:
         self.result = IdentityResult(identity_id, 0, True)
 
-    def check(self, ok: bool, n: int, x: Fraction | None) -> None:
+    def check(self, ok: bool, n: int) -> None:
         self.result.instances += 1
         if not ok and self.result.first_failure is None:
             self.result.passed = False
-            self.result.first_failure = {
-                "n": n,
-                "x": None if x is None else rational_str(x),
-            }
+            self.result.first_failure = {"n": n}
 
 
 def run_identity_suite(
     nmax: int,
-    trials: int,
-    seed: int,
+    trials: int = 1,
+    seed: int = 0,
     euler: EulerTable | None = None,
     bernoulli: BernoulliTable | None = None,
 ) -> IdentityReport:
@@ -328,9 +315,10 @@ def run_identity_suite(
 
     Families (all exact rational arithmetic, no tolerances):
 
-      1.1  E_n(1-x) = (-1)^n E_n(x), and E_n(1/2) = 0 for odd n
+      1.1  E_n(1-x) = (-1)^n E_n(x) as polynomials, which gives
+           E_n(1/2) = 0 for odd n
       1.2  E_n = 2^n E_n(1/2)
-      1.3  E_n(x+1) + E_n(x) = 2 x^n
+      1.3  E_n(x+1) + E_n(x) = 2 x^n as polynomials
       1.4  E_n(0) = E_n(1) = 0 for even n >= 2
            (n = 0 is excluded: E_0 is the constant 1)
       1.5  E_n' = n E_{n-1} as polynomials, E_0' = 0
@@ -340,10 +328,12 @@ def run_identity_suite(
       bridge_chi4
            E_{k-1}(1/2) = -B_{k,chi4} / (2^(k-2) k)
 
-    Pseudo-random rational evaluation points are drawn from a generator
-    seeded per family, so results are deterministic for a fixed seed no
-    matter how the families are scheduled.  Failures are reported, not
-    raised: a corrupted table yields a failing entry.
+    Each family counts one instance per index.  Both sides of 1.1 and 1.3
+    are polynomials of degree n, so comparing them as polynomials, through
+    one integer Taylor shift E_n(x+1) per n, proves each for every x.
+    ``trials`` (>= 1) and ``seed`` are validated and otherwise ignored, so
+    the report depends on nmax and the tables alone.  Failures are
+    reported, not raised: a corrupted table yields a failing entry.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -352,57 +342,48 @@ def run_identity_suite(
     et.ensure(nmax)
     bt.ensure(nmax + 1)
 
-    def points(identity_id: str, n: int) -> list[Fraction]:
-        rng = random.Random(f"{seed}:{identity_id}:{n}")
-        return [_random_rational(rng) for _ in range(trials)]
-
     def chi4(n: int) -> Fraction:
         # same formula as generalized_bernoulli_chi4, but on the injected table
         return Fraction(4) ** (n - 1) * (bt.poly(n)(Fraction(1, 4)) - bt.poly(n)(Fraction(3, 4)))
 
-    report = IdentityReport(nmax=nmax, trials=trials, seed=seed)
+    report = IdentityReport(nmax=nmax)
+    # E_n(x+1), once per n for 1.1 and 1.3; negating its odd coefficients
+    # gives E_n(1-x)
+    shifted = [et.poly(n).compose_affine(1, 1) for n in range(nmax + 1)]
 
     fam = _FamilyChecker("1.1")
-    for n in range(nmax + 1):
-        p = et.poly(n)
-        sign = -1 if n % 2 else 1
-        for x in points("1.1", n):
-            fam.check(p(1 - x) == sign * p(x), n, x)
-        if n % 2 == 1:
-            fam.check(p(_HALF) == 0, n, _HALF)
+    for n, q in enumerate(shifted):
+        fam.check(q.compose_affine(-1, 0) == (-1) ** n * et.poly(n), n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.2")
     for n in range(nmax + 1):
-        fam.check(et.number(n) == 2**n * et.poly(n)(_HALF), n, None)
+        fam.check(et.number(n) == 2**n * et.poly(n)(_HALF), n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.3")
-    for n in range(nmax + 1):
-        p = et.poly(n)
-        for x in points("1.3", n):
-            fam.check(p(x + 1) + p(x) == 2 * x**n, n, x)
+    for n, q in enumerate(shifted):
+        fam.check(q + et.poly(n) == RationalPolynomial.monomial(n, 2), n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.4")
     for n in range(2, nmax + 1, 2):
         p = et.poly(n)
-        fam.check(p(Fraction(0)) == 0 and p(Fraction(1)) == 0, n, None)
+        fam.check(p(Fraction(0)) == 0 and p(Fraction(1)) == 0, n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.5")
     for n in range(nmax + 1):
         d = et.poly(n).derivative()
         expected = RationalPolynomial.zero() if n == 0 else n * et.poly(n - 1)
-        fam.check(d == expected, n, None)
+        fam.check(d == expected, n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.6")
     for n in range(0, nmax + 1, 2):
-        k = n // 2
         lhs = et.poly(n)(_HALF)
         rhs = -chi4(n + 1) / ((n + 1) * Fraction(2) ** (n - 1))
-        fam.check(lhs == rhs, n, None)
+        fam.check(lhs == rhs, n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("bridge_euler_bernoulli")
@@ -411,14 +392,14 @@ def run_identity_suite(
         rhs = Fraction(2**k, k) * (
             bk.compose_affine(_HALF, _HALF) - bk.compose_affine(_HALF, 0)
         )
-        fam.check(et.poly(k - 1) == rhs, k, None)
+        fam.check(et.poly(k - 1) == rhs, k)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("bridge_chi4")
     for k in range(1, nmax + 1):
         lhs = et.poly(k - 1)(_HALF)
         rhs = -chi4(k) / (Fraction(2) ** (k - 2) * k)
-        fam.check(lhs == rhs, k, None)
+        fam.check(lhs == rhs, k)
     report.results.append(fam.result)
 
     return report

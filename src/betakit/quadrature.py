@@ -130,7 +130,7 @@ def integrate_adaptive(
     left-to-right order, so the result is reproducible regardless of how
     panels were scheduled.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails it too
         raise ValueError("tol must be positive")
     if b <= a:
         raise ValueError("need b > a")
@@ -240,7 +240,7 @@ def beta_even_quadrature(k: int, tol: float, printed_sign: bool = False) -> Quad
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tol < MIN_TOL:
+    if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     half = 0.5 * ((-1) ** (k - 1) if printed_sign else (-1) ** k)
     inner = integrate_adaptive(lambda t: _sec_integrand(k, t), 0.0, 0.5, 2 * tol)
@@ -273,7 +273,7 @@ def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     equal the closed form, else a RuntimeError.  The value is within an ulp,
     the bound reported as its estimate; tol is only held to MIN_TOL.
     """
-    if tol < MIN_TOL:
+    if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     sine = spec.kind == "aux_I"
     n = 2 * spec.k + (not sine)

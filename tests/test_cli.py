@@ -181,6 +181,18 @@ class TestBetaEven:
     def test_tol_floor_is_usage_error(self, run_betakit):
         assert run_betakit(["beta", "even", "--k", "1", "--tol", "1e-14"]).returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["beta", "even", "--k", "3"],
+        ["telescope", "--family", "j", "--k", "3", "--N", "10"],
+    ])
+    def test_nan_tol_is_usage_error(self, argv, capsys):
+        # NaN compares false with everything, so it must fail the floor too
+        assert run_cli([*argv, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("error: tol must be >= 1e-13")
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize("k", ["86", "150"])
     def test_k_past_the_float_factorial(self, run_betakit, k):
         # (2k-1)! overflows a double from k = 86; --max-k is the one limit
@@ -230,6 +242,15 @@ class TestVerify:
         assert payload["all_passed"] is True
         for entry in payload["identities"]:
             assert set(entry) == {"identity_id", "instances", "passed", "first_failure"}
+
+    def test_trials_cost_nothing(self):
+        # trials is accepted and ignored: no point is drawn, however many are asked for
+        r = subprocess.run(
+            [sys.executable, "-m", "betakit", "verify", "--nmax", "3", "--trials", "1000000000"],
+            capture_output=True, timeout=60,
+        )
+        assert r.returncode == 0
+        assert r.stdout.decode().strip().endswith("all identities passed")
 
     def test_seed_changes_nothing_about_validity(self, run_betakit):
         for seed in ("1", "2"):

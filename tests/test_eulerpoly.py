@@ -290,14 +290,38 @@ class TestIdentitySuite:
         failing = {r.identity_id for r in report.results if not r.passed}
         assert failing == {"1.2"}
         failure = next(r for r in report.results if not r.passed)
-        assert failure.first_failure == {"n": 4, "x": None}
+        assert failure.first_failure == {"n": 4}
+
+    def test_corrupted_row_fails_reflection_and_shift_sum(self):
+        # E_7 + x^3 is no Euler polynomial; 1.1 and 1.3 compare polynomials,
+        # so they catch it whatever x a sample would have drawn
+        t = EulerTable()
+        t.ensure(12)
+        t.polys[7] = t.polys[7] + RationalPolynomial.monomial(3, 1)
+        report = run_identity_suite(12, 1, 0, euler=t)
+        failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
+        assert failures == {
+            "1.1": {"n": 7}, "1.2": {"n": 7}, "1.3": {"n": 7}, "1.5": {"n": 7},
+            "bridge_euler_bernoulli": {"n": 8}, "bridge_chi4": {"n": 8},
+        }
+
+    def test_report_ignores_trials_and_seed(self):
+        assert run_identity_suite(12, 1, 0).to_json() == run_identity_suite(12, 25, 7).to_json()
+
+    def test_one_instance_per_index(self):
+        counts = {r.identity_id: r.instances for r in run_identity_suite(12, 5, 42).results}
+        assert counts["1.1"] == counts["1.3"] == 13
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError):
+            run_identity_suite(3, 0, 42)
 
     def test_report_json_schema(self):
         payload = json.loads(run_identity_suite(4, 2, 5).to_json_str())
-        assert set(payload) == {"nmax", "trials", "seed", "all_passed", "identities"}
+        assert set(payload) == {"nmax", "all_passed", "identities"}
         for entry in payload["identities"]:
             assert set(entry) == {"identity_id", "instances", "passed", "first_failure"}
-            assert entry["first_failure"] is None or set(entry["first_failure"]) == {"n", "x"}
+            assert entry["first_failure"] is None or set(entry["first_failure"]) == {"n"}
 
 
 class TestIdentityProperties:

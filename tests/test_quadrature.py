@@ -50,6 +50,10 @@ class TestIntegrateAdaptive:
         with pytest.raises(BudgetExceededError):
             integrate_adaptive(lambda t: math.sin(1 / (t + 1e-6)), 0.0, 1.0, 1e-13, max_evals=200)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError):
+            integrate_adaptive(lambda t: t, 0.0, 1.0, math.nan)
+
     def test_deterministic(self):
         a = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
         b = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
@@ -216,6 +220,10 @@ class TestBetaEvenQuadrature:
         with pytest.raises(ValueError):
             beta_even_quadrature(1, 1e-14)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="floor"):
+            beta_even_quadrature(3, math.nan)
+
     @pytest.mark.parametrize("tol", [1e-8, 1e-13])
     def test_error_against_series(self, tol):
         # the normalized integrand leaves about an ulp of beta(2k) <= 1
@@ -291,6 +299,10 @@ class TestAuxNumeric:
             IntegrandSpec("aux_I", -1, 0)
         with pytest.raises(ValueError):
             aux_integral_numeric(IntegrandSpec("beta_even", 1), 1e-8)
+
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="floor"):
+            aux_integral_numeric(IntegrandSpec("aux_I", 3, 1), math.nan)
 
     def test_k_past_the_float_coefficients(self):
         # E_218 has coefficients past the double range; I(109, 0) =
