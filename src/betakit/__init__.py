@@ -5,6 +5,9 @@ values beta(2k) through an integral representation, and executable checks
 of the Euler/Bernoulli identity machinery connecting them.
 """
 
+# Eager on purpose: every submodule loads here.  A lazy (PEP 562) package
+# saved only 1-4 ms more per process, and perfbench/tracing.py wraps only the
+# modules already loaded when it installs, so it would then trace almost none.
 from .betavalues import (
     HighPrecisionReal,
     PiPowerValue,

@@ -10,11 +10,10 @@ bound, serves as the numerical oracle the closed forms are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
-from .exact import digit_string, rational_str
+from .exact import ValueClass, _set_field, digit_string, rational_str
 from .highprec import HighPrecisionReal, pi_fraction, quantize
 
 __all__ = [
@@ -26,21 +25,18 @@ __all__ = [
     "render_decimal",
 ]
 
-@dataclass(frozen=True)
-class PiPowerValue:
+
+class PiPowerValue(ValueClass):
     """An exact real of the form coeff * pi^power.
 
     Zero is normalized to (0, 0) so equality of values is equality of
     fields.
     """
 
-    coeff: Fraction
-    power: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.coeff == 0 and self.power != 0:
-            object.__setattr__(self, "power", 0)
+    def __init__(self, coeff: int | Fraction, power: int) -> None:
+        coeff = Fraction(coeff)
+        _set_field(self, "coeff", coeff)
+        _set_field(self, "power", power if coeff else 0)
 
     def to_json(self, digits: int = 12) -> dict:
         return {

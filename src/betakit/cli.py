@@ -14,7 +14,6 @@ that stream, not the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -336,8 +335,12 @@ def run_cli(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         _validate_common(args)
         (text, payload, csv, notes), code = args.handler(args)
-        forms = {"text": text, "json": [json.dumps(payload, separators=(",", ":"))], "csv": csv}
-        out = forms[args.format]
+        if args.format == "json":
+            import json  # loaded only for this form
+
+            out = [json.dumps(payload, separators=(",", ":"))]
+        else:
+            out = text if args.format == "text" else csv
     except SystemExit as exc:  # argparse, or parser.error in a check
         return int(exc.code or 0)
     except BudgetExceededError as exc:

@@ -13,13 +13,11 @@ them is available as an executable, exactly-checked suite.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import RationalPolynomial
+from .exact import RationalPolynomial, ValueClass
 from .highprec import HighPrecisionReal, quantize
 
 __all__ = [
@@ -255,14 +253,16 @@ def gf_coefficient_check(n: int, digits: int) -> HighPrecisionReal:
     return HighPrecisionReal(abs(target - Fraction(quot[n], scale)), digits)
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(ValueClass, frozen=False):
     """Outcome of one identity family over all tested instances."""
 
-    identity_id: str
-    instances: int
-    passed: bool
-    first_failure: dict | None = None
+    def __init__(
+        self, identity_id: str, instances: int, passed: bool, first_failure: dict | None = None
+    ) -> None:
+        self.identity_id = identity_id
+        self.instances = instances
+        self.passed = passed
+        self.first_failure = first_failure
 
     def to_json(self) -> dict:
         return {
@@ -273,10 +273,10 @@ class IdentityResult:
         }
 
 
-@dataclass
-class IdentityReport:
-    nmax: int
-    results: list[IdentityResult] = field(default_factory=list)
+class IdentityReport(ValueClass, frozen=False):
+    def __init__(self, nmax: int, results: list[IdentityResult] | None = None) -> None:
+        self.nmax = nmax
+        self.results = [] if results is None else results
 
     @property
     def all_passed(self) -> bool:
@@ -290,6 +290,8 @@ class IdentityReport:
         }
 
     def to_json_str(self) -> str:
+        import json  # loaded only where JSON is asked for
+
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 

@@ -9,16 +9,15 @@ all operations are pure, so they can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from typing import Iterable, Union
 
 # The universal exact scalar.  Fraction already maintains the canonical form
 # we need: positive denominator, gcd(|num|, den) = 1, and zero stored as 0/1.
 Rational = Fraction
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 __all__ = [
     "Rational",
@@ -89,8 +88,49 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+# how a frozen ValueClass's __init__ sets its fields, past its __setattr__
+_set_field = object.__setattr__
+
+
+class ValueClass:
+    """Base of the value classes: what they used of ``dataclasses``.
+
+    A subclass's own ``__init__`` sets its fields, in order, and nothing
+    else, so ``__dict__`` holds exactly the fields.  Instances compare ``==``
+    field by field, only with instances of the same class, and print as
+    ``Cls(field=value, ...)``.  A frozen subclass (the default) is hashable
+    and refuses assignment, so its ``__init__`` sets fields with
+    ``_set_field``; ``frozen=False`` makes a mutable, unhashable class.
+    Pickles carry ``__dict__`` and skip ``__init__``.  (Importing
+    ``dataclasses`` costs each process about 10 ms.)
+    """
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class RationalPolynomial(ValueClass):
     """Dense univariate polynomial with exact rational coefficients.
 
     (1/den) sum nums[i] x^i for an integer den > 0 and integers nums.  The
@@ -101,18 +141,15 @@ class RationalPolynomial:
     from rationals, and :attr:`coeffs` derives ``Fraction`` coefficients.
     """
 
-    den: int
-    nums: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.den <= 0:
-            raise ValueError(f"denominator must be positive, got {self.den}")
-        nums = list(self.nums)
+    def __init__(self, den: int, nums: Iterable[int]) -> None:
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
-        g = math.gcd(self.den, *nums)
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
+        g = math.gcd(den, *nums)
+        _set_field(self, "den", den // g)
+        _set_field(self, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> "RationalPolynomial":

@@ -16,11 +16,10 @@ scaled unit, so 10 guard digits dominate both by a wide margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import digit_string
+from .exact import ValueClass, _set_field, digit_string
 
 __all__ = [
     "BudgetExceededError",
@@ -115,12 +114,12 @@ def decimal_string(x: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-@dataclass(frozen=True)
-class HighPrecisionReal:
+class HighPrecisionReal(ValueClass):
     """Exact rational proxy for a real target, accurate to the stated digits."""
 
-    value: Fraction
-    guaranteed_digits: int
+    def __init__(self, value: Fraction, guaranteed_digits: int) -> None:
+        _set_field(self, "value", value)
+        _set_field(self, "guaranteed_digits", guaranteed_digits)
 
     def decimal_str(self, places: int | None = None) -> str:
         if places is None:

@@ -25,13 +25,13 @@ them exactly to table entries, and the result must equal their closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .betavalues import PiPowerValue
 from .eulerpoly import euler_number, euler_polynomial
+from .exact import ValueClass, _set_field
 from .highprec import BudgetExceededError, pi_fraction
 
 __all__ = [
@@ -79,11 +79,11 @@ _G15 = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    n_evals: int
+class QuadratureResult(ValueClass):
+    def __init__(self, value: float, abs_error_estimate: float, n_evals: int) -> None:
+        _set_field(self, "value", value)
+        _set_field(self, "abs_error_estimate", abs_error_estimate)
+        _set_field(self, "n_evals", n_evals)
 
     def to_json(self) -> dict:
         return {
@@ -93,19 +93,17 @@ class QuadratureResult:
         }
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(ValueClass):
     """Selects I(k, m) (kind "aux_I") or J(k, m) ("aux_J"), k, m >= 0."""
 
-    kind: str
-    k: int
-    m: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("aux_I", "aux_J"):
-            raise ValueError(f"unknown integrand kind {self.kind!r}")
-        if self.k < 0 or self.m < 0:
+    def __init__(self, kind: str, k: int, m: int = 0) -> None:
+        if kind not in ("aux_I", "aux_J"):
+            raise ValueError(f"unknown integrand kind {kind!r}")
+        if k < 0 or m < 0:
             raise ValueError("auxiliary integrals require k, m >= 0")
+        _set_field(self, "kind", kind)
+        _set_field(self, "k", k)
+        _set_field(self, "m", m)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float, rule) -> float:

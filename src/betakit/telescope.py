@@ -11,13 +11,12 @@ limits numerically.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
+from .exact import ValueClass, _set_field
 from .highprec import pi_fraction
 from .quadrature import (
     _float_coeffs,
@@ -73,8 +72,7 @@ def correction_term(k: int, m: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ExtendedFunctionSpec:
+class ExtendedFunctionSpec(ValueClass):
     """One of the boundary-extended quotients f, g, h on [0, 1/2].
 
       f(t) = E*_{2k}(t) / sin(2 pi t)      (k >= 1; singular at 0 and 1/2)
@@ -91,10 +89,6 @@ class ExtendedFunctionSpec:
     and a certified pi and rounded once to a double.
     """
 
-    name: str
-    k: int
-    endpoint_values: dict
-
     def __init__(self, name: str, k: int) -> None:
         if name not in ("f", "g", "h"):
             raise ValueError(f"unknown extended function {name!r}")
@@ -103,8 +97,8 @@ class ExtendedFunctionSpec:
                 raise ValueError("g requires k >= 0")
         elif k < 1:
             raise ValueError(f"{name} requires k >= 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "k", k)
+        _set_field(self, "name", name)
+        _set_field(self, "k", k)
         _scale(2 * k - 1 if name == "h" else 2 * k)  # raises past k = 109
         # f's two terms agree to about 3^-2k of their size (their difference
         # is led by the n = 1 terms of the odd zeta and beta sums), so pi to
@@ -122,7 +116,7 @@ class ExtendedFunctionSpec:
         else:
             at_half = euler_number(2 * k - 2) / 2 ** (2 * k - 2)
             ev["1/2"] = float(-(2 * k - 1) * at_half / (2 * pi_fraction(k + 20)))
-        object.__setattr__(self, "endpoint_values", ev)
+        _set_field(self, "endpoint_values", ev)
 
 
 def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
@@ -159,8 +153,7 @@ def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
     return g if spec.name == "g" else g / (2 * math.sin(math.pi * t))
 
 
-@dataclass(frozen=True)
-class PartialSumTrace:
+class PartialSumTrace(ValueClass):
     """Sampled partial sums S_n of a telescoped alternating sum.
 
     For family "I_star" the target is 0; for family "J" the target is the
@@ -168,10 +161,13 @@ class PartialSumTrace:
     quadrature.
     """
 
-    family: str
-    k: int
-    target: float
-    entries: tuple[tuple[int, float], ...]
+    def __init__(
+        self, family: str, k: int, target: float, entries: tuple[tuple[int, float], ...]
+    ) -> None:
+        _set_field(self, "family", family)
+        _set_field(self, "k", k)
+        _set_field(self, "target", target)
+        _set_field(self, "entries", entries)
 
     def to_json(self) -> dict:
         return {
@@ -182,6 +178,8 @@ class PartialSumTrace:
         }
 
     def to_json_str(self) -> str:
+        import json  # loaded only where JSON is asked for
+
         return json.dumps(self.to_json(), separators=(",", ":"))
 
     def to_csv(self) -> str:

@@ -472,6 +472,34 @@ def test_import_loads_no_third_party_module():
     assert r.stdout.decode().splitlines() == ["[]", "False"]
 
 
+def test_import_footprint():
+    # a fresh process.  `import betakit` loads every submodule, because
+    # perfbench/tracing.py wraps only the modules loaded when it installs;
+    # it loads nothing that dataclasses would (inspect, ast and dis, about
+    # 10 ms of start-up), and a text-format command loads no json
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import betakit\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new if m.startswith('betakit.')))\n"
+        "print(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'}))\n"
+        "from betakit.cli import run_cli\n"
+        "code = run_cli(['beta', 'odd', '--k', '1'])\n"
+        "print(code, 'json' in set(sys.modules) - before)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    submodules = sorted(f"betakit.{m}" for m in (
+        "exact", "highprec", "eulerpoly", "betavalues", "quadrature", "telescope"))
+    assert r.stdout.decode().splitlines() == [
+        repr(submodules),
+        "[]",
+        "beta(3) = 1/32 * pi^3 = 0.968946146259",
+        "0 False",
+    ]
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     os.environ.pop("BETAKIT_DIGITS", None)
