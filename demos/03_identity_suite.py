@@ -2,15 +2,15 @@
 
 Every identity the closed forms rely on is checked in exact rational
 arithmetic: no tolerances, no rounding, and 1.1 and 1.3 as polynomial
-identities, so they hold for every x.  Two deliberately corrupted tables
-demonstrate that the suite actually has teeth.  The demo exits 1 if the
-reference suite fails or a corrupted table passes.
+identities, so they hold for every x.  Three deliberately corrupted tables,
+two Euler and one Bernoulli, demonstrate that the suite actually has teeth.
+The demo exits 1 if the reference suite fails or a corrupted table passes.
 """
 
 import sys
 from fractions import Fraction
 
-from betakit import EulerTable, RationalPolynomial, run_identity_suite
+from betakit import BernoulliTable, EulerTable, RationalPolynomial, run_identity_suite
 
 report = run_identity_suite(20)
 print("identity suite at nmax=20:\n")
@@ -20,12 +20,13 @@ print(f"\nall passed: {report.all_passed}")
 
 
 def negative_control(what: str, nmax: int, corrupt) -> bool:
-    """Corrupt a fresh table, rerun the suite, and say whether it was caught."""
-    table = EulerTable()
-    table.ensure(nmax)
-    corrupt(table)
+    """Corrupt fresh tables, rerun the suite, and say whether it was caught."""
+    euler, bernoulli = EulerTable(), BernoulliTable()
+    euler.ensure(nmax)
+    bernoulli.ensure(nmax + 1)
+    corrupt(euler, bernoulli)
     print(f"\nnegative control: {what} and rerun...")
-    control = run_identity_suite(nmax, euler=table)
+    control = run_identity_suite(nmax, euler=euler, bernoulli=bernoulli)
     for r in control.results:
         if not r.passed:
             print(f"  {r.identity_id} fails, first failure at {r.first_failure}")
@@ -33,16 +34,22 @@ def negative_control(what: str, nmax: int, corrupt) -> bool:
     return not control.all_passed
 
 
-def bump_e4(t: EulerTable) -> None:
-    t.numbers[4] = Fraction(6)  # exactly the power identity 1.2 breaks
+def bump_e4(e: EulerTable, b: BernoulliTable) -> None:
+    e.numbers[4] = Fraction(6)  # exactly the power identity 1.2 breaks
 
 
-def add_x3_to_e7(t: EulerTable) -> None:
-    t.polys[7] = t.polys[7] + RationalPolynomial.monomial(3)  # 1.1 and 1.3 catch it
+def add_x3_to_e7(e: EulerTable, b: BernoulliTable) -> None:
+    e.polys[7] = e.polys[7] + RationalPolynomial.monomial(3)  # 1.1 and 1.3 catch it
+
+
+def add_x2_to_b9(e: EulerTable, b: BernoulliTable) -> None:
+    # B_{9,chi4} moves (1.6 at n = 8, bridge_chi4), and so does the bridge to E_8
+    b.polys[9] = b.polys[9] + RationalPolynomial.monomial(2)
 
 
 caught = [
     negative_control("replace E_4 = 5 by 6", 10, bump_e4),
     negative_control("add x^3 to E_7(x)", 12, add_x3_to_e7),
+    negative_control("add x^2 to B_9(x)", 12, add_x2_to_b9),
 ]
 sys.exit(0 if report.all_passed and all(caught) else 1)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 
-from .exact import RationalPolynomial, ValueClass
+from .exact import RationalPolynomial, ValueClass, poly_eval, taylor_shift
 from .highprec import HighPrecisionReal, quantize
 
 __all__ = [
@@ -210,8 +211,18 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = bernoulli_polynomial(n)
-    return Fraction(4) ** (n - 1) * (b(Fraction(1, 4)) - b(Fraction(3, 4)))
+    return _chi4(bernoulli_polynomial(n), n)
+
+
+def _chi4(b: RationalPolynomial, n: int) -> Fraction:
+    # 4^(n-1) (b(1/4) - b(3/4)) for b = (1/D) sum b_i x^i of degree d, by one
+    # integer Horner pass for sum b_i (1 - 3^i) 4^(d-i), which is that value
+    # times 4^(d-n+1) D: over 4D for a Bernoulli row (d = n)
+    acc, p3 = 0, 1
+    for c in b.nums:
+        acc = (acc << 2) + c * (1 - p3)
+        p3 *= 3
+    return Fraction(acc, b.den) * Fraction(4) ** (n - 1 - b.degree)
 
 
 def gf_coefficient_check(n: int, digits: int) -> HighPrecisionReal:
@@ -330,12 +341,19 @@ def run_identity_suite(
       bridge_chi4
            E_{k-1}(1/2) = -B_{k,chi4} / (2^(k-2) k)
 
-    Each family counts one instance per index.  Both sides of 1.1 and 1.3
-    are polynomials of degree n, so comparing them as polynomials, through
-    one integer Taylor shift E_n(x+1) per n, proves each for every x.
-    ``trials`` (>= 1) and ``seed`` are validated and otherwise ignored, so
-    the report depends on nmax and the tables alone.  Failures are
-    reported, not raised: a corrupted table yields a failing entry.
+    Each family counts one instance per index.  The polynomial identities
+    (1.1, 1.3, 1.5 and the Euler-Bernoulli bridge) are checked on the rows'
+    integer forms (1/D) sum c_i x^i, as integer coefficient lists.  Two
+    polynomials agree at every x exactly when their coefficients agree, and
+    multiplying both sides by the same nonzero integer (the denominators'
+    product) keeps them equal or unequal, so equality of the two
+    cross-multiplied lists, index by index, proves the identity for every x
+    and inequality refutes it.  One addition-only Taylor shift per row gives
+    E_n(x+1) for 1.1 and 1.3, and one per Bernoulli row gives B_k((x+1)/2);
+    E_n(1/2) and B_{n,chi4} are computed once per n.  ``trials`` (>= 1) and ``seed`` are validated and
+    otherwise ignored, so the report depends on nmax and the tables alone.
+    Failures are reported, not raised: a corrupted table yields a failing
+    entry.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -343,65 +361,72 @@ def run_identity_suite(
     bt = bernoulli if bernoulli is not None else _BERNOULLI
     et.ensure(nmax)
     bt.ensure(nmax + 1)
-
-    def chi4(n: int) -> Fraction:
-        # same formula as generalized_bernoulli_chi4, but on the injected table
-        return Fraction(4) ** (n - 1) * (bt.poly(n)(Fraction(1, 4)) - bt.poly(n)(Fraction(3, 4)))
+    rows = et.polys[: nmax + 1]
+    # E_n(1/2) for 1.2, 1.6 and bridge_chi4; B_{n,chi4} for 1.6 and bridge_chi4
+    half = [poly_eval(p, _HALF) for p in rows]
+    chi4 = [None] + [_chi4(bt.polys[n], n) for n in range(1, nmax + 2)]
 
     report = IdentityReport(nmax=nmax)
-    # E_n(x+1), once per n for 1.1 and 1.3; negating its odd coefficients
-    # gives E_n(1-x)
-    shifted = [et.poly(n).compose_affine(1, 1) for n in range(nmax + 1)]
+    # E_n(x+1) = (1/D) sum s_j x^j, once per n for 1.1 and 1.3
+    shifted = [taylor_shift(p.nums) for p in rows]
 
     fam = _FamilyChecker("1.1")
-    for n, q in enumerate(shifted):
-        fam.check(q.compose_affine(-1, 0) == (-1) ** n * et.poly(n), n)
+    for n, (p, s) in enumerate(zip(rows, shifted)):
+        # E_n(1-x) has coefficients (-1)^j s_j / D, so (-1)^j s_j = (-1)^n c_j
+        fam.check(s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)], n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.2")
-    for n in range(nmax + 1):
-        fam.check(et.number(n) == 2**n * et.poly(n)(_HALF), n)
+    for n, h in enumerate(half):
+        fam.check(et.numbers[n] == 2**n * h, n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.3")
-    for n, q in enumerate(shifted):
-        fam.check(q + et.poly(n) == RationalPolynomial.monomial(n, 2), n)
+    for n, (p, s) in enumerate(zip(rows, shifted)):
+        fam.check([x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den], n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.4")
     for n in range(2, nmax + 1, 2):
-        p = et.poly(n)
-        fam.check(p(Fraction(0)) == 0 and p(Fraction(1)) == 0, n)
+        # E_n(0) = c_0 / D and E_n(1) = sum c_i / D
+        c = rows[n].nums
+        fam.check(not (c and c[0]) and sum(c) == 0, n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.5")
-    for n in range(nmax + 1):
-        d = et.poly(n).derivative()
-        expected = RationalPolynomial.zero() if n == 0 else n * et.poly(n - 1)
-        fam.check(d == expected, n)
+    for n, p in enumerate(rows):
+        # D_(n-1) j c_j = n D_n f_(j-1), with E_(n-1) = (1/D_(n-1)) sum f_j x^j
+        q = rows[n - 1] if n else RationalPolynomial.zero()
+        fam.check([j * c * q.den for j, c in enumerate(p.nums) if j]
+                  == [n * f * p.den for f in q.nums], n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("1.6")
     for n in range(0, nmax + 1, 2):
-        lhs = et.poly(n)(_HALF)
-        rhs = -chi4(n + 1) / ((n + 1) * Fraction(2) ** (n - 1))
-        fam.check(lhs == rhs, n)
+        # E_n(1/2) (n+1) 2^(n-1) = -B_{n+1,chi4}, doubled
+        fam.check(half[n] * ((n + 1) << n) == -2 * chi4[n + 1], n)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("bridge_euler_bernoulli")
     for k in range(1, nmax + 1):
-        bk = bt.poly(k)
-        rhs = Fraction(2**k, k) * (
-            bk.compose_affine(_HALF, _HALF) - bk.compose_affine(_HALF, 0)
-        )
-        fam.check(et.poly(k - 1) == rhs, k)
+        # with B_k = (1/D_B) sum b_j x^j, d >= k and its degree (d = k for a
+        # true row), 2^d D_B B_k(x/2) has coefficients c_j = b_j 2^(d-j) and
+        # 2^d D_B B_k((x+1)/2) their shift s; with E_(k-1) = (1/D_E) sum e_j x^j
+        # the bridge reads k D_B 2^(d-k) e_j = D_E (s_j - c_j)
+        b, e = bt.polys[k], rows[k - 1]
+        d = max(b.degree, k)
+        c = [x << (d - j) for j, x in enumerate(b.nums)]
+        s = taylor_shift(c)
+        scale = k * b.den << (d - k)
+        fam.check(all(
+            scale * x == e.den * (y - z) for x, y, z in zip_longest(e.nums, s, c, fillvalue=0)
+        ), k)
     report.results.append(fam.result)
 
     fam = _FamilyChecker("bridge_chi4")
     for k in range(1, nmax + 1):
-        lhs = et.poly(k - 1)(_HALF)
-        rhs = -chi4(k) / (Fraction(2) ** (k - 2) * k)
-        fam.check(lhs == rhs, k)
+        # E_(k-1)(1/2) 2^(k-2) k = -B_{k,chi4}, times 4
+        fam.check(half[k - 1] * (k << k) == -4 * chi4[k], k)
     report.results.append(fam.result)
 
     return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import accumulate, repeat, zip_longest
 
 # The universal exact scalar.  Fraction already maintains the canonical form
 # we need: positive denominator, gcd(|num|, den) = 1, and zero stored as 0/1.
@@ -29,6 +29,7 @@ __all__ = [
     "poly_eval",
     "rational_from_str",
     "rational_str",
+    "taylor_shift",
 ]
 
 
@@ -267,6 +268,23 @@ def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
     return RationalPolynomial(p.den, [i * c for i, c in enumerate(p.nums) if i])
 
 
+def taylor_shift(nums: Iterable[int]) -> list[int]:
+    """Coefficients of p(x + 1), given those of p (lowest power first).
+
+    Integer Taylor shift by one with additions only.  Horner's passes
+    r_j += r_(j+1), for j from the top down, are running sums: on the
+    coefficients highest first, pass i is a running sum over the d + 1 - i
+    highest ones, whose last entry is then final, so the d(d+1)/2
+    additions run inside ``itertools.accumulate``.
+    """
+    r = list(nums)[::-1]
+    out = []
+    while r:
+        r = list(accumulate(r))
+        out.append(r.pop())
+    return out
+
+
 def poly_compose_affine(
     p: RationalPolynomial, a: RationalLike, b: RationalLike
 ) -> RationalPolynomial:
@@ -275,10 +293,12 @@ def poly_compose_affine(
     On the common-denominator integer form p = (1/D) sum c_i x^i, with
     a*x + b = (u_a*x + u_b)/v over one common denominator v,
     q(x) = R(u_a*x) / (D v^d) where R(z) = sum c_i v^(d-i) (z + u_b)^i.  R
-    is the Taylor shift of the integers c_i v^(d-i) by u_b (Horner's
-    d(d+1)/2 multiply-adds, none when b = 0) and its coefficient of z^j is
-    then scaled by u_a^j, all on plain integers; the result is reduced once
-    at the end.
+    is the Taylor shift of the integers r_i = c_i v^(d-i) by u_b: with
+    z = u_b*y it is the shift by one of r_i u_b^i, whose coefficient of y^j
+    is then divided by u_b^j (exactly), so :func:`taylor_shift` is the only
+    shift kernel.  The coefficient of z^j is then scaled by u_a^j, all on
+    plain integers, and the result is reduced once at the end.  The v and
+    u_a scalings are skipped when those are 1.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -287,15 +307,16 @@ def poly_compose_affine(
     ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
     deg = len(ints) - 1
     r, vpow = list(ints), 1
-    for i in range(deg - 1, -1, -1):
-        vpow *= v
-        r[i] *= vpow
+    if v != 1:
+        for i in range(deg - 1, -1, -1):
+            vpow *= v
+            r[i] *= vpow
     if ub:
-        for i in range(deg):
-            for j in range(deg - 1, i - 1, -1):
-                r[j] += ub * r[j + 1]
-    upow = 1
-    for j in range(1, deg + 1):
-        upow *= ua
-        r[j] *= upow
+        w = [ub**i for i in range(deg + 1)]
+        r = [c // wi for c, wi in zip(taylor_shift([c * wi for c, wi in zip(r, w)]), w)]
+    if ua != 1:
+        upow = 1
+        for j in range(1, deg + 1):
+            upow *= ua
+            r[j] *= upow
     return RationalPolynomial(d * vpow, r)

@@ -118,6 +118,10 @@ class ExtendedFunctionSpec(ValueClass):
             ev["1/2"] = float(-(2 * k - 1) * at_half / (2 * pi_fraction(k + 20)))
         _set_field(self, "endpoint_values", ev)
 
+    def __hash__(self) -> int:
+        # name and k determine endpoint_values, a dict, which cannot be hashed
+        return hash((self.name, self.k))
+
 
 def extended_eval(spec: ExtendedFunctionSpec, t: float) -> float:
     """Evaluate f, g or h, continuous at their singular endpoints.

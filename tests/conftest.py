@@ -6,7 +6,9 @@ generating functions, and Bernoulli polynomials by the
 derivative/mean-zero characterization.  Expected values frozen in the
 tests were computed by these routes.  The package's integer tables are
 also held equal to the Fraction recurrences it used to run
-(:func:`appell_euler_table`, :func:`bernoulli_sum_table`).
+(:func:`appell_euler_table`, :func:`bernoulli_sum_table`), and the identity
+suite's integer coefficient lists to the polynomial API
+(:func:`polynomial_identity_suite`).
 """
 
 from __future__ import annotations
@@ -95,6 +97,59 @@ def bernoulli_sum_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction
         for m in range(n + 1)
     ]
     return polys, nums
+
+
+def polynomial_identity_suite(nmax: int, euler, bernoulli) -> dict:
+    """The identity suite's ``to_json()`` report, from the polynomial API.
+
+    Every side of every identity is built as a RationalPolynomial or a
+    Fraction (``compose_affine`` for E_n(x+1) and B_k((x+1)/2), ``poly_eval``
+    at 1/4, 1/2 and 3/4, ``derivative``) and compared with ``==``: the
+    reference that ``run_identity_suite``'s integer coefficient lists are
+    held to.  ``euler`` and ``bernoulli`` are tables grown to at least nmax
+    and nmax + 1.
+    """
+    half = Fraction(1, 2)
+    e = euler.polys
+    b = bernoulli.polys
+
+    def chi4(n):
+        return 4 ** (n - 1) * (b[n](Fraction(1, 4)) - b[n](Fraction(3, 4)))
+
+    def bridge(k):
+        return Fraction(2**k, k) * (b[k].compose_affine(half, half) - b[k].compose_affine(half, 0))
+
+    shifted = [e[n].compose_affine(1, 1) for n in range(nmax + 1)]
+    families = {
+        "1.1": [(n, shifted[n].compose_affine(-1, 0) == (-1) ** n * e[n])
+                for n in range(nmax + 1)],
+        "1.2": [(n, euler.numbers[n] == 2**n * e[n](half)) for n in range(nmax + 1)],
+        "1.3": [(n, shifted[n] + e[n] == RationalPolynomial.monomial(n, 2))
+                for n in range(nmax + 1)],
+        "1.4": [(n, e[n](Fraction(0)) == 0 and e[n](Fraction(1)) == 0)
+                for n in range(2, nmax + 1, 2)],
+        "1.5": [(n, e[n].derivative() == (n * e[n - 1] if n else RationalPolynomial.zero()))
+                for n in range(nmax + 1)],
+        "1.6": [(n, e[n](half) == -chi4(n + 1) / ((n + 1) * Fraction(2) ** (n - 1)))
+                for n in range(0, nmax + 1, 2)],
+        "bridge_euler_bernoulli": [(k, e[k - 1] == bridge(k)) for k in range(1, nmax + 1)],
+        "bridge_chi4": [(k, e[k - 1](half) == -chi4(k) / (Fraction(2) ** (k - 2) * k))
+                        for k in range(1, nmax + 1)],
+    }
+    results = []
+    for identity_id, checks in families.items():
+        failed = [n for n, ok in checks if not ok]
+        results.append({
+            "identity_id": identity_id,
+            "instances": len(checks),
+            "passed": not failed,
+            "first_failure": {"n": failed[0]} if failed else None,
+        })
+    return {
+        "nmax": nmax,
+        "all_passed": all(r["passed"] for r in results),
+        "identities": results,
+    }
 
 
 def gf_euler_numbers(n: int) -> list[Fraction]:

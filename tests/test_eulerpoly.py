@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from betakit.eulerpoly import (
     gf_coefficient_check,
     run_identity_suite,
 )
-from betakit.exact import RationalPolynomial
+from betakit.exact import RationalPolynomial, poly_eval
 
 from conftest import (
     akiyama_tanigawa_bernoulli,
@@ -31,6 +32,7 @@ from conftest import (
     bernoulli_sum_table,
     gf_euler_number_oracle,
     gf_euler_poly_oracle,
+    polynomial_identity_suite,
 )
 
 F = Fraction
@@ -120,6 +122,12 @@ class TestGeneralizedBernoulliChi4:
     def test_requires_positive_index(self):
         with pytest.raises(ValueError):
             generalized_bernoulli_chi4(0)
+
+    def test_matches_quarter_point_values(self, bernoulli_reference):
+        polys, _ = bernoulli_reference
+        for n in range(1, REFERENCE_N + 1):
+            want = 4 ** (n - 1) * (poly_eval(polys[n], F(1, 4)) - poly_eval(polys[n], F(3, 4)))
+            assert generalized_bernoulli_chi4(n) == want, n
 
 
 class TestTables:
@@ -305,6 +313,18 @@ class TestIdentitySuite:
             "bridge_euler_bernoulli": {"n": 8}, "bridge_chi4": {"n": 8},
         }
 
+    def test_corrupted_bernoulli_row_fails_chi4_and_bridge(self):
+        # B_9 + x^2 is no Bernoulli polynomial: B_{9,chi4} moves, which 1.6
+        # (at n = 8) and bridge_chi4 see, and so does the bridge to E_8(x)
+        t = BernoulliTable()
+        t.ensure(13)
+        t.polys[9] = t.polys[9] + RationalPolynomial.monomial(2, 1)
+        report = run_identity_suite(12, 1, 0, bernoulli=t)
+        failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
+        assert failures == {
+            "1.6": {"n": 8}, "bridge_euler_bernoulli": {"n": 9}, "bridge_chi4": {"n": 9},
+        }
+
     def test_report_ignores_trials_and_seed(self):
         assert run_identity_suite(12, 1, 0).to_json() == run_identity_suite(12, 25, 7).to_json()
 
@@ -322,6 +342,66 @@ class TestIdentitySuite:
         for entry in payload["identities"]:
             assert set(entry) == {"identity_id", "instances", "passed", "first_failure"}
             assert entry["first_failure"] is None or set(entry["first_failure"]) == {"n"}
+
+
+def _fresh_tables(nmax: int) -> tuple[EulerTable, BernoulliTable]:
+    et, bt = EulerTable(), BernoulliTable()
+    et.ensure(nmax)
+    bt.ensure(nmax + 1)
+    return et, bt
+
+
+def _corrupt(rows: list[RationalPolynomial], n: int, rng: random.Random) -> None:
+    # one wrong row: a term added (possibly above the degree), c (x^i - 1)
+    # added (the value at 1 kept), a rescale, zero, another row, or the
+    # leading term dropped
+    p = rows[n]
+    c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    i = rng.randint(0, p.degree + 1)
+    rows[n] = [
+        lambda: p + RationalPolynomial.monomial(i, c),
+        lambda: p + RationalPolynomial.monomial(i, c) - RationalPolynomial.monomial(0, c),
+        lambda: p * (c if c != 1 else F(2)),
+        RationalPolynomial.zero,
+        lambda: rows[rng.randrange(len(rows))],
+        lambda: RationalPolynomial(p.den, p.nums[:-1]),
+    ][rng.randrange(6)]()
+
+
+class TestSuiteMatchesPolynomialReference:
+    """The integer-list suite reports what the polynomial API finds."""
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60])
+    def test_true_tables(self, nmax):
+        et, bt = _fresh_tables(nmax)
+        report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(nmax, et, bt)
+        assert report["all_passed"]
+
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("table", ["euler", "bernoulli"])
+    def test_single_row_corruption(self, table, seed):
+        rng = random.Random(seed)
+        nmax = rng.randint(1, 24)
+        et, bt = _fresh_tables(nmax)
+        rows = et.polys if table == "euler" else bt.polys
+        _corrupt(rows, rng.randrange(len(rows)), rng)
+        report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(nmax, et, bt)
+
+    @pytest.mark.parametrize("degree", [0, 3, 7, 9, 12])
+    def test_bridges_hold_for_any_consistent_pair(self, degree):
+        # B_7 replaced by P of any degree and E_6 by (2^7/7) (P((x+1)/2) - P(x/2)):
+        # both bridges, and 1.6 at n = 6, hold for the pair
+        k, nmax = 7, 10
+        et, bt = _fresh_tables(nmax)
+        p = RationalPolynomial.from_coefficients([F(j - 3, j + 2) for j in range(degree + 1)])
+        bt.polys[k] = p
+        et.polys[k - 1] = F(2**k, k) * (p.compose_affine(HALF, HALF) - p.compose_affine(HALF, 0))
+        report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(nmax, et, bt)
+        passed = {r["identity_id"]: r["passed"] for r in report["identities"]}
+        assert passed["bridge_euler_bernoulli"] and passed["bridge_chi4"] and passed["1.6"]
 
 
 class TestIdentityProperties:

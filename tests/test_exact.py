@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from betakit.exact import (
     poly_eval,
     rational_from_str,
     rational_str,
+    taylor_shift,
 )
 
 F = Fraction
@@ -129,12 +131,20 @@ class TestComposeAffineIntegerFold:
 
     @pytest.mark.parametrize(
         "a, b",
-        [(F(2, 3), F(-5, 4)), (F(0), F(3, 7)), (F(1, 6), F(0)), (F(0), F(0))],
+        [(F(2, 3), F(-5, 4)), (F(0), F(3, 7)), (F(1, 6), F(0)), (F(0), F(0)),
+         (F(1, 2), F(1, 2)), (F(-1), F(1)), (F(1), F(-1)), (F(3), F(-2))],
     )
     def test_mixed_denominators_and_zeros(self, a, b):
         p = RationalPolynomial.from_coefficients([F(1, 4), F(-2, 9), 0, F(5, 2)])
         assert list(poly_compose_affine(p, a, b).coeffs) == _fraction_horner_compose(p, a, b)
         assert poly_compose_affine(RationalPolynomial.zero(), a, b) == RationalPolynomial.zero()
+
+    @given(st.lists(st.integers(min_value=-10**40, max_value=10**40), max_size=14))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_taylor_shift_matches_binomial_sums(self, nums):
+        # coefficient j of p(x + 1) is sum_i C(i, j) c_i
+        want = [sum(math.comb(i, j) * c for i, c in enumerate(nums)) for j in range(len(nums))]
+        assert taylor_shift(nums) == want
 
     def test_constant_substitution_trims_to_value(self):
         # a = 0 collapses p to the constant p(b); E2 = x^2 - x vanishes at 1

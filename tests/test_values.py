@@ -66,8 +66,6 @@ CASES = {
     ),
 }
 MUTABLE = {"IdentityResult", "IdentityReport"}
-# its endpoint_values field is a dict, so hashing it raises, as it did as a dataclass
-UNHASHABLE = MUTABLE | {"ExtendedFunctionSpec"}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -82,7 +80,7 @@ def test_equal_values_compare_equal_within_one_class_only(name):
     assert a != tuple(a.__dict__.values())
 
 
-@pytest.mark.parametrize("name", sorted(set(CASES) - UNHASHABLE))
+@pytest.mark.parametrize("name", sorted(set(CASES) - MUTABLE))
 def test_frozen_values_hash_alike_and_refuse_assignment(name):
     a, b = CASES[name][0](), CASES[name][0]()
     assert hash(a) == hash(b)
@@ -98,12 +96,17 @@ def test_frozen_values_hash_alike_and_refuse_assignment(name):
     assert getattr(a, field) == before
 
 
-def test_extended_function_spec_is_frozen_but_unhashable():
+def test_extended_function_spec_is_frozen_and_hashable():
+    # hashed by (name, k), which determine its endpoint_values dict
     spec = ExtendedFunctionSpec("h", 1)
     with pytest.raises(AttributeError):
         spec.k = 2
-    with pytest.raises(TypeError):
-        hash(spec)
+    with pytest.raises(AttributeError):
+        spec.endpoint_values = {}
+    assert hash(spec) == hash(ExtendedFunctionSpec("h", 1))
+    specs = {spec, ExtendedFunctionSpec("h", 1), ExtendedFunctionSpec("h", 2),
+             ExtendedFunctionSpec("g", 1)}
+    assert len(specs) == 3
 
 
 @pytest.mark.parametrize("name", sorted(MUTABLE))
