@@ -3,8 +3,8 @@
 The Euler polynomials E_n(x) are generated by 2 e^(xt) / (e^t + 1), the
 Euler numbers E_n by 2 e^t / (e^(2t) + 1), and the Bernoulli polynomials
 B_n(x) by the classical recurrence with the B_1 = -1/2 convention.  Tables
-are built once on integers and memoized: the Euler rows from the tangent
-numbers and the Euler numbers from the secant numbers, two integer
+are grown on demand on integers and memoized: the Euler rows from the
+tangent numbers and the Euler numbers from the secant numbers, two integer
 triangles, and the Bernoulli table from its own sum recurrence over one
 common denominator.  No table is derived from another, so the dual-route
 checks compare independent computations; every classical identity relating
@@ -61,7 +61,50 @@ def _triangle_step(col: list[int], c: int) -> list[int]:
     return nxt
 
 
-class EulerTable:
+class _Table:
+    """Two monotone caches, ``polys`` and ``numbers``, grown on demand.
+
+    Each list is its own gate: ``poly(n)`` grows only ``polys`` and
+    ``number(n)`` only ``numbers``, each to index n, and ``ensure(n)`` grows
+    both.  A subclass gives one entry of each list (``_poly(m)``,
+    ``_number(m)``, called for m = len, len + 1, ... in order) and may grow
+    state that both lists read in ``_prepare(n)``.  Growth appends under the
+    table's lock (single writer); entries never change once written, so
+    concurrent reads of a built prefix need no synchronization.
+    """
+
+    def __init__(self) -> None:
+        self.polys: list[RationalPolynomial] = []
+        self.numbers: list[Fraction] = []
+        self._lock = threading.Lock()
+
+    def _grow(self, entries: list, n: int, entry) -> None:
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        if len(entries) > n:
+            return
+        with self._lock:
+            self._prepare(n)
+            for m in range(len(entries), n + 1):
+                entries.append(entry(m))
+
+    def _prepare(self, n: int) -> None:
+        pass
+
+    def ensure(self, n: int) -> None:
+        self._grow(self.numbers, n, self._number)
+        self._grow(self.polys, n, self._poly)
+
+    def poly(self, n: int) -> RationalPolynomial:
+        self._grow(self.polys, n, self._poly)
+        return self.polys[n]
+
+    def number(self, n: int) -> Fraction:
+        self._grow(self.numbers, n, self._number)
+        return self.numbers[n]
+
+
+class EulerTable(_Table):
     """Monotone cache of Euler polynomials and Euler numbers.
 
     ``polys[n]`` is E_n(x), ``numbers[n]`` is E_n = 2^n E_n(1/2).  Both come
@@ -76,61 +119,43 @@ class EulerTable:
     sum_i C(n, i) E_(n-i)(0) x^i, so with the integers a_j = 2^j E_j(0) row
     m is the integer form over 2^m with coefficient i equal to
     C(m, i) 2^i a_(m-i).  Each new index costs O(n) integer operations on
-    each triangle, O(n^2) for the table.  The numbers never pass through the
-    polynomials, so identity 1.2 of :func:`run_identity_suite` checks one
-    triangle against the other, and neither touches the Bernoulli route, so
-    the dual-route checks stay independent.
-
-    Growth happens under a lock (single writer); entries never change once
-    written, so concurrent reads of the built prefix need no synchronization.
+    its triangle, O(n^2) for the table.  The rows come only from the tangent
+    triangle and the numbers only from the secant triangle, so each list is
+    its own gate: ``euler_number(200)`` builds no row.  The numbers never
+    pass through the polynomials, so identity 1.2 of
+    :func:`run_identity_suite` checks one triangle against the other, and
+    neither touches the Bernoulli route, so the dual-route checks stay
+    independent.
     """
 
     def __init__(self) -> None:
-        self.polys: list[RationalPolynomial] = []
-        self.numbers: list[Fraction] = []
-        # grown under the lock: a_j = 2^j E_j(0), and the last columns of
-        # the triangles, for T_1 and S_0 so far
+        super().__init__()
+        # grown with the rows: a_j = 2^j E_j(0) and the tangent triangle's
+        # last column, for T_1 so far; with the numbers: the secant
+        # triangle's, for S_0 so far
         self._scaled_at_zero: list[int] = []
         self._tangent = [1]
         self._secant = [1]
-        self._lock = threading.Lock()
 
-    def ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("index must be >= 0")
-        if len(self.polys) > n:
-            return
-        with self._lock:
-            a = self._scaled_at_zero
-            for m in range(len(self.polys), n + 1):
-                if m % 2:
-                    if m > 1:
-                        self._tangent = _triangle_step(self._tangent, 2)
-                    a.append((-1) ** ((m + 1) // 2) * self._tangent[-1])
-                    number = 0
-                else:
-                    if m:
-                        self._secant = _triangle_step(self._secant, 1)
-                    a.append(0 if m else 1)
-                    number = (-1) ** (m // 2) * self._secant[-1]
-                poly = RationalPolynomial(
-                    1 << m, [c * a[m - i] << i for i, c in enumerate(_binomials(m))]
-                )
-                # numbers first: readers gate on len(polys), which must be
-                # the last thing to grow
-                self.numbers.append(Fraction(number))
-                self.polys.append(poly)
+    def _number(self, m: int) -> Fraction:
+        if m % 2:
+            return Fraction(0)
+        if m:
+            self._secant = _triangle_step(self._secant, 1)
+        return Fraction((-1) ** (m // 2) * self._secant[-1])
 
-    def poly(self, n: int) -> RationalPolynomial:
-        self.ensure(n)
-        return self.polys[n]
-
-    def number(self, n: int) -> Fraction:
-        self.ensure(n)
-        return self.numbers[n]
+    def _poly(self, m: int) -> RationalPolynomial:
+        a = self._scaled_at_zero
+        if m % 2:
+            if m > 1:
+                self._tangent = _triangle_step(self._tangent, 2)
+            a.append((-1) ** ((m + 1) // 2) * self._tangent[-1])
+        else:
+            a.append(0 if m else 1)
+        return RationalPolynomial(1 << m, [c * a[m - i] << i for i, c in enumerate(_binomials(m))])
 
 
-class BernoulliTable:
+class BernoulliTable(_Table):
     """Monotone cache of Bernoulli polynomials and numbers (B_1 = -1/2).
 
     Numbers come from their own sum recurrence, sum_(j<=m) C(m+1, j) B_j = 0,
@@ -139,45 +164,35 @@ class BernoulliTable:
     division, because the denominator of B_m is a product of primes p <= m + 1
     (von Staudt-Clausen).  D grows with the table, rescaling the kept
     integers.  The polynomials B_n(x) = sum_i C(n, i) B_(n-i) x^i are then
-    integer forms over D.  Neither the tangent numbers nor the zigzag
-    triangle is used, so this route stays independent of the Euler table.
+    integer forms over D.  That list of D B_j is grown once, to the largest
+    index either list has asked for, and both lists read it; each list is
+    still its own gate.  Neither the tangent numbers nor the zigzag triangle
+    is used, so this route stays independent of the Euler table.
     """
 
     def __init__(self) -> None:
-        self.polys: list[RationalPolynomial] = []
-        self.numbers: list[Fraction] = []
+        super().__init__()
         # grown under the lock: the common denominator D and D * B_j
         self._den = 1
         self._scaled: list[int] = []
-        self._lock = threading.Lock()
 
-    def ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("index must be >= 0")
-        if len(self.polys) > n:
+    def _prepare(self, n: int) -> None:
+        scaled = self._scaled
+        if len(scaled) > n:
             return
-        with self._lock:
-            scaled = self._scaled
-            den = math.lcm(self._den, *range(len(scaled) + 1, n + 2))
-            scaled[:] = [b * (den // self._den) for b in scaled]
-            self._den = den
-            for m in range(len(scaled), n + 1):
-                s = sum(c * b for c, b in zip(_binomials(m + 1), scaled) if b)
-                scaled.append(-s // (m + 1) if m else den)
-                # numbers first: readers gate on len(polys)
-                self.numbers.append(Fraction(scaled[m], den))
-            for m in range(len(self.polys), n + 1):
-                self.polys.append(RationalPolynomial(
-                    den, [c * scaled[m - i] for i, c in enumerate(_binomials(m))]
-                ))
+        den = math.lcm(self._den, *range(len(scaled) + 1, n + 2))
+        scaled[:] = [b * (den // self._den) for b in scaled]
+        self._den = den
+        for m in range(len(scaled), n + 1):
+            s = sum(c * b for c, b in zip(_binomials(m + 1), scaled) if b)
+            scaled.append(-s // (m + 1) if m else den)
 
-    def poly(self, n: int) -> RationalPolynomial:
-        self.ensure(n)
-        return self.polys[n]
+    def _number(self, m: int) -> Fraction:
+        return Fraction(self._scaled[m], self._den)
 
-    def number(self, n: int) -> Fraction:
-        self.ensure(n)
-        return self.numbers[n]
+    def _poly(self, m: int) -> RationalPolynomial:
+        b = self._scaled
+        return RationalPolynomial(self._den, [c * b[m - i] for i, c in enumerate(_binomials(m))])
 
 
 _EULER = EulerTable()
@@ -306,15 +321,24 @@ class IdentityReport(ValueClass, frozen=False):
         return json.dumps(self.to_json(), separators=(",", ":"))
 
 
-class _FamilyChecker:
-    def __init__(self, identity_id: str) -> None:
-        self.result = IdentityResult(identity_id, 0, True)
+def _family_result(identity_id: str, checks) -> IdentityResult:
+    # one (n, ok) pair per instance; the first failing n is reported
+    checks = list(checks)
+    failed = [n for n, ok in checks if not ok]
+    return IdentityResult(identity_id, len(checks), not failed,
+                          {"n": failed[0]} if failed else None)
 
-    def check(self, ok: bool, n: int) -> None:
-        self.result.instances += 1
-        if not ok and self.result.first_failure is None:
-            self.result.passed = False
-            self.result.first_failure = {"n": n}
+
+def _bridge_holds(b: RationalPolynomial, e: RationalPolynomial, k: int) -> bool:
+    # with B_k = (1/D_B) sum b_j x^j, d >= k and its degree (d = k for a true
+    # row), 2^d D_B B_k(x/2) has coefficients c_j = b_j 2^(d-j) and
+    # 2^d D_B B_k((x+1)/2) their shift s; with E_(k-1) = (1/D_E) sum e_j x^j
+    # the bridge reads k D_B 2^(d-k) e_j = D_E (s_j - c_j)
+    d = max(b.degree, k)
+    c = [x << (d - j) for j, x in enumerate(b.nums)]
+    s = taylor_shift(c)
+    scale = k * b.den << (d - k)
+    return all(scale * x == e.den * (y - z) for x, y, z in zip_longest(e.nums, s, c, fillvalue=0))
 
 
 def run_identity_suite(
@@ -341,7 +365,8 @@ def run_identity_suite(
       bridge_chi4
            E_{k-1}(1/2) = -B_{k,chi4} / (2^(k-2) k)
 
-    Each family counts one instance per index.  The polynomial identities
+    Each family is a stream of (n, ok) checks, one instance per index, and
+    reports its first failing n.  The polynomial identities
     (1.1, 1.3, 1.5 and the Euler-Bernoulli bridge) are checked on the rows'
     integer forms (1/D) sum c_i x^i, as integer coefficient lists.  Two
     polynomials agree at every x exactly when their coefficients agree, and
@@ -350,8 +375,9 @@ def run_identity_suite(
     cross-multiplied lists, index by index, proves the identity for every x
     and inequality refutes it.  One addition-only Taylor shift per row gives
     E_n(x+1) for 1.1 and 1.3, and one per Bernoulli row gives B_k((x+1)/2);
-    E_n(1/2) and B_{n,chi4} are computed once per n.  ``trials`` (>= 1) and ``seed`` are validated and
-    otherwise ignored, so the report depends on nmax and the tables alone.
+    E_n(1/2) and B_{n,chi4} are computed once per n.  ``trials`` (>= 1) and
+    ``seed`` are validated and otherwise ignored, so the report depends on
+    nmax and the tables alone.
     Failures are reported, not raised: a corrupted table yields a failing
     entry.
     """
@@ -366,67 +392,29 @@ def run_identity_suite(
     half = [poly_eval(p, _HALF) for p in rows]
     chi4 = [None] + [_chi4(bt.polys[n], n) for n in range(1, nmax + 2)]
 
-    report = IdentityReport(nmax=nmax)
     # E_n(x+1) = (1/D) sum s_j x^j, once per n for 1.1 and 1.3
     shifted = [taylor_shift(p.nums) for p in rows]
-
-    fam = _FamilyChecker("1.1")
-    for n, (p, s) in enumerate(zip(rows, shifted)):
+    families = {
         # E_n(1-x) has coefficients (-1)^j s_j / D, so (-1)^j s_j = (-1)^n c_j
-        fam.check(s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)], n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("1.2")
-    for n, h in enumerate(half):
-        fam.check(et.numbers[n] == 2**n * h, n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("1.3")
-    for n, (p, s) in enumerate(zip(rows, shifted)):
-        fam.check([x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den], n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("1.4")
-    for n in range(2, nmax + 1, 2):
+        "1.1": ((n, s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)])
+                for n, (p, s) in enumerate(zip(rows, shifted))),
+        "1.2": ((n, et.numbers[n] == 2**n * h) for n, h in enumerate(half)),
+        "1.3": ((n, [x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den])
+                for n, (p, s) in enumerate(zip(rows, shifted))),
         # E_n(0) = c_0 / D and E_n(1) = sum c_i / D
-        c = rows[n].nums
-        fam.check(not (c and c[0]) and sum(c) == 0, n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("1.5")
-    for n, p in enumerate(rows):
+        "1.4": ((n, not any(rows[n].nums[:1]) and sum(rows[n].nums) == 0)
+                for n in range(2, nmax + 1, 2)),
         # D_(n-1) j c_j = n D_n f_(j-1), with E_(n-1) = (1/D_(n-1)) sum f_j x^j
-        q = rows[n - 1] if n else RationalPolynomial.zero()
-        fam.check([j * c * q.den for j, c in enumerate(p.nums) if j]
-                  == [n * f * p.den for f in q.nums], n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("1.6")
-    for n in range(0, nmax + 1, 2):
+        "1.5": ((n, [j * c * q.den for j, c in enumerate(p.nums) if j]
+                 == [n * f * p.den for f in q.nums])
+                for n, (p, q) in enumerate(zip(rows, [RationalPolynomial.zero()] + rows))),
         # E_n(1/2) (n+1) 2^(n-1) = -B_{n+1,chi4}, doubled
-        fam.check(half[n] * ((n + 1) << n) == -2 * chi4[n + 1], n)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("bridge_euler_bernoulli")
-    for k in range(1, nmax + 1):
-        # with B_k = (1/D_B) sum b_j x^j, d >= k and its degree (d = k for a
-        # true row), 2^d D_B B_k(x/2) has coefficients c_j = b_j 2^(d-j) and
-        # 2^d D_B B_k((x+1)/2) their shift s; with E_(k-1) = (1/D_E) sum e_j x^j
-        # the bridge reads k D_B 2^(d-k) e_j = D_E (s_j - c_j)
-        b, e = bt.polys[k], rows[k - 1]
-        d = max(b.degree, k)
-        c = [x << (d - j) for j, x in enumerate(b.nums)]
-        s = taylor_shift(c)
-        scale = k * b.den << (d - k)
-        fam.check(all(
-            scale * x == e.den * (y - z) for x, y, z in zip_longest(e.nums, s, c, fillvalue=0)
-        ), k)
-    report.results.append(fam.result)
-
-    fam = _FamilyChecker("bridge_chi4")
-    for k in range(1, nmax + 1):
+        "1.6": ((n, half[n] * ((n + 1) << n) == -2 * chi4[n + 1])
+                for n in range(0, nmax + 1, 2)),
+        "bridge_euler_bernoulli": ((k, _bridge_holds(bt.polys[k], rows[k - 1], k))
+                                   for k in range(1, nmax + 1)),
         # E_(k-1)(1/2) 2^(k-2) k = -B_{k,chi4}, times 4
-        fam.check(half[k - 1] * (k << k) == -4 * chi4[k], k)
-    report.results.append(fam.result)
-
-    return report
+        "bridge_chi4": ((k, half[k - 1] * (k << k) == -4 * chi4[k])
+                        for k in range(1, nmax + 1)),
+    }
+    return IdentityReport(nmax, [_family_result(i, checks) for i, checks in families.items()])

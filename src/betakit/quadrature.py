@@ -282,9 +282,9 @@ def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
         # cosine's odd ones, -1 from the first step; at 1/2, sin(c/2) = (-1)^m
         at_zero = (i % 2 == 0) == sine
         e = euler_polynomial(n - i).coefficient(0) if at_zero else euler_number(n - i) / 2**(n - i)
-        edge = (1 if sine else -1) if at_zero else (-1) ** spec.m
-        coeff = (-1) ** (i // 2) * edge * math.perm(n, i) * e / (2 * spec.m + 1) ** (i + 1)
-        if coeff:
+        if e:  # a zero table entry makes a zero term: skip its arithmetic
+            edge = (1 if sine else -1) if at_zero else (-1) ** spec.m
+            coeff = (-1) ** (i // 2) * edge * math.perm(n, i) * e / (2 * spec.m + 1) ** (i + 1)
             terms.append(PiPowerValue(coeff, -(i + 1)))
     if terms != [closed]:
         raise RuntimeError(f"aux self-check failed: integration by parts disagrees with "

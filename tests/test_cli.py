@@ -348,18 +348,6 @@ class TestAuxCommand:
         assert r.returncode == 0
         assert r.stdout.decode().splitlines()[1].endswith("exact match")
 
-    def test_mismatch_exits_1_with_one_stderr_line(self, monkeypatch, capsys):
-        import betakit.cli as cli_mod
-        from betakit.betavalues import PiPowerValue
-
-        monkeypatch.setattr(cli_mod, "aux_integral_I_closed", lambda k, m: PiPowerValue(1, -3))
-        code = run_cli(["aux", "--family", "i", "--k", "1", "--m", "0", "--format", "csv"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out.splitlines()[1].endswith(",false")
-        assert captured.err.startswith("betakit: aux mismatch: integration by parts ")
-        assert captured.err.count("\n") == 1
-
 
 class TestUsageAndErrors:
     def test_no_command(self, run_betakit):

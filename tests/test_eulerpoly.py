@@ -6,6 +6,8 @@ import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,6 +246,58 @@ class TestIntegerTables:
         assert not any(th.is_alive() for th in threads)
         assert (et.polys, et.numbers) == euler_reference
         assert (bt.polys, bt.numbers) == bernoulli_reference
+
+    @pytest.mark.parametrize("order", ["numbers first", "polys first", "interleaved"])
+    @pytest.mark.parametrize("table, reference", [
+        (EulerTable, "euler_reference"), (BernoulliTable, "bernoulli_reference"),
+    ])
+    def test_threads_grow_each_list_alone(self, table, reference, order, request):
+        # each thread grows one list through number() or poly(); in the
+        # first two orders the other list must stay empty until its own
+        # threads run, and in every order both end equal to the reference
+        import threading
+
+        ref_polys, ref_numbers = request.getfixturevalue(reference)
+        t = table()
+        sizes = (120, 7, REFERENCE_N, 60, 1, 150, 33, REFERENCE_N)
+        growers = [t.number, t.poly] if order == "numbers first" else [t.poly, t.number]
+        if order == "interleaved":
+            phases = [[(growers[i % 2], n) for i, n in enumerate(sizes + sizes[::-1])]]
+        else:
+            phases = [[(grow, n) for n in sizes] for grow in growers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for phase in phases:
+                threads = [threading.Thread(target=grow, args=(n,)) for grow, n in phase]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                if order == "numbers first" and phase is phases[0]:
+                    assert t.polys == [] and t.numbers == ref_numbers
+                if order == "polys first" and phase is phases[0]:
+                    assert t.numbers == [] and t.polys == ref_polys
+        finally:
+            sys.setswitchinterval(interval)
+        assert (t.polys, t.numbers) == (ref_polys, ref_numbers)
+        assert _pickled(t.polys, t.numbers) == _pickled(ref_polys, ref_numbers)
+
+    @pytest.mark.parametrize("call", [
+        "from betakit import euler_number; euler_number(200)",
+        "from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)",
+        "from betakit.cli import run_cli\n"
+        "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
+    ], ids=["euler_number", "beta_even_quadrature", "beta_odd_cross_check"])
+    def test_number_paths_build_no_euler_row(self, call):
+        # a fresh process, so no earlier test has grown the module's table:
+        # E_200 comes from the secant triangle alone
+        script = (f"{call}\nfrom betakit import eulerpoly\n"
+                  "print(len(eulerpoly._EULER.polys), len(eulerpoly._EULER.numbers) > 0)\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.decode().splitlines()[-1] == "0 True"
 
     @pytest.mark.parametrize("table", [EulerTable, BernoulliTable])
     def test_rows_carry_their_canonical_integer_form(self, table):
