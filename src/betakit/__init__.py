@@ -48,7 +48,6 @@ from .quadrature import (
     aux_integral_numeric,
     beta_even_integrand,
     beta_even_quadrature,
-    integrate_adaptive,
 )
 from .telescope import (
     ExtendedFunctionSpec,
@@ -95,7 +94,6 @@ __all__ = [
     "extended_eval",
     "generalized_bernoulli_chi4",
     "gf_coefficient_check",
-    "integrate_adaptive",
     "partial_sum_I_star",
     "partial_sum_J",
     "pi_fraction",

@@ -6,9 +6,10 @@ or CSV form.  Each handler returns its result in all three forms (text
 lines, a JSON object from the library serializers, CSV lines) and its
 stderr notes with an exit code; run_cli prints the form asked for and the
 notes through one guarded writer.  Exit codes: 0 success, 1 verification
-failure (a failed self-check included), 2 usage error, 3 numeric budget
-exceeded; a stdout or stderr closed early (``| head``) drops the rest of
-that stream, not the exit code.
+failure (a failed self-check included), 2 usage error (a beta even error
+bound above --tol included), 3 numeric budget exceeded, which no library
+path raises any more; a stdout or stderr closed early (``| head``) drops
+the rest of that stream, not the exit code.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--digits", type=int, default=None,
                         help="decimal digits for rendered values (default 12)")
     common.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help="absolute tolerance for quadrature (default 1e-8)")
+                        help="absolute tolerance, at least 1e-13: beta even exits 2 if its "
+                             "error bound exceeds it (default 1e-8)")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--max-k", type=int, default=50, dest="max_k",
@@ -185,7 +187,10 @@ def _cmd_beta_even(args) -> tuple[tuple, int]:
     if args.k < 1:
         args._parser.error("k must be >= 1")
     _check_guard(args, "k", args.k, args.max_k)
-    result = beta_even_quadrature(args.k, args.tol)
+    try:
+        result = beta_even_quadrature(args.k, args.tol)
+    except ValueError as exc:  # its error bound exceeds --tol
+        args._parser.error(str(exc))
     # 20 digits, so the difference measures the quadrature, not the oracle
     oracle = beta_series(2 * args.k, 20)
     series = oracle.decimal_str(10)

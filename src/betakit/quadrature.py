@@ -13,6 +13,9 @@ prefactor; results on E_n's scale are p_n's times s(n) = n!/pi^(n+1).
 The integrand has a removable singularity at t = 1/2, where p_{2k-1} and
 cos(pi t) both vanish.  In powers of u = t - 1/2, p_{2k-1} has a constant
 term of exactly 0 (DLMF 24.4), so the zero divides out with no cancellation.
+The quotient -H(u) / sin(pi u) is then analytic for |u| < 1, so one fixed
+15-point Gauss-Legendre panel on [0, 1/2] takes the integral, with an
+a-priori bound on its error that holds for every k (see _sec_integral).
 The auxiliary integrals
 
     I(k, m) = integral_0^(1/2) E_{2k}(t)   sin((2m+1) pi t) dt
@@ -25,14 +28,13 @@ them exactly to table entries, and the result must equal their closed forms.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
 from .betavalues import PiPowerValue
 from .eulerpoly import euler_number, euler_polynomial
 from .exact import ValueClass, _set_field
-from .highprec import BudgetExceededError, pi_fraction
+from .highprec import pi_fraction
 
 __all__ = [
     "IntegrandSpec",
@@ -42,27 +44,16 @@ __all__ = [
     "aux_integral_numeric",
     "beta_even_integrand",
     "beta_even_quadrature",
-    "integrate_adaptive",
 ]
 
 MIN_TOL = 1e-13  # double-precision floor for requested tolerances
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] for n = 7 and n = 15, as
-# (nodes, weights).  Each float is the exact value numpy's
-# polynomial.legendre.leggauss(n) returns (Golub & Welsch, Math. Comp. 23
-# (1969)), frozen so that every quadrature result stays bit-identical without
-# a runtime dependency; a plain-float Newton solve lands some ulps away.
-_G7 = (
-    (
-        -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
-        0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
-    ),
-    (
-        0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
-        0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
-    ),
-)
+# Gauss-Legendre nodes and weights on [-1, 1] for n = 15, as (nodes, weights).
+# Each float is the exact value numpy's polynomial.legendre.leggauss(15)
+# returns (Golub & Welsch, Math. Comp. 23 (1969)), frozen so that every
+# quadrature result stays bit-identical without a runtime dependency; a
+# plain-float Newton solve lands some ulps away.
 _G15 = (
     (
         -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
@@ -77,6 +68,13 @@ _G15 = (
         0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
     ),
 )
+
+
+# How far the frozen table is from the exact rule, as TestGaussLegendreTables
+# checks: each node within 2^-53, and the weights' errors summing to under
+# 2^-48 (numpy's nodes are within 0.6 ulp, but its weights up to 38 ulps off)
+_NODE_ERR = 2.0**-53
+_WEIGHT_ERR_SUM = 2.0**-48
 
 
 class QuadratureResult(ValueClass):
@@ -104,58 +102,6 @@ class IntegrandSpec(ValueClass):
         _set_field(self, "kind", kind)
         _set_field(self, "k", k)
         _set_field(self, "m", m)
-
-
-def _panel(f: Callable[[float], float], a: float, b: float, rule) -> float:
-    nodes, weights = rule
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_evals: int = 2_000_000,
-) -> QuadratureResult:
-    """Adaptive composite Gauss-Legendre quadrature of f over [a, b].
-
-    Each panel is evaluated with the 7- and 15-point rules; their
-    disagreement is the panel's error estimate, and panels that miss their
-    proportional share of tol/2 are bisected.  Contributions are summed in
-    left-to-right order, so the result is reproducible regardless of how
-    panels were scheduled.
-    """
-    if not tol > 0:  # NaN fails it too
-        raise ValueError("tol must be positive")
-    if b <= a:
-        raise ValueError("need b > a")
-    width = b - a
-    stack = [(a, b)]
-    accepted: list[tuple[float, float, float]] = []
-    evals = 0
-    while stack:
-        x0, x1 = stack.pop()
-        evals += 22
-        if evals > max_evals:
-            raise BudgetExceededError(
-                f"quadrature exceeded {max_evals} evaluations at tol={tol}"
-            )
-        coarse = _panel(f, x0, x1, _G7)
-        fine = _panel(f, x0, x1, _G15)
-        err = abs(fine - coarse)
-        if err <= 0.5 * tol * (x1 - x0) / width or (x1 - x0) <= 1e-15:
-            accepted.append((x0, fine, err))
-        else:
-            xm = 0.5 * (x0 + x1)
-            stack.append((xm, x1))
-            stack.append((x0, xm))
-    accepted.sort(key=lambda item: item[0])
-    value = math.fsum(item[1] for item in accepted)
-    err_total = math.fsum(item[2] for item in accepted)
-    return QuadratureResult(value, err_total, evals)
 
 
 def _pi_power_over_factorial(n: int) -> tuple[int, int]:
@@ -212,6 +158,52 @@ def _sec_integrand(k: int, t: float) -> float:
     return -_horner(coeffs, u) / math.sin(math.pi * u)
 
 
+def _gamma(m: int) -> float:
+    # Higham's gamma_m = m u / (1 - m u), u = 2^-53, bounds m compounded roundings
+    return m * 2.0**-53 / (1 - m * 2.0**-53)
+
+
+@lru_cache(maxsize=256)
+def _sec_integral(k: int) -> tuple[float, float]:
+    """(value, bound) for integral_0^(1/2) -H(u)/sin(pi u) dt by one 15-point panel.
+
+    H is p_{2k-1} in powers of u = t - 1/2 (c_i = 0 for even i); bound proves
+    |value - integral| for every k, as the sum of:
+    - truncation: (64/15) M 4^-30 / (4^2 - 1) (Trefethen, SIAM Rev. 50 (2008),
+      Thm 4.5), times 1/4 for the half-width.  The panel maps the Bernstein
+      ellipse E_4 into |u + 1/4| <= 17/32, so |u| <= R = 25/32 < 1, where the
+      quotient is analytic (H(0) = 0) and, as sinc decreases on |x| <= R,
+      |sin pi(x + iy)|^2 = sin^2 pi x + sinh^2 pi y >= |u|^2 sin^2(pi R) / R^2:
+      M = sum |c_i| R^(i-1) R / sin(pi R), with no sampling.
+    - each node's evaluation (Higham, Accuracy and Stability of Numerical
+      Algorithms, sect. 5.1): Horner rounds term i (3i + 1)/2 times (adding a
+      zero coefficient is exact), plus 2 for the coefficient, 5 for the sine,
+      1 for the division and 2 to spare for this bound's own arithmetic:
+      m_i = (3i + 21)/2 <= 3k + 9 in all, and gamma_m / m grows with m.  As
+      S(u) / u, S = sum |c_i| gamma_(m_i) u^i, and u / sin(pi u) grow with u,
+      S(1/2) bounds S(|u|) / sin(pi |u|) at every node.
+    - the frozen table: u lies within 3 2^-55 of the exact node (its error / 4
+      and t's and u's roundings), and f = A B, A = -H(u)/u, B = u/sin(pi u)
+      <= 1/2 with |B'| <= 1 on |u| <= 1/2, so |f'| <= sum |c_i| i 2^(1-i);
+      the weights' errors multiply max |f|.
+    - the products w f and the fsum: 2 roundings of sum w |f|.
+    """
+    coeffs = _float_coeffs(2 * k - 1, True)
+    odd = [(i, abs(coeffs[i])) for i in range(1, len(coeffs), 2)]
+    rad = 25 / 32
+    m = sum(a * rad ** (i - 1) for i, a in odd) * rad / math.sin(math.pi * rad)
+    q0 = sum(math.ldexp(a, -i) for i, a in odd)
+    q1 = sum(i * math.ldexp(a, -i) for i, a in odd)
+    rho = _gamma(3 * k + 9) / (3 * k + 9) * (1.5 * q1 + 10.5 * q0)
+    nodes, weights = _G15
+    fs = [_sec_integrand(k, 0.25 + 0.25 * x) for x in nodes]
+    value = 0.25 * math.fsum(w * f for w, f in zip(weights, fs))
+    shift = _NODE_ERR / 4 + 2.0**-54
+    bound = 0.25 * 64 / 15 * m / (15 * 4.0**30) + 0.5 * (rho + 2 * q1 * shift)
+    bound += 0.25 * _gamma(2) * sum(w * abs(f) for w, f in zip(weights, fs))
+    return value, bound + 0.25 * _WEIGHT_ERR_SUM * (max(map(abs, fs)) + rho)
+
+
 def beta_even_integrand(k: int, t: float) -> float:
     """E_{2k-1}(t) * sec(pi t) on [0, 1/2], continuous at the endpoint.
 
@@ -231,18 +223,22 @@ def beta_even_quadrature(k: int, tol: float, printed_sign: bool = False) -> Quad
     """beta(2k) by quadrature of the integral representation.
 
     beta(2k) = (-1)^k / 2 * integral_0^(1/2) p_{2k-1}(t) sec(pi t) dt for any
-    k >= 1, the integral taken to 2 tol.  Passing printed_sign=True flips the
-    sign to (-1)^(k-1); that variant makes beta(2) come out negative and
-    exists only so the discrepancy can be demonstrated against the series
-    oracle.
+    k >= 1, the integral taken by one 15-point Gauss-Legendre panel; the
+    estimate is half its a-priori error bound, at most 6e-15 for any k.  tol
+    steers nothing: below MIN_TOL, or under the estimate, it is a ValueError.
+    Passing printed_sign=True flips the sign to (-1)^(k-1); that variant makes
+    beta(2) come out negative and exists only so the discrepancy can be
+    demonstrated against the series oracle.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
+    value, bound = _sec_integral(k)
+    if 0.5 * bound > tol:
+        raise ValueError(f"error bound {0.5 * bound:.1e} exceeds tol={tol}")
     half = 0.5 * ((-1) ** (k - 1) if printed_sign else (-1) ** k)
-    inner = integrate_adaptive(lambda t: _sec_integrand(k, t), 0.0, 0.5, 2 * tol)
-    return QuadratureResult(half * inner.value, 0.5 * inner.abs_error_estimate, inner.n_evals)
+    return QuadratureResult(half * value, 0.5 * bound, len(_G15[0]))
 
 
 def aux_integral_I_closed(k: int, m: int) -> PiPowerValue:

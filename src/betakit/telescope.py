@@ -19,12 +19,7 @@ from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi
 from .exact import ValueClass, _set_field
 from .highprec import pi_fraction
 from .quadrature import (
-    _float_coeffs,
-    _horner,
-    _scale,
-    _sec_integrand,
-    beta_even_integrand,
-    integrate_adaptive,
+    MIN_TOL, _float_coeffs, _horner, _scale, _sec_integral, beta_even_integrand,
 )
 
 __all__ = [
@@ -238,14 +233,17 @@ def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
 
     The closed form gives the terms, with the prefactor (-1)^k s(2k-1); the
     target, the integral of E_{2k-1}(t) sec(pi t) / 2, is s(2k-1) times that
-    of p_{2k-1}(t) sec(pi t) / 2, evaluated once by quadrature at tol / s(2k-1).
-    As for I*, k <= 109 and (2 n_max + 1)^(2k) must fit a double.
+    of p_{2k-1}(t) sec(pi t) / 2, from the same 15-point panel as
+    beta_even_quadrature, within its relative error bound.  tol is only held
+    to MIN_TOL.  As for I*, k <= 109 and (2 n_max + 1)^(2k) must fit a double.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if not tol >= MIN_TOL:  # NaN fails it too
+        raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     scale = _scale(2 * k - 1)
-    target = integrate_adaptive(lambda t: 0.5 * _sec_integrand(k, t), 0.0, 0.5, tol / scale)
+    target = scale * (0.5 * _sec_integral(k)[0])
     entries = tuple((n, (-1) ** k * scale * s) for n, s in _alternating_sums(2 * k, n_max))
-    return PartialSumTrace("J", k, scale * target.value, entries)
+    return PartialSumTrace("J", k, target, entries)

@@ -223,18 +223,20 @@ def relative_error(got: float, want) -> float:
     return float(abs((exact - want) / want))
 
 
-def integrate_in_pieces(f, pieces: int, tol: float) -> float:
-    """integrate_adaptive over [0, 1/2] cut into equal pieces, each to tol/pieces.
+def integrate_in_pieces(f, pieces: int) -> float:
+    """A composite rule over [0, 1/2]: one 15-point Gauss-Legendre panel per equal piece.
 
-    Each piece gets its proportional share of tol, so panels are held to the
-    same per-width rule as one call over [0, 1/2]; the pieces keep every
-    panel within a fraction of an oscillation period.
+    The frozen rule is checked on its own, against exact moments and the
+    roots of P_15 (test_quadrature.py::TestGaussLegendreTables); the pieces
+    keep every panel within a fraction of an oscillation period.
     """
-    from betakit.quadrature import integrate_adaptive
+    from betakit.quadrature import _G15
 
-    edges = [0.5 * i / pieces for i in range(pieces + 1)]
+    half = 0.25 / pieces
     return math.fsum(
-        integrate_adaptive(f, a, b, tol / pieces).value for a, b in zip(edges, edges[1:])
+        half * w * f((2 * i + 1) * half + half * x)
+        for i in range(pieces)
+        for x, w in zip(*_G15)
     )
 
 

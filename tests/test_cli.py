@@ -375,6 +375,16 @@ class TestUsageAndErrors:
         assert code == 3
         assert "numeric budget exceeded" in captured.err
 
+    def test_bound_above_tol_exits_2(self, monkeypatch, capsys):
+        from betakit import quadrature
+
+        monkeypatch.setattr(quadrature, "_sec_integral", lambda k: (1.0, 4e-13))
+        code = run_cli(["beta", "even", "--k", "1", "--tol", "1e-13"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error bound 2.0e-13 exceeds tol=1e-13" in captured.err
+
 
 class TestSelfCheckFailure:
     """A corrupted Euler table entry trips a self-check: exit 1, one line, no traceback."""

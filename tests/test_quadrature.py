@@ -20,12 +20,13 @@ from conftest import (
     sin_cos_oracle,
 )
 
+from betakit import quadrature
 from betakit.betavalues import beta_series, render_decimal
 from betakit.eulerpoly import euler_polynomial
-from betakit.highprec import BudgetExceededError
 from betakit.quadrature import (
-    _G7,
     _G15,
+    _NODE_ERR,
+    _WEIGHT_ERR_SUM,
     IntegrandSpec,
     _float_coeffs,
     aux_integral_I_closed,
@@ -33,31 +34,9 @@ from betakit.quadrature import (
     aux_integral_numeric,
     beta_even_integrand,
     beta_even_quadrature,
-    integrate_adaptive,
 )
 
 F = Fraction
-
-
-class TestIntegrateAdaptive:
-    def test_polynomial_exact(self):
-        r = integrate_adaptive(lambda t: t * t, 0.0, 1.0, 1e-10)
-        assert abs(r.value - 1 / 3) < 1e-12
-        assert r.abs_error_estimate <= 1e-10
-        assert r.n_evals >= 22
-
-    def test_eval_budget(self):
-        with pytest.raises(BudgetExceededError):
-            integrate_adaptive(lambda t: math.sin(1 / (t + 1e-6)), 0.0, 1.0, 1e-13, max_evals=200)
-
-    def test_rejects_nan_tol(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda t: t, 0.0, 1.0, math.nan)
-
-    def test_deterministic(self):
-        a = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
-        b = integrate_adaptive(lambda t: math.exp(t), 0.0, 1.0, 1e-11)
-        assert (a.value, a.abs_error_estimate, a.n_evals) == (b.value, b.abs_error_estimate, b.n_evals)
 
 
 def _legendre(n: int, x: Fraction) -> Fraction:
@@ -68,39 +47,55 @@ def _legendre(n: int, x: Fraction) -> Fraction:
     return cur
 
 
-@pytest.mark.parametrize("n, rule", [(7, _G7), (15, _G15)])
 class TestGaussLegendreTables:
-    """The frozen node and weight tables, checked with the standard library only."""
+    """The frozen 15-point node and weight table, checked with the standard library only."""
 
-    def test_symmetric_and_sorted(self, n, rule):
-        nodes, weights = rule
-        assert len(nodes) == len(weights) == n
+    def test_symmetric_and_sorted(self):
+        nodes, weights = _G15
+        assert len(nodes) == len(weights) == 15
         assert list(nodes) == sorted(set(nodes))
         assert nodes == tuple(-x for x in reversed(nodes))
         assert weights == tuple(reversed(weights))
         assert all(w > 0 for w in weights)
 
-    def test_moments_exact_to_degree_2n_minus_1(self, n, rule):
+    def test_moments_exact_to_degree_2n_minus_1(self):
         # sum_i w_i x_i^j against integral_{-1}^{1} x^j dx, in exact arithmetic
-        nodes, weights = rule
-        for j in range(2 * n):
+        nodes, weights = _G15
+        for j in range(30):
             moment = sum(F(w) * F(x) ** j for x, w in zip(nodes, weights))
             exact = F(2, j + 1) if j % 2 == 0 else F(0)
             assert abs(moment - exact) <= 4 * F(math.ulp(0.5)), j
 
-    def test_nodes_are_roots_of_legendre_polynomial(self, n, rule):
-        # P_n changes sign within two ulps of every node; n disjoint brackets
-        # around n sorted nodes account for all n roots
-        for x in rule[0]:
+    def test_nodes_are_roots_of_legendre_polynomial(self):
+        # P_15 changes sign within two ulps of every node; 15 disjoint
+        # brackets around 15 sorted nodes account for all 15 roots
+        for x in _G15[0]:
             delta = 2 * F(math.ulp(x))
-            lo, hi = _legendre(n, F(x) - delta), _legendre(n, F(x) + delta)
+            lo, hi = _legendre(15, F(x) - delta), _legendre(15, F(x) + delta)
             assert lo * hi < 0, x
 
-    def test_bitwise_equal_to_numpy_leggauss(self, n, rule):
+    def test_within_the_error_the_bound_assumes(self):
+        # each exact root by Newton steps in Fractions, bracketed to 2^-90,
+        # and its exact weight 2 (1 - x^2) / (15 P_14(x))^2
+        eps = F(1, 2**90)
+        weight_err = F(0)
+        for x, w in zip(*_G15):
+            root = F(x)
+            for _ in range(4):
+                p, q = _legendre(15, root), _legendre(14, root)
+                root -= p * (root * root - 1) / (15 * (root * p - q))
+                root = F(round(root * 2**120), 2**120)
+            assert _legendre(15, root - eps) * _legendre(15, root + eps) < 0, x
+            assert abs(F(x) - root) + eps <= _NODE_ERR, x
+            exact_w = 2 * (1 - root * root) / (15 * _legendre(14, root)) ** 2
+            weight_err += abs(F(w) - exact_w) + eps
+        assert weight_err <= _WEIGHT_ERR_SUM
+
+    def test_bitwise_equal_to_numpy_leggauss(self):
         legendre = pytest.importorskip("numpy.polynomial.legendre")
-        nodes, weights = legendre.leggauss(n)
-        assert [v.hex() for v in rule[0]] == [float(v).hex() for v in nodes]
-        assert [v.hex() for v in rule[1]] == [float(v).hex() for v in weights]
+        nodes, weights = legendre.leggauss(15)
+        assert [v.hex() for v in _G15[0]] == [float(v).hex() for v in nodes]
+        assert [v.hex() for v in _G15[1]] == [float(v).hex() for v in weights]
 
 
 # 60 decimals of pi, truncated: pi^301 from it is off by under 1e-57 relative
@@ -226,11 +221,28 @@ class TestBetaEvenQuadrature:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-13])
     def test_error_against_series(self, tol):
-        # the normalized integrand leaves about an ulp of beta(2k) <= 1
-        for k in range(1, 86):
+        # the normalized integrand leaves about an ulp of beta(2k) <= 1, and
+        # the estimate of one fixed panel is an a-priori bound for every k
+        for k in range(1, 151):
             r = beta_even_quadrature(k, tol)
-            err = abs(F(r.value) - beta_series(2 * k, 30).value)
-            assert err <= F(4.5e-16), (k, float(err))
+            assert r.n_evals == 15, k
+            assert 0 < r.abs_error_estimate <= 1e-13, k
+            err = abs(F(r.value) - beta_series(2 * k, 40).value)
+            assert err <= min(F(4.5e-16), F(r.abs_error_estimate)), (k, float(err))
+
+    def test_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in range(1, 151):
+                r = beta_even_quadrature(k, 1e-8)
+                want = mpmath.dirichlet(2 * k, [0, 1, 0, -1])
+                assert abs(mpmath.mpf(r.value) - want) <= r.abs_error_estimate, k
+
+    def test_bound_above_tol_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_sec_integral", lambda k: (1.0, 4e-13))
+        assert beta_even_quadrature(1, 2e-13).abs_error_estimate == 2e-13
+        with pytest.raises(ValueError, match="exceeds tol"):
+            beta_even_quadrature(1, 1e-13)
 
     @pytest.mark.parametrize("k", [86, 150])
     def test_k_past_the_float_factorial(self, k):
@@ -417,7 +429,7 @@ class TestOscillatoryDecay:
             # pieces a quarter period wide
             r_freq = (2 * n + 2) * math.pi
             value = integrate_in_pieces(
-                lambda t: extended_eval(spec, t) * math.sin(r_freq * t), 2 * n + 2, 1e-10
+                lambda t: extended_eval(spec, t) * math.sin(r_freq * t), 2 * n + 2
             )
             cs.append(abs(value) * r_freq)
         self._bounded_constant(cs)
@@ -427,7 +439,7 @@ class TestOscillatoryDecay:
         for n in (10, 100, 1000):
             r_freq = (2 * n + 2) * math.pi
             value = integrate_in_pieces(
-                lambda t: 0.5 * beta_even_integrand(1, t) * math.cos(r_freq * t), 2 * n + 2, 1e-10
+                lambda t: 0.5 * beta_even_integrand(1, t) * math.cos(r_freq * t), 2 * n + 2
             )
             cs.append(abs(value) * r_freq)
         self._bounded_constant(cs)

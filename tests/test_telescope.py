@@ -256,13 +256,22 @@ class TestPartialSumJ:
         with pytest.raises(ValueError):
             partial_sum_J(0, 10, 1e-8)
 
-    def test_k_past_the_float_factorial(self):
-        # (2k-1)! = 171! overflows a double; the limit 171! beta(172) / pi^172
-        # does not
-        tr = partial_sum_J(86, 10, 1e-8)
-        expected = F(math.factorial(171)) / PI_LITERAL**172 * beta_series(172, 20).value
-        assert abs(F(tr.target) - expected) <= 1e-14 * expected
-        assert abs(F(tr.final()) - expected) <= 1e-14 * expected
+    @pytest.mark.parametrize("k", [19, 50, 86])
+    def test_k_past_the_float_factorial(self, k):
+        # the limit (-1)^k (2k-1)! beta(2k) / pi^(2k) fits a double although
+        # (2k-1)! does not from k = 86; the target's error is relative to it,
+        # so an absolute tol far below its ulp (1e-8 at k = 19) is no obstacle
+        tr = partial_sum_J(k, 10, 1e-8)
+        n = 2 * k - 1
+        scale = F(math.factorial(n)) / PI_LITERAL ** (n + 1)
+        expected = (-1) ** k * scale * beta_series(n + 1, 20).value
+        assert abs(F(tr.target) - expected) <= 1e-14 * abs(expected)
+        assert abs(F(tr.final()) - expected) <= 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("tol", [math.nan, 1e-14])
+    def test_rejects_tol_below_the_floor(self, tol):
+        with pytest.raises(ValueError, match="floor"):
+            partial_sum_J(1, 10, tol)
 
     def test_scale_past_the_double_range_raises(self):
         with pytest.raises(ValueError, match=r"exceeds the double range at n=219"):
@@ -281,7 +290,7 @@ class TestIStarDecomposition:
         # pieces a quarter period wide
         freq = (2 * m + 1) * math.pi
         value = integrate_in_pieces(
-            lambda t: e_star(k, t) * math.sin(freq * t), 2 * (2 * m + 1), 1e-11
+            lambda t: e_star(k, t) * math.sin(freq * t), 2 * (2 * m + 1)
         )
         closed_i = float(render_decimal(aux_integral_I_closed(k, m), 16).value)
         expected = closed_i - float(correction_term(k, m))
