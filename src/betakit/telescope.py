@@ -12,7 +12,6 @@ limits numerically.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
@@ -202,29 +201,51 @@ def _trace_samples(n_max: int) -> list[int]:
     return sorted(samples)
 
 
-def _alternating_sums(power: int, n_max: int) -> Iterator[tuple[int, float]]:
-    # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n
+def _alternating_sums(power: int, n_max: int) -> list[tuple[int, float]]:
+    # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n, each the
+    # fsum of the float terms a_m = +-RN(1/RN((2m+1)^power)).  Their signs
+    # alternate and their magnitudes never grow (RN is monotone), so for
+    # every n' >= n the exact sum S_n' of a_0..a_n' lies between S_n and
+    # S_(n+1).  fsum rounds S correctly and rounding is monotone, so once
+    # fsum to n equals fsum to n + 1, every later sample is that same double:
+    # the sums stop there.  The second fsum is only tried when a_(n+1) is
+    # below ulp(s), and no term past n_max is formed: the range check bounds
+    # only (2 n_max + 1)^power.  Eager, so that callers refuse before any
+    # table work.
     if (2 * n_max + 1) ** power >= 2**1024 - 2**970:  # float() would round it to inf
         raise OverflowError(f"(2N+1)^{power} exceeds the double range at N={n_max}")
+
+    def term(m: int) -> float:
+        return (1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power)
+
+    entries, settled = [], False
     for n in _trace_samples(n_max):
-        terms = ((1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power) for m in range(n + 1))
-        yield n, math.fsum(terms)
+        if not settled:
+            s = math.fsum(map(term, range(n + 1)))
+            if n < n_max and abs(term(n + 1)) < math.ulp(s):
+                settled = math.fsum(map(term, range(n + 2))) == s
+        entries.append((n, s))
+    return entries
 
 
 def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
     """Partial sums of sum_m (-1)^m I*(k, m), which telescope to zero.
 
     I*(k, m) differs from I(k, m) only by the m = 0 correction term, so the
-    partial sums come from the closed form of I: no quadrature is needed,
-    and traces to n in the thousands are cheap.  The prefactor is
+    partial sums come from the closed form of I: no quadrature is needed.
+    The sums stop forming terms once their rounded value settles, so a trace
+    costs O(n_max) terms only for small p = 2k + 1: p = 1 and 3 have not
+    settled by n_max = 10^5, p = 5 settles by n = 1000 and p >= 13 within
+    the first ten samples, whatever n_max is.  The prefactor is
     (-1)^k s(2k), so k <= 109, and the terms are floats: (2 n_max + 1)^(2k+1)
-    past the double range raises OverflowError.
+    past the double range raises OverflowError, before any table is built.
     """
     if k < 0 or n_max < 0:
         raise ValueError("k and n_max must be >= 0")
     pref = (-1) ** k * _scale(2 * k)
+    sums = _alternating_sums(2 * k + 1, n_max)
     corr = float(correction_term(k, 0))
-    entries = tuple((n, pref * s - corr) for n, s in _alternating_sums(2 * k + 1, n_max))
+    entries = tuple((n, pref * s - corr) for n, s in sums)
     return PartialSumTrace("I_star", k, 0.0, entries)
 
 
@@ -235,7 +256,8 @@ def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
     target, the integral of E_{2k-1}(t) sec(pi t) / 2, is s(2k-1) times that
     of p_{2k-1}(t) sec(pi t) / 2, from the same 15-point panel as
     beta_even_quadrature, within its relative error bound.  tol is only held
-    to MIN_TOL.  As for I*, k <= 109 and (2 n_max + 1)^(2k) must fit a double.
+    to MIN_TOL.  As for I*, k <= 109, (2 n_max + 1)^(2k) must fit a double
+    (checked before the target is computed), and the sums stop once settled.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -244,6 +266,7 @@ def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
     if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     scale = _scale(2 * k - 1)
+    sums = _alternating_sums(2 * k, n_max)
     target = scale * (0.5 * _sec_integral(k)[0])
-    entries = tuple((n, (-1) ** k * scale * s) for n, s in _alternating_sums(2 * k, n_max))
+    entries = tuple((n, (-1) ** k * scale * s) for n, s in sums)
     return PartialSumTrace("J", k, target, entries)

@@ -18,10 +18,13 @@ from conftest import (
     sin_cos_oracle,
 )
 
+from betakit import eulerpoly, telescope
 from betakit.betavalues import beta_series
 from betakit.eulerpoly import euler_number
+from betakit.quadrature import _scale
 from betakit.telescope import (
     ExtendedFunctionSpec,
+    _alternating_sums,
     correction_term,
     e_star,
     extended_eval,
@@ -276,6 +279,68 @@ class TestPartialSumJ:
     def test_scale_past_the_double_range_raises(self):
         with pytest.raises(ValueError, match=r"exceeds the double range at n=219"):
             partial_sum_J(110, 10, 1e-8)
+
+
+def _reference_sums(power: int, ns: list[int]) -> list[tuple[int, float]]:
+    # math.fsum over all n + 1 float terms at every sample n, with no early stop
+    terms = [(-1.0) ** m / float((2 * m + 1) ** power) for m in range(max(ns) + 1)]
+    return [(n, math.fsum(terms[: n + 1])) for n in ns]
+
+
+class TestAlternatingSums:
+    """The sums stop once settled, and every entry stays the full fsum."""
+
+    @pytest.mark.parametrize(
+        "power, n_max",
+        [(p, n) for p in (*range(1, 9), 13, 20, 57, 61)
+         for n in (0, 1, 9, 10, 11, 99, 100, 101, 1000, 10001)]
+        + [(61, 56535)],
+    )
+    def test_bit_identical_to_the_full_sum(self, power, n_max):
+        got = _alternating_sums(power, n_max)
+        ns = [n for n, _ in got]
+        assert ns[-1] == n_max
+        # hex tells -0.0 from 0.0 and pins every bit
+        assert [(n, s.hex()) for n, s in got] == [
+            (n, s.hex()) for n, s in _reference_sums(power, ns)
+        ]
+
+    def test_forms_no_term_past_n_max(self):
+        # 1^647 fits a double but the next denominator, 3^647, does not
+        assert _alternating_sums(647, 0) == [(0, 1.0)]
+
+    def test_stops_once_settled(self):
+        # p = 20 settles within a few terms; summing every term to 10^12
+        # would not return
+        tr = partial_sum_J(10, 10**12, 1e-8)
+        assert tr.entries[-1][0] == 10**12
+        settled = _scale(19) * _reference_sums(20, [10**4])[0][1]
+        assert [s for n, s in tr.entries if n >= 100] == [settled] * 11
+
+    def test_refusal_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(eulerpoly, "_BERNOULLI", eulerpoly.BernoulliTable())
+        monkeypatch.setattr(eulerpoly, "_EULER", eulerpoly.EulerTable())
+        with pytest.raises(OverflowError, match=r"\(2N\+1\)\^95 exceeds the double range"):
+            partial_sum_I_star(47, 10**5)
+        assert len(eulerpoly._BERNOULLI.polys) == 0
+        assert len(eulerpoly._EULER.numbers) == 0
+
+    def test_refusal_computes_no_target(self, monkeypatch):
+        def unreachable(k):
+            raise AssertionError("target computed before the range check")
+
+        monkeypatch.setattr(telescope, "_sec_integral", unreachable)
+        with pytest.raises(OverflowError, match=r"\(2N\+1\)\^94 exceeds the double range"):
+            partial_sum_J(47, 10**5, 1e-8)
+
+    def test_errors_keep_their_order(self):
+        # the k and n_max checks, then the scale, then the double range
+        with pytest.raises(ValueError, match="must be >= 0"):
+            partial_sum_I_star(-1, 10**5)
+        with pytest.raises(ValueError, match=r"exceeds the double range at n=220"):
+            partial_sum_I_star(110, 10**5)
+        with pytest.raises(ValueError, match="floor"):
+            partial_sum_J(47, 10**5, 1e-14)
 
 
 class TestIStarDecomposition:
