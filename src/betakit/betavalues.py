@@ -66,11 +66,8 @@ def beta_odd_exact(k: int) -> PiPowerValue:
     if k < 0:
         raise ValueError("k must be >= 0")
     n = 2 * k + 1
-    coeff = (
-        (-1) ** (k + 1)
-        * generalized_bernoulli_chi4(n)
-        / (math.factorial(n) * Fraction(2) ** n)
-    )
+    chi4 = generalized_bernoulli_chi4(n)
+    coeff = Fraction((-1) ** (k + 1) * chi4.numerator, chi4.denominator * math.factorial(n) << n)
     return PiPowerValue(coeff, n)
 
 

@@ -296,7 +296,8 @@ def _cmd_telescope(args) -> tuple[tuple, int]:
     except (ValueError, OverflowError) as exc:
         args._parser.error(str(exc))
     text = [f"family {trace.family}, k={trace.k}, target {trace.target!r}"]
-    text += [f"  N={n:<6d} S_N={s!r}" for n, s in trace.entries]
+    width = max(6, len(str(args.n_max)))  # S_N in one column; 6 wide up to N = 10^5
+    text += [f"  N={n:<{width}d} S_N={s!r}" for n, s in trace.entries]
     return (text, trace.to_json(), trace.to_csv().splitlines(), []), EXIT_OK
 
 

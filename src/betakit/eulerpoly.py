@@ -2,13 +2,12 @@
 
 The Euler polynomials E_n(x) are generated by 2 e^(xt) / (e^t + 1), the
 Euler numbers E_n by 2 e^t / (e^(2t) + 1), and the Bernoulli polynomials
-B_n(x) by the classical recurrence with the B_1 = -1/2 convention.  Tables
-are grown on demand on integers and memoized: the Euler rows from the
-tangent numbers and the Euler numbers from the secant numbers, two integer
-triangles, and the Bernoulli table from its own sum recurrence over one
-common denominator.  No table is derived from another, so the dual-route
-checks compare independent computations; every classical identity relating
-them is available as an executable, exactly-checked suite.
+B_n(x) by the classical recurrence with the B_1 = -1/2 convention.  Each
+table caches integer sequences, grown on demand, and builds a polynomial
+only when asked: 2^j E_j(0) and E_n from the tangent and secant triangles,
+and D B_j from the Bernoulli sum recurrence.  No table is derived from
+another, so the dual-route checks compare independent computations; every
+classical identity relating them is an executable, exactly-checked suite.
 """
 
 from __future__ import annotations
@@ -62,15 +61,14 @@ def _triangle_step(col: list[int], c: int) -> list[int]:
 
 
 class _Table:
-    """Two monotone caches, ``polys`` and ``numbers``, grown on demand.
+    """Integer sequences, each grown on demand on its own, and rows built from them.
 
-    Each list is its own gate: ``poly(n)`` grows only ``polys`` and
-    ``number(n)`` only ``numbers``, each to index n, and ``ensure(n)`` grows
-    both.  A subclass gives one entry of each list (``_poly(m)``,
-    ``_number(m)``, called for m = len, len + 1, ... in order) and may grow
-    state that both lists read in ``_prepare(n)``.  Growth appends under the
-    table's lock (single writer); entries never change once written, so
-    concurrent reads of a built prefix need no synchronization.
+    Scalar readers read the sequences and build no row.  ``poly(n)`` builds
+    row n in O(n) (``_row`` on the sequence ``_sequence(n)`` returns) and
+    keeps it nowhere, ``number(n)`` grows ``numbers`` to index n, and
+    ``ensure(n)`` also grows ``polys``, the identity suite's row prefix.
+    Growth appends under the table's lock (one writer), and entries never
+    change once written, so reads need no synchronization.
     """
 
     def __init__(self) -> None:
@@ -78,64 +76,60 @@ class _Table:
         self.numbers: list[Fraction] = []
         self._lock = threading.Lock()
 
-    def _grow(self, entries: list, n: int, entry) -> None:
+    def _grow(self, entries: list, n: int, entry) -> list:
         if n < 0:
             raise ValueError("index must be >= 0")
-        if len(entries) > n:
-            return
-        with self._lock:
-            self._prepare(n)
-            for m in range(len(entries), n + 1):
-                entries.append(entry(m))
-
-    def _prepare(self, n: int) -> None:
-        pass
+        if len(entries) <= n:
+            with self._lock:
+                for m in range(len(entries), n + 1):
+                    entries.append(entry(m))
+        return entries
 
     def ensure(self, n: int) -> None:
-        self._grow(self.numbers, n, self._number)
-        self._grow(self.polys, n, self._poly)
+        self.number(n)
+        seq = self._sequence(n)
+        self._grow(self.polys, n, lambda m: self._row(seq, m))
 
     def poly(self, n: int) -> RationalPolynomial:
-        self._grow(self.polys, n, self._poly)
-        return self.polys[n]
+        return self._row(self._sequence(n), n)
 
     def number(self, n: int) -> Fraction:
-        self._grow(self.numbers, n, self._number)
-        return self.numbers[n]
+        return self._grow(self.numbers, n, self._number)[n]
 
 
 class EulerTable(_Table):
-    """Monotone cache of Euler polynomials and Euler numbers.
+    """Euler polynomials and numbers from two integer triangles.
 
-    ``polys[n]`` is E_n(x), ``numbers[n]`` is E_n = 2^n E_n(1/2).  Both come
-    from integer triangles (Brent & Harvey, "Fast computation of Bernoulli,
-    tangent and secant numbers", 2013), with no rational arithmetic:
-
-      * the tangent numbers T_k give E_(2k-1)(0) = (-1)^k T_k / 2^(2k-1),
-        and E_(2k)(0) = 0 for k >= 1;
-      * the secant numbers S_k give E_(2k) = (-1)^k S_k, and E_(2k+1) = 0.
-
-    The polynomials form an Appell sequence (DLMF 24.4), E_n(x) =
-    sum_i C(n, i) E_(n-i)(0) x^i, so with the integers a_j = 2^j E_j(0) row
-    m is the integer form over 2^m with coefficient i equal to
-    C(m, i) 2^i a_(m-i).  Each new index costs O(n) integer operations on
-    its triangle, O(n^2) for the table.  The rows come only from the tangent
-    triangle and the numbers only from the secant triangle, so each list is
-    its own gate: ``euler_number(200)`` builds no row.  The numbers never
-    pass through the polynomials, so identity 1.2 of
-    :func:`run_identity_suite` checks one triangle against the other, and
-    neither touches the Bernoulli route, so the dual-route checks stay
-    independent.
+    ``scaled_at_zero(n)`` holds a_j = 2^j E_j(0) from the tangent numbers,
+    a_(2k-1) = (-1)^k T_k and a_(2k) = 0 for k >= 1, and ``numbers[n]`` is
+    E_n = 2^n E_n(1/2) from the secant numbers, E_(2k) = (-1)^k S_k and
+    E_(2k+1) = 0: each triangle (Brent & Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers", 2013) costs O(n) integer
+    operations per index.  As E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i (DLMF
+    24.4), ``poly(n)`` is the integer form over 2^n with coefficients
+    C(n, i) 2^i a_(n-i).  Identity 1.2 of :func:`run_identity_suite` checks
+    one triangle against the other; neither touches the Bernoulli route.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        # grown with the rows: a_j = 2^j E_j(0) and the tangent triangle's
-        # last column, for T_1 so far; with the numbers: the secant
-        # triangle's, for S_0 so far
-        self._scaled_at_zero: list[int] = []
+        # a_j so far, and the last columns of the tangent (T_1) and secant (S_0) triangles
+        self._at_zero: list[int] = []
         self._tangent = [1]
         self._secant = [1]
+
+    def scaled_at_zero(self, n: int) -> list[int]:
+        """[a_0, a_1, ...] through at least a_n, a_j = 2^j E_j(0): integers."""
+        return self._grow(self._at_zero, n, self._next_at_zero)
+
+    _sequence = scaled_at_zero
+
+    def _next_at_zero(self, m: int) -> int:
+        if m % 2 == 0:
+            return 0 if m else 1
+        if m > 1:
+            self._tangent = _triangle_step(self._tangent, 2)
+        return (-1) ** ((m + 1) // 2) * self._tangent[-1]
 
     def _number(self, m: int) -> Fraction:
         if m % 2:
@@ -144,55 +138,51 @@ class EulerTable(_Table):
             self._secant = _triangle_step(self._secant, 1)
         return Fraction((-1) ** (m // 2) * self._secant[-1])
 
-    def _poly(self, m: int) -> RationalPolynomial:
-        a = self._scaled_at_zero
-        if m % 2:
-            if m > 1:
-                self._tangent = _triangle_step(self._tangent, 2)
-            a.append((-1) ** ((m + 1) // 2) * self._tangent[-1])
-        else:
-            a.append(0 if m else 1)
-        return RationalPolynomial(1 << m, [c * a[m - i] << i for i, c in enumerate(_binomials(m))])
+    def _row(self, a: list[int], n: int) -> RationalPolynomial:
+        return RationalPolynomial(1 << n, [c * a[n - i] << i for i, c in enumerate(_binomials(n))])
 
 
 class BernoulliTable(_Table):
-    """Monotone cache of Bernoulli polynomials and numbers (B_1 = -1/2).
+    """Bernoulli polynomials and numbers (B_1 = -1/2) from one integer sequence.
 
-    Numbers come from their own sum recurrence, sum_(j<=m) C(m+1, j) B_j = 0,
-    run on integers: with D = lcm(1, ..., n + 1) the table keeps D B_j, and
-    D B_m = -(sum_(j<m) C(m+1, j) D B_j) / (m + 1) is an exact integer
-    division, because the denominator of B_m is a product of primes p <= m + 1
-    (von Staudt-Clausen).  D grows with the table, rescaling the kept
-    integers.  The polynomials B_n(x) = sum_i C(n, i) B_(n-i) x^i are then
-    integer forms over D.  That list of D B_j is grown once, to the largest
-    index either list has asked for, and both lists read it; each list is
-    still its own gate.  Neither the tangent numbers nor the zigzag triangle
-    is used, so this route stays independent of the Euler table.
+    ``scaled_numbers(n)`` runs sum_(j<=m) C(m+1, j) B_j = 0 on integers over
+    D = lcm(1, ..., n + 1), rescaling what it keeps as D grows:
+    D B_m = -(sum_(j<m) C(m+1, j) D B_j) / (m + 1) divides exactly, as B_m's
+    denominator is a product of primes p <= m + 1 (von Staudt-Clausen).
+    ``numbers[n]`` is D B_n / D and ``poly(n)`` the integer form of
+    B_n(x) = sum_i C(n, i) B_(n-i) x^i over D.  No Euler triangle is used,
+    so this route stays independent of the Euler table.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        # grown under the lock: the common denominator D and D * B_j
-        self._den = 1
-        self._scaled: list[int] = []
+        self._scaled: tuple[int, list[int]] = (1, [])
 
-    def _prepare(self, n: int) -> None:
-        scaled = self._scaled
-        if len(scaled) > n:
-            return
-        den = math.lcm(self._den, *range(len(scaled) + 1, n + 2))
-        scaled[:] = [b * (den // self._den) for b in scaled]
-        self._den = den
-        for m in range(len(scaled), n + 1):
-            s = sum(c * b for c, b in zip(_binomials(m + 1), scaled) if b)
-            scaled.append(-s // (m + 1) if m else den)
+    def scaled_numbers(self, n: int) -> tuple[int, list[int]]:
+        """(D, [D B_0, D B_1, ...]) through at least D B_n: integers over one D."""
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        with self._lock:
+            den, b = self._scaled
+            if len(b) <= n:
+                new = math.lcm(den, *range(len(b) + 1, n + 2))
+                b = [x * (new // den) for x in b]
+                for m in range(len(b), n + 1):
+                    s = sum(c * x for c, x in zip(_binomials(m + 1), b) if x)
+                    b.append(-s // (m + 1) if m else new)
+                # replaced as one tuple, so no reader pairs one D with another's integers
+                self._scaled = new, b
+            return self._scaled
 
-    def _number(self, m: int) -> Fraction:
-        return Fraction(self._scaled[m], self._den)
+    _sequence = scaled_numbers
 
-    def _poly(self, m: int) -> RationalPolynomial:
-        b = self._scaled
-        return RationalPolynomial(self._den, [c * b[m - i] for i, c in enumerate(_binomials(m))])
+    def number(self, n: int) -> Fraction:
+        den, b = self.scaled_numbers(n)
+        return self._grow(self.numbers, n, lambda m: Fraction(b[m], den))[n]
+
+    def _row(self, seq: tuple[int, list[int]], n: int) -> RationalPolynomial:
+        den, b = seq
+        return RationalPolynomial(den, [c * b[n - i] for i, c in enumerate(_binomials(n))])
 
 
 _EULER = EulerTable()
@@ -222,11 +212,20 @@ def bernoulli_number(n: int) -> Fraction:
 def generalized_bernoulli_chi4(n: int) -> Fraction:
     """Generalized Bernoulli number for the nontrivial character mod 4.
 
-    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.
+    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  That
+    is sum_j C(n, j) D B_j (1 - 3^(n-j)) 4^j / (4 D), one O(n) pass over
+    the Bernoulli table's integers D B_j: no row is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _chi4(bernoulli_polynomial(n), n)
+    den, b = _BERNOULLI.scaled_numbers(n)
+    acc, c, p3 = 0, 1, 3**n
+    for j in range(n + 1):
+        if b[j]:  # zero for odd j >= 3
+            acc += c * b[j] * (1 - p3) << 2 * j
+        c = c * (n - j) // (j + 1)
+        p3 //= 3
+    return Fraction(acc, den << 2)
 
 
 def _chi4(b: RationalPolynomial, n: int) -> Fraction:

@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .betavalues import PiPowerValue
-from .eulerpoly import euler_number, euler_polynomial
+from . import eulerpoly
+from .eulerpoly import euler_number
 from .exact import ValueClass, _set_field
 from .highprec import pi_fraction
 
@@ -128,19 +129,18 @@ def _scale(n: int) -> float:
 def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
     """p_n's coefficients in powers of t, or of u = t - 1/2 if at_half.
 
-    E_n's exact coefficients, the table's nums[i] / den or, by the Appell
-    sum about 1/2 (DLMF 24.4), C(n, i) E_{n-i} 2^i / 2^n, each times
-    pi^(n+1) / n! and rounded once by an integer division: within an ulp,
-    exact zeros stay 0.
+    By the Appell sum (DLMF 24.4), coefficient i of E_n is
+    C(n, i) 2^i s_(n-i) / 2^n, read from the Euler table's integers with no
+    row built: s_j = 2^j E_j(0) (tangent) about 0, s_j = E_j (secant) about
+    1/2.  Each, times pi^(n+1) / n!, is rounded once by an integer division:
+    within an ulp, and the zero entries of s are skipped as exact zeros.
     """
-    if at_half:
-        den = 1 << n
-        nums = [math.comb(n, i) * euler_number(n - i).numerator << i for i in range(n + 1)]
-    else:
-        p = euler_polynomial(n)
-        den, nums = p.den, p.nums
+    e = eulerpoly._EULER
+    s = [e.number(j).numerator for j in range(n + 1)] if at_half else e.scaled_at_zero(n)
     x, d = _pi_power_over_factorial(n)
-    return tuple(x * c / (d * den) for c in nums)
+    d <<= n
+    return tuple((x * math.comb(n, i) * s[n - i] << i) / d if s[n - i] else 0.0
+                 for i in range(n + 1))
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -262,22 +262,25 @@ def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
 
     With n = 2k (I, sine) or 2k + 1 (J, cosine) and c = (2m+1) pi, step i
     leaves +-E_n^(i)(x)/c^(i+1), E_n^(i) = n!/(n-i)! E_(n-i) (DLMF 24.4), at
-    x = 1/2 (times sin(c/2) = (-1)^m; cos(c/2) = 0) or x = 0.  As E_j(0) = 0
-    for even j >= 2 and E_j(1/2) = 0 for odd j, one term survives; it must
-    equal the closed form, else a RuntimeError.  The value is within an ulp,
-    the bound reported as its estimate; tol is only held to MIN_TOL.
+    x = 1/2 (times sin(c/2) = (-1)^m; cos(c/2) = 0) or x = 0, read with no
+    row built as a_j / 2^j (tangent integers) or E_j / 2^j (secant).  As
+    E_j(0) = 0 for even j >= 2 and E_j(1/2) = 0 for odd j, one term
+    survives; it must equal the closed form, else a RuntimeError.  The value
+    is within an ulp, the bound reported as its estimate; tol is only held
+    to MIN_TOL.
     """
     if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     sine = spec.kind == "aux_I"
     n = 2 * spec.k + (not sine)
     closed = (aux_integral_I_closed if sine else aux_integral_J_closed)(spec.k, spec.m)
+    a = eulerpoly._EULER.scaled_at_zero(n)
     terms = []
     for i in range(n + 1):
         # x = 0 on the sine's even steps, where [-cos ct] leaves +1, and on the
         # cosine's odd ones, -1 from the first step; at 1/2, sin(c/2) = (-1)^m
         at_zero = (i % 2 == 0) == sine
-        e = euler_polynomial(n - i).coefficient(0) if at_zero else euler_number(n - i) / 2**(n - i)
+        e = Fraction(a[n - i], 1 << (n - i)) if at_zero else euler_number(n - i) / 2**(n - i)
         if e:  # a zero table entry makes a zero term: skip its arithmetic
             edge = (1 if sine else -1) if at_zero else (-1) ** spec.m
             coeff = (-1) ** (i // 2) * edge * math.perm(n, i) * e / (2 * spec.m + 1) ** (i + 1)

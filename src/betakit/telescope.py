@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .eulerpoly import euler_number, euler_polynomial, generalized_bernoulli_chi4
+from . import eulerpoly
+from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field
 from .highprec import pi_fraction
 from .quadrature import (
@@ -79,8 +80,9 @@ class ExtendedFunctionSpec(ValueClass):
     k is a ValueError naming the double range.
     endpoint_values maps the singular endpoints ("0", "1/2") to the exact
     limits, f(0) = k E_{2k-1}(0) / pi - E_{2k} / 2^(2k+1) and
-    h(1/2) = -(2k-1) E_{2k-2}(1/2) / (2 pi), formed exactly from the tables
-    and a certified pi and rounded once to a double.
+    h(1/2) = -(2k-1) E_{2k-2}(1/2) / (2 pi), formed exactly from the Euler
+    table's integers (a_j / 2^j for E_j(0), E_j / 2^j for E_j(1/2): no row
+    is built) and a certified pi, and rounded once to a double.
     """
 
     def __init__(self, name: str, k: int) -> None:
@@ -100,7 +102,7 @@ class ExtendedFunctionSpec(ValueClass):
         # double wherever the scale does (the largest, h at k = 109, 1.8e306)
         ev: dict[str, float] = {}
         if name == "f":
-            at_zero = euler_polynomial(2 * k - 1).coefficient(0)
+            at_zero = Fraction(eulerpoly._EULER.scaled_at_zero(2 * k - 1)[2 * k - 1], 1 << 2 * k - 1)
             ev["0"] = float(
                 k * at_zero / pi_fraction(k + 20) - euler_number(2 * k) / 2 ** (2 * k + 1)
             )

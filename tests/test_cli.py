@@ -272,6 +272,16 @@ class TestTelescopeCommand:
         assert payload["family"] == "J"
         assert payload["entries"][-1][0] == 50
 
+    def test_text_columns_stay_aligned_past_six_digits(self, run_betakit):
+        # N is padded to the width of the largest N, so S_N starts in one
+        # column on every row, here up to the 13-digit N = 10^12
+        r = run_betakit(["telescope", "--family", "j", "--k", "10", "--N", "1000000000000"])
+        assert r.returncode == 0
+        rows = r.stdout.decode().splitlines()[1:]
+        assert [row.split()[0] for row in rows][-3:] == [
+            "N=10000000000", "N=100000000000", "N=1000000000000"]
+        assert {row.index(" S_N=") for row in rows} == {len("  N=1000000000000")}
+
     def test_family_j_needs_positive_k(self, run_betakit):
         r = run_betakit(["telescope", "--family", "j", "--k", "0", "--N", "10"])
         assert r.returncode == 2

@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betakit import eulerpoly
+from betakit.betavalues import beta_odd_exact, beta_odd_exact_via_euler
+from betakit.cli import run_cli
 from betakit.eulerpoly import (
     BernoulliTable,
     EulerTable,
@@ -26,6 +29,7 @@ from betakit.eulerpoly import (
     run_identity_suite,
 )
 from betakit.exact import RationalPolynomial, poly_eval
+from betakit.quadrature import IntegrandSpec, aux_integral_numeric
 
 from conftest import (
     akiyama_tanigawa_bernoulli,
@@ -252,52 +256,74 @@ class TestIntegerTables:
         (EulerTable, "euler_reference"), (BernoulliTable, "bernoulli_reference"),
     ])
     def test_threads_grow_each_list_alone(self, table, reference, order, request):
-        # each thread grows one list through number() or poly(); in the
-        # first two orders the other list must stay empty until its own
-        # threads run, and in every order both end equal to the reference
+        # each thread reads one entry through number() or poly(), which grow
+        # only the sequence that entry is read from: in the first two orders
+        # the numbers stay unbuilt until their own threads run, and poly()
+        # keeps no row, so polys stays empty until ensure().  Every entry
+        # read, and both lists after ensure(), equal the reference
         import threading
 
         ref_polys, ref_numbers = request.getfixturevalue(reference)
         t = table()
         sizes = (120, 7, REFERENCE_N, 60, 1, 150, 33, REFERENCE_N)
-        growers = [t.number, t.poly] if order == "numbers first" else [t.poly, t.number]
+        readers = [t.number, t.poly] if order == "numbers first" else [t.poly, t.number]
         if order == "interleaved":
-            phases = [[(growers[i % 2], n) for i, n in enumerate(sizes + sizes[::-1])]]
+            phases = [[(readers[i % 2], n) for i, n in enumerate(sizes + sizes[::-1])]]
         else:
-            phases = [[(grow, n) for n in sizes] for grow in growers]
+            phases = [[(read, n) for n in sizes] for read in readers]
+        got = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for phase in phases:
-                threads = [threading.Thread(target=grow, args=(n,)) for grow, n in phase]
+                threads = [threading.Thread(target=lambda r=r, n=n: got.append((r, n, r(n))))
+                           for r, n in phase]
                 for th in threads:
                     th.start()
                 for th in threads:
                     th.join(timeout=60)
                 assert not any(th.is_alive() for th in threads)
+                assert t.polys == []
                 if order == "numbers first" and phase is phases[0]:
-                    assert t.polys == [] and t.numbers == ref_numbers
+                    assert t.numbers == ref_numbers
                 if order == "polys first" and phase is phases[0]:
-                    assert t.numbers == [] and t.polys == ref_polys
+                    assert t.numbers == []
         finally:
             sys.setswitchinterval(interval)
+        assert len(got) == sum(map(len, phases))
+        for read, n, value in got:
+            want = (ref_numbers if read == t.number else ref_polys)[n]
+            assert pickle.dumps(value) == pickle.dumps(want), (read.__name__, n)
+        t.ensure(REFERENCE_N)
         assert (t.polys, t.numbers) == (ref_polys, ref_numbers)
         assert _pickled(t.polys, t.numbers) == _pickled(ref_polys, ref_numbers)
 
-    @pytest.mark.parametrize("call", [
-        "from betakit import euler_number; euler_number(200)",
-        "from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)",
-        "from betakit.cli import run_cli\n"
-        "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
-    ], ids=["euler_number", "beta_even_quadrature", "beta_odd_cross_check"])
-    def test_number_paths_build_no_euler_row(self, call):
-        # a fresh process, so no earlier test has grown the module's table:
-        # E_200 comes from the secant triangle alone
+    @pytest.mark.parametrize("call, reads_numbers", [
+        ("from betakit import euler_number; euler_number(200)", True),
+        ("from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)", True),
+        ("from betakit.cli import run_cli\n"
+         "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
+         True),
+        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False),
+        ("from betakit import IntegrandSpec, aux_integral_numeric\n"
+         "aux_integral_numeric(IntegrandSpec('aux_I', 50, 0), 1e-8)", True),
+        ("from betakit import ExtendedFunctionSpec; ExtendedFunctionSpec('f', 50)", True),
+        ("from betakit import correction_term; correction_term(50, 0)", True),
+        ("from betakit import euler_polynomial, bernoulli_polynomial\n"
+         "assert euler_polynomial(301).degree == bernoulli_polynomial(302).degree - 1", False),
+    ], ids=["euler_number", "beta_even_quadrature", "beta_odd_cross_check", "beta_odd_exact",
+            "aux_I_50_0", "extended_f_50", "correction_term_50_0", "polynomials"])
+    def test_number_paths_build_no_euler_row(self, call, reads_numbers):
+        # a fresh process, so no earlier test has grown the module's tables:
+        # each call reads the tables' integer sequences (E_n from the secant
+        # triangle alone where it reads numbers), and poly(n) builds the one
+        # row it returns and keeps it nowhere, so neither row prefix grows
         script = (f"{call}\nfrom betakit import eulerpoly\n"
-                  "print(len(eulerpoly._EULER.polys), len(eulerpoly._EULER.numbers) > 0)\n")
+                  "print(len(eulerpoly._EULER.polys), len(eulerpoly._BERNOULLI.polys),"
+                  " len(eulerpoly._EULER.numbers) > 0)\n")
         r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.decode().splitlines()[-1] == "0 True"
+        assert r.stdout.decode().splitlines()[-1] == f"0 0 {reads_numbers}"
 
     @pytest.mark.parametrize("table", [EulerTable, BernoulliTable])
     def test_rows_carry_their_canonical_integer_form(self, table):
@@ -456,6 +482,75 @@ class TestSuiteMatchesPolynomialReference:
         assert report == polynomial_identity_suite(nmax, et, bt)
         passed = {r["identity_id"]: r["passed"] for r in report["identities"]}
         assert passed["bridge_euler_bernoulli"] and passed["bridge_chi4"] and passed["1.6"]
+
+
+class TestSequenceCorruption:
+    """One wrong integer in a table's sequence fails the checks that read it.
+
+    Each case corrupts a fresh table, or one put in place of the module's
+    table, before any row is built from it; rows built later carry the
+    corruption, and the suite's reports still equal the polynomial API's.
+    """
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        et, bt = EulerTable(), BernoulliTable()
+        monkeypatch.setattr(eulerpoly, "_EULER", et)
+        monkeypatch.setattr(eulerpoly, "_BERNOULLI", bt)
+        return et, bt
+
+    @pytest.mark.parametrize("j", [2, 4, 10])
+    def test_zero_at_zero_fails_aux(self, tables, j):
+        # a_j = 2^j E_j(0) is 0 at even j >= 2; integration by parts reads it
+        # at x = 0 for every n = 2k (I) or 2k + 1 (J) >= j, and the term it
+        # leaves cannot equal the closed form
+        et, _ = tables
+        et.scaled_at_zero(j)[j] = 3
+        for n in range(j + 4):
+            spec = IntegrandSpec("aux_J" if n % 2 else "aux_I", n // 2, 2)
+            if n < j:
+                aux_integral_numeric(spec, 1e-8)
+            else:
+                with pytest.raises(RuntimeError, match="aux self-check failed"):
+                    aux_integral_numeric(spec, 1e-8)
+
+    @pytest.mark.parametrize("j", [1, 7, 11])
+    def test_tangent_number_fails_reflection_half_point_and_shift(self, j):
+        et, bt = EulerTable(), BernoulliTable()
+        et.scaled_at_zero(j)[j] += 2
+        report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(14, et, bt)
+        first = {r["identity_id"]: r["first_failure"] for r in report["identities"]}
+        for identity in ("1.1", "1.2", "1.3"):
+            assert first[identity] is not None and first[identity]["n"] >= j, identity
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_secant_number_fails_half_point_and_cross_check(self, tables, k, capsys):
+        et, bt = tables
+        et.number(2 * k)
+        et.numbers[2 * k] += 2
+        report = run_identity_suite(12, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(12, et, bt)
+        failing = {r["identity_id"]: r["first_failure"]
+                   for r in report["identities"] if not r["passed"]}
+        assert failing == {"1.2": {"n": 2 * k}}
+        assert run_cli(["beta", "odd", "--k", str(k), "--cross-check"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("j", [2, 3, 6])
+    def test_bernoulli_integer_fails_routes_and_chi4(self, tables, j):
+        # D B_j enters B_{n,chi4} with the factor 1 - 3^(n-j), so every n > j
+        et, bt = tables
+        den, b = bt.scaled_numbers(14)
+        b[j] += den
+        for k in range(7):
+            differ = beta_odd_exact(k) != beta_odd_exact_via_euler(k)
+            assert differ == (2 * k + 1 > j), k
+        report = run_identity_suite(12, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(12, et, bt)
+        first = {r["identity_id"]: r["first_failure"] for r in report["identities"]}
+        assert first["1.6"] == {"n": j + j % 2}
+        assert first["bridge_chi4"] == {"n": j + 1}
 
 
 class TestIdentityProperties:

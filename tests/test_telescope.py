@@ -324,6 +324,8 @@ class TestAlternatingSums:
             partial_sum_I_star(47, 10**5)
         assert len(eulerpoly._BERNOULLI.polys) == 0
         assert len(eulerpoly._EULER.numbers) == 0
+        # correction_term reads the Bernoulli integers, not a row
+        assert eulerpoly._BERNOULLI._scaled == (1, [])
 
     def test_refusal_computes_no_target(self, monkeypatch):
         def unreachable(k):
