@@ -16,6 +16,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add
 
 from .exact import RationalPolynomial, ValueClass, poly_eval, taylor_shift
 from .highprec import HighPrecisionReal, quantize
@@ -340,6 +341,51 @@ def _bridge_holds(b: RationalPolynomial, e: RationalPolynomial, k: int) -> bool:
     return all(scale * x == e.den * (y - z) for x, y, z in zip_longest(e.nums, s, c, fillvalue=0))
 
 
+def _ratio_eq(u: int, v: int, x: int, y: int) -> bool:
+    # u/v == x/y for nonzero v and y, without reducing either
+    return u * y == x * v
+
+
+def _is_row(p: RationalPolynomial, scale: int, terms: list[int]) -> bool:
+    # p = (1/den) sum nums_i x^i equals (1/scale) sum terms_i x^i: nums_i
+    # scale = den terms_i for every i, and nums has no (nonzero) entry past
+    # the last term
+    return all(x * scale == p.den * t for x, t in zip_longest(p.nums, terms, fillvalue=0))
+
+
+def _sequence_checks(rows: list, brows: list, a: list[int], den: int, b: list[int]) -> tuple:
+    # One pass over r with Pascal's row c = C(r, .), grown by additions.  Per
+    # Euler index r < len(rows): whether row r is the Appell row of a, 1.1
+    # and 1.3 decided on a through index r, and (2^r E_r(1/2), 2^r); per
+    # Bernoulli index: whether row r is that of D B_j over D, (4 D B_(r,chi4),
+    # 4 D) and, for 1 <= r < len(rows), the bridge decided through index r.
+    euler_ok, reflect, shift_sum, half = [], [], [], []
+    bern_ok, chi4, bridge = [], [None], [None]
+    c, p3, ok11, ok13, ok_bridge = [], [1], True, True, True
+    for r, brow in enumerate(brows):
+        c = [1, *map(add, c, c[1:]), 1] if c else [1]
+        u = [x * y for x, y in zip(c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
+        bern_ok.append(_is_row(brow, den, u[::-1]))
+        if r:
+            p3.append(3 * p3[-1])
+            chi4.append((sum(x * (1 - p3[r - j]) << 2 * j for j, x in enumerate(u) if x), den << 2))
+        if r < len(rows):
+            t = [x * y for x, y in zip(c, a)]  # C(r, j) a_j
+            terms = [x << r - j for j, x in enumerate(t)][::-1]  # the coefficient of x^i, over 2^r
+            euler_ok.append(_is_row(rows[r], 1 << r, terms))
+            at_one = sum(terms)  # A_r = 2^r E_r(1)
+            ok11 = ok11 and at_one == (-1) ** r * a[r]
+            ok13 = ok13 and at_one + a[r] == (0 if r else 2)
+            reflect.append(ok11)
+            shift_sum.append(ok13)
+            half.append((sum(t), 1 << r))
+            if r:
+                rhs = sum(x << j for j, x in enumerate(u[:r]) if x)
+                ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
+                bridge.append(ok_bridge)
+    return euler_ok, reflect, shift_sum, half, bern_ok, chi4, bridge
+
+
 def run_identity_suite(
     nmax: int,
     trials: int = 1,
@@ -365,20 +411,56 @@ def run_identity_suite(
            E_{k-1}(1/2) = -B_{k,chi4} / (2^(k-2) k)
 
     Each family is a stream of (n, ok) checks, one instance per index, and
-    reports its first failing n.  The polynomial identities
-    (1.1, 1.3, 1.5 and the Euler-Bernoulli bridge) are checked on the rows'
-    integer forms (1/D) sum c_i x^i, as integer coefficient lists.  Two
+    reports its first failing n.  Both tables hold Appell sequences (Appell
+    1880; DLMF 24.4): E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i and
+    B_n(x) = sum_i C(n, i) B_(n-i) x^i.  So the suite first certifies, in
+    O(n), that row n is its own table's Appell row: with a_j = 2^j E_j(0)
+    (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``), an Euler row
+    (1/den) sum nums_i x^i is certified when nums_i 2^n = den C(n, i) 2^i
+    a_(n-i), and a Bernoulli row when nums_i D = den C(n, i) D B_(n-i), for
+    every i <= n with nothing past degree n.  The binomials come
+    from Pascal's rule by additions, not from the ``_binomials`` the rows
+    were built with, so a row built with a wrong binomial is not certified.
+    Every shifted or evaluated Appell row is again a sum over the sequence
+    (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows each
+    family is decided by scalar sums, one per index r and shared by every
+    row above it; with A_r = sum_j C(r, j) 2^(r-j) a_j = 2^r E_r(1):
+
+      1.1  holds at n iff A_r = (-1)^r a_r for every r <= n: the
+           coefficient of x^i in E_n(1-x) - (-1)^n E_n(x) is
+           C(n, i) (-1)^i (E_r(1) - (-1)^r E_r(0)) with r = n - i.
+      1.3  holds at n iff A_r + a_r = 2 [r = 0] for every r <= n: the
+           coefficient of x^i in E_n(x+1) + E_n(x) is
+           C(n, i) (E_r(1) + E_r(0)) with r = n - i.
+      1.5  holds for any two certified rows: i C(n, i) = n C(n-1, i-1), so
+           an Appell row's derivative is n times the row below.
+      1.2, 1.6, bridge_chi4
+           compare cross-multiplied integers: H_n = sum_j C(n, j) a_j is
+           2^n E_n(1/2) (the row at x = 1/2), and
+           X_n = sum_j C(n, j) D B_j (1 - 3^(n-j)) 4^j is 4 D B_(n,chi4)
+           (4^(n-1) (B_n(1/4) - B_n(3/4)) term by term).
+      bridge_euler_bernoulli
+           holds at k iff m D a_(m-1) = 2^(m-1) sum_(j<m) C(m, j) D B_j 2^j
+           for every 1 <= m <= k: with m = k - i and C(k, i)/k = C(k-1, i)/m,
+           the coefficient of x^i on the right is
+           C(k-1, i) 2^m (B_m(1/2) - B_m) / m, and 2^m B_m(1/2) is
+           sum_(j<=m) C(m, j) B_j 2^j; on the left it is C(k-1, i) E_(m-1)(0).
+      1.4  reads the row, which forms no shift: E_n(0) and E_n(1) are its
+           constant term and its coefficient sum over den.
+
+    An instance that touches an uncertified row (a corrupted or injected
+    one) is checked on that row, on its integer coefficient list: one
+    addition-only Taylor shift gives E_n(x+1) for 1.1 and 1.3, another
+    B_k((x+1)/2) for the bridge, the derivative's coefficients give 1.5,
+    and ``poly_eval`` and one Horner pass give E_n(1/2) and B_{n,chi4}.  Two
     polynomials agree at every x exactly when their coefficients agree, and
-    multiplying both sides by the same nonzero integer (the denominators'
-    product) keeps them equal or unequal, so equality of the two
-    cross-multiplied lists, index by index, proves the identity for every x
-    and inequality refutes it.  One addition-only Taylor shift per row gives
-    E_n(x+1) for 1.1 and 1.3, and one per Bernoulli row gives B_k((x+1)/2);
-    E_n(1/2) and B_{n,chi4} are computed once per n.  ``trials`` (>= 1) and
-    ``seed`` are validated and otherwise ignored, so the report depends on
-    nmax and the tables alone.
-    Failures are reported, not raised: a corrupted table yields a failing
-    entry.
+    multiplying both sides by the same nonzero integer keeps them equal or
+    unequal, so either way the verdict holds for every x.  On true tables no
+    shift (O(n^2) per row) is formed, and the suite costs O(nmax^2) integer
+    operations.  ``trials`` (>= 1) and ``seed`` are
+    validated and otherwise ignored, so the report depends on nmax and the
+    tables alone.  Failures are reported, not raised: a corrupted table
+    yields a failing entry.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -386,34 +468,47 @@ def run_identity_suite(
     bt = bernoulli if bernoulli is not None else _BERNOULLI
     et.ensure(nmax)
     bt.ensure(nmax + 1)
-    rows = et.polys[: nmax + 1]
-    # E_n(1/2) for 1.2, 1.6 and bridge_chi4; B_{n,chi4} for 1.6 and bridge_chi4
-    half = [poly_eval(p, _HALF) for p in rows]
-    chi4 = [None] + [_chi4(bt.polys[n], n) for n in range(1, nmax + 2)]
+    rows, brows = et.polys[: nmax + 1], bt.polys[: nmax + 2]
+    den, b = bt.scaled_numbers(nmax + 1)
+    euler_ok, reflect, shift_sum, half, bern_ok, chi4, bridge = _sequence_checks(
+        rows, brows, et.scaled_at_zero(nmax), den, b)
 
-    # E_n(x+1) = (1/D) sum s_j x^j, once per n for 1.1 and 1.3
-    shifted = [taylor_shift(p.nums) for p in rows]
+    # the row checks, where an instance touches an uncertified row
+    for n, p in enumerate(rows):
+        if not euler_ok[n]:
+            # E_n(x+1) = (1/D) sum s_j x^j, and E_n(1-x) has coefficients
+            # (-1)^j s_j / D, so 1.1 reads (-1)^j s_j = (-1)^n c_j
+            s = taylor_shift(p.nums)
+            reflect[n] = s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)]
+            shift_sum[n] = [x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den]
+            half[n] = poly_eval(p, _HALF).as_integer_ratio()
+    for n in range(1, nmax + 2):
+        if not bern_ok[n]:
+            chi4[n] = _chi4(brows[n], n).as_integer_ratio()
+        if n <= nmax and not (bern_ok[n] and euler_ok[n - 1]):
+            bridge[n] = _bridge_holds(brows[n], rows[n - 1], n)
+
     families = {
-        # E_n(1-x) has coefficients (-1)^j s_j / D, so (-1)^j s_j = (-1)^n c_j
-        "1.1": ((n, s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)])
-                for n, (p, s) in enumerate(zip(rows, shifted))),
-        "1.2": ((n, et.numbers[n] == 2**n * h) for n, h in enumerate(half)),
-        "1.3": ((n, [x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den])
-                for n, (p, s) in enumerate(zip(rows, shifted))),
+        "1.1": enumerate(reflect),
+        "1.2": ((n, _ratio_eq(*et.numbers[n].as_integer_ratio(), h << n, v))
+                for n, (h, v) in enumerate(half)),
+        "1.3": enumerate(shift_sum),
         # E_n(0) = c_0 / D and E_n(1) = sum c_i / D
         "1.4": ((n, not any(rows[n].nums[:1]) and sum(rows[n].nums) == 0)
                 for n in range(2, nmax + 1, 2)),
         # D_(n-1) j c_j = n D_n f_(j-1), with E_(n-1) = (1/D_(n-1)) sum f_j x^j
-        "1.5": ((n, [j * c * q.den for j, c in enumerate(p.nums) if j]
+        "1.5": ((n, all(euler_ok[max(n - 1, 0) : n + 1])
+                 or [j * c * q.den for j, c in enumerate(p.nums) if j]
                  == [n * f * p.den for f in q.nums])
                 for n, (p, q) in enumerate(zip(rows, [RationalPolynomial.zero()] + rows))),
         # E_n(1/2) (n+1) 2^(n-1) = -B_{n+1,chi4}, doubled
-        "1.6": ((n, half[n] * ((n + 1) << n) == -2 * chi4[n + 1])
+        "1.6": ((n, _ratio_eq(half[n][0] * ((n + 1) << n), half[n][1],
+                              -2 * chi4[n + 1][0], chi4[n + 1][1]))
                 for n in range(0, nmax + 1, 2)),
-        "bridge_euler_bernoulli": ((k, _bridge_holds(bt.polys[k], rows[k - 1], k))
-                                   for k in range(1, nmax + 1)),
+        "bridge_euler_bernoulli": ((k, bridge[k]) for k in range(1, nmax + 1)),
         # E_(k-1)(1/2) 2^(k-2) k = -B_{k,chi4}, times 4
-        "bridge_chi4": ((k, half[k - 1] * (k << k) == -4 * chi4[k])
+        "bridge_chi4": ((k, _ratio_eq(half[k - 1][0] * (k << k), half[k - 1][1],
+                                      -4 * chi4[k][0], chi4[k][1]))
                         for k in range(1, nmax + 1)),
     }
     return IdentityReport(nmax, [_family_result(i, checks) for i, checks in families.items()])

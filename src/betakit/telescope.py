@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import cycle, repeat
+from operator import truediv
 
 from . import eulerpoly
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
@@ -203,30 +205,56 @@ def _trace_samples(n_max: int) -> list[int]:
     return sorted(samples)
 
 
+def _terms(power: int, lo: int, hi: int):
+    # a_lo, ..., a_hi, a_m = (-1)^m RN(1/RN((2m+1)^power)), formed lazily
+    signs = cycle((-1.0, 1.0) if lo % 2 else (1.0, -1.0))
+    return map(truediv, signs, map(float, map(pow, range(2 * lo + 1, 2 * hi + 2, 2), repeat(power))))
+
+
 def _alternating_sums(power: int, n_max: int) -> list[tuple[int, float]]:
-    # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n, each the
-    # fsum of the float terms a_m = +-RN(1/RN((2m+1)^power)).  Their signs
-    # alternate and their magnitudes never grow (RN is monotone), so for
-    # every n' >= n the exact sum S_n' of a_0..a_n' lies between S_n and
-    # S_(n+1).  fsum rounds S correctly and rounding is monotone, so once
-    # fsum to n equals fsum to n + 1, every later sample is that same double:
-    # the sums stop there.  The second fsum is only tried when a_(n+1) is
-    # below ulp(s), and no term past n_max is formed: the range check bounds
-    # only (2 n_max + 1)^power.  Eager, so that callers refuse before any
-    # table work.
+    # (n, sum_{m<=n} (-1)^m / (2m+1)^power) at each trace sample n: the
+    # correctly rounded sum of the float terms a_m, as math.fsum of a_0..a_n
+    # gives it.  One pass forms each term once and adds it exactly to acc,
+    # the sum so far times 2^scale, where 2^-scale is the ulp of the last
+    # term added: every earlier term is a multiple of it, as their
+    # magnitudes never grow.  int / int rounds correctly, so acc / 2^scale
+    # is that sum's double.  (ldexp cannot overflow: past a_0, each chunk
+    # added ends below ten times the index it starts at, so a scaled term is
+    # below both 2^53 10^power and 2^1074 3^-power, one of them below 2^1024.)
+    # The signs alternate, so for every n' >= m the exact sum S_n' lies
+    # between S_m and S_(m+1); rounding is monotone, so once they round to
+    # the same double, every later sample is that double and the pass
+    # stops.  That is tried at each sample n whose next term is below
+    # ulp(s), and otherwise from the first m that is, solving
+    # (2m+3)^power > 1/ulp(s), then 1/8 further each time until the next
+    # sample.  No term past n_max is formed: the range check bounds only
+    # (2 n_max + 1)^power.  Eager, so that callers refuse before any table
+    # work.
     if (2 * n_max + 1) ** power >= 2**1024 - 2**970:  # float() would round it to inf
         raise OverflowError(f"(2N+1)^{power} exceeds the double range at N={n_max}")
+    acc = scale = formed = 0
 
-    def term(m: int) -> float:
-        return (1.0 if m % 2 == 0 else -1.0) / float((2 * m + 1) ** power)
+    def sum_through(m: int) -> float:
+        nonlocal acc, scale, formed
+        if m >= formed:
+            new = 1 - math.frexp(math.ulp(next(_terms(power, m, m))))[1]  # ulp(a_m) = 2^-new
+            acc <<= new - scale
+            scale = new
+            acc += sum(map(int, map(math.ldexp, _terms(power, formed, m), repeat(scale))))
+            formed = m + 1
+        return acc / (1 << scale)
 
+    samples = _trace_samples(n_max)
     entries, settled = [], False
-    for n in _trace_samples(n_max):
+    for n, following in zip(samples, samples[1:] + [n_max]):
         if not settled:
-            s = math.fsum(map(term, range(n + 1)))
-            if n < n_max and abs(term(n + 1)) < math.ulp(s):
-                settled = math.fsum(map(term, range(n + 2))) == s
+            s = sum_through(n)
         entries.append((n, s))
+        m = max(n, math.ceil((math.ulp(s) ** (-1 / power) - 3) / 2))
+        while not settled and m < following:
+            s = sum_through(m)
+            settled = sum_through(m + 1) == s
+            m += 1 + m // 8
     return entries
 
 
@@ -235,10 +263,11 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
 
     I*(k, m) differs from I(k, m) only by the m = 0 correction term, so the
     partial sums come from the closed form of I: no quadrature is needed.
-    The sums stop forming terms once their rounded value settles, so a trace
-    costs O(n_max) terms only for small p = 2k + 1: p = 1 and 3 have not
-    settled by n_max = 10^5, p = 5 settles by n = 1000 and p >= 13 within
-    the first ten samples, whatever n_max is.  The prefactor is
+    The sums form each term once and stop soon after their rounded value
+    settles, also between two samples, so a trace costs O(n_max) terms only
+    for small p = 2k + 1: p = 1 and 3 have not settled by n_max = 10^5,
+    p = 5 settles at n = 836 and p >= 13 within the first ten samples,
+    whatever n_max is.  The prefactor is
     (-1)^k s(2k), so k <= 109, and the terms are floats: (2 n_max + 1)^(2k+1)
     past the double range raises OverflowError, before any table is built.
     """

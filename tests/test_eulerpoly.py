@@ -458,16 +458,86 @@ class TestSuiteMatchesPolynomialReference:
         assert report == polynomial_identity_suite(nmax, et, bt)
         assert report["all_passed"]
 
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60, 201])
+    def test_true_tables_form_no_row_check(self, nmax, monkeypatch):
+        # every row of a true table is certified as its sequence's Appell
+        # row, so no instance falls back to the row checks
+        calls = []
+        for name in ("taylor_shift", "_bridge_holds", "poly_eval", "_chi4"):
+            real = getattr(eulerpoly, name)
+            monkeypatch.setattr(eulerpoly, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        et, bt = _fresh_tables(nmax)
+        assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
+        assert calls == []
+
     @pytest.mark.parametrize("seed", range(50))
-    @pytest.mark.parametrize("table", ["euler", "bernoulli"])
+    @pytest.mark.parametrize("table", ["euler", "bernoulli", "both"])
     def test_single_row_corruption(self, table, seed):
         rng = random.Random(seed)
         nmax = rng.randint(1, 24)
         et, bt = _fresh_tables(nmax)
-        rows = et.polys if table == "euler" else bt.polys
-        _corrupt(rows, rng.randrange(len(rows)), rng)
+        for rows in {"euler": [et.polys], "bernoulli": [bt.polys],
+                     "both": [et.polys, bt.polys]}[table]:
+            _corrupt(rows, rng.randrange(len(rows)), rng)
         report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(nmax, et, bt)
+
+    @pytest.mark.parametrize("j", [0, 1, 4, 9])
+    @pytest.mark.parametrize("table", ["euler", "bernoulli"])
+    def test_sequence_entry_corrupted_after_ensure(self, table, j):
+        # the rows stay true, but from index j up they are no longer the
+        # Appell rows of the corrupted sequence: the suite checks those rows
+        # themselves, and decides the rows below j from the sequence
+        et, bt = _fresh_tables(14)
+        if table == "euler":
+            et.scaled_at_zero(14)[j] += 2
+        else:
+            den, b = bt.scaled_numbers(15)
+            b[j] += 1
+        report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(14, et, bt)
+        assert report["all_passed"]
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 12])
+    @pytest.mark.parametrize("table", ["euler", "bernoulli"])
+    def test_row_from_another_sequence(self, table, n):
+        # the Appell row of a sequence whose entry 5 was bumped is no row of
+        # the true sequence, though it passes every identity that holds for
+        # any Appell sequence; B_5 + 1 differs from B_5 by a constant, which
+        # neither the bridge nor B_{5,chi4} sees
+        et, bt = _fresh_tables(12)
+        if table == "euler":
+            other = EulerTable()
+            other.scaled_at_zero(5)[5] += 2
+            et.polys[n] = other.poly(n)
+        else:
+            other = BernoulliTable()
+            den, b = other.scaled_numbers(5)
+            b[5] += den
+            bt.polys[n] = other.poly(n)
+        report = run_identity_suite(12, euler=et, bernoulli=bt).to_json()
+        assert report == polynomial_identity_suite(12, et, bt)
+        assert report["all_passed"] == (table == "bernoulli" and n == 5)
+
+    @pytest.mark.parametrize("m, i", [(2, 1), (9, 5), (13, 1)])
+    def test_certificate_ignores_row_binomials(self, m, i, monkeypatch):
+        # rows (and the Bernoulli sums) built with one wrong C(m, i): the
+        # suite takes its binomials from Pascal's rule, so row m is not
+        # certified and fails on its own checks
+        real = eulerpoly._binomials
+
+        def wrong(k):
+            row = real(k)
+            if k == m:
+                row[i] += 1
+            return row
+
+        monkeypatch.setattr(eulerpoly, "_binomials", wrong)
+        et, bt = _fresh_tables(14)
+        report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
+        assert not report["all_passed"]
+        assert report == polynomial_identity_suite(14, et, bt)
 
     @pytest.mark.parametrize("degree", [0, 3, 7, 9, 12])
     def test_bridges_hold_for_any_consistent_pair(self, degree):

@@ -317,6 +317,21 @@ class TestAlternatingSums:
         settled = _scale(19) * _reference_sums(20, [10**4])[0][1]
         assert [s for n, s in tr.entries if n >= 100] == [settled] * 11
 
+    def test_stops_between_samples(self, monkeypatch):
+        # J at k = 2 sums p = 4, whose rounded sum settles at m = 7155,
+        # between the samples 10^3 and 10^4; a pass that tried only at the
+        # samples formed 21,171 terms, summing to 10^4 and once more
+        formed = []
+        real = telescope._terms
+        monkeypatch.setattr(telescope, "_terms",
+                            lambda p, lo, hi: formed.append(hi - lo + 1) or real(p, lo, hi))
+        got = _alternating_sums(4, 10**5)
+        assert sum(formed) < 21_171 // 2
+        ns = [n for n, _ in got]
+        assert [(n, s.hex()) for n, s in got] == [
+            (n, s.hex()) for n, s in _reference_sums(4, ns)
+        ]
+
     def test_refusal_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(eulerpoly, "_BERNOULLI", eulerpoly.BernoulliTable())
         monkeypatch.setattr(eulerpoly, "_EULER", eulerpoly.EulerTable())
