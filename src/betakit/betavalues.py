@@ -10,6 +10,7 @@ bound, serves as the numerical oracle the closed forms are tested against.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
@@ -84,6 +85,51 @@ def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
     return PiPowerValue(coeff, 2 * k + 1)
 
 
+def _as_int(value: object, name: str) -> int:
+    """value as an int (bools included), or a TypeError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _chebyshev_d(n: int) -> int:
+    """d_n = ((3+sqrt8)^n + (3-sqrt8)^n)/2, the x of (3+sqrt8)^n = x + y sqrt8.
+
+    Binary powering: squaring maps (x, y) to (x^2 + 8y^2, 2xy), one more
+    factor 3+sqrt8 to (3x + 8y, x + 3y); O(log n) big-integer products.
+    """
+    x, y = 1, 0
+    for bit in bin(n)[2:]:
+        x, y = x * x + 8 * y * y, 2 * x * y
+        if bit == "1":
+            x, y = 3 * x + 8 * y, x + 3 * y
+    return x
+
+
+def _first_big_term(s: int, top: int, n: int) -> int:
+    """min(n, the first k with (2k+1)^s >= 2^top), by bisection.
+
+    s log2(2k+1) is a float off by a few ulps, so outside a wide margin it
+    tells the side of top for certain; inside it (2k+1)^s has about top
+    bits, and only such a power is ever formed.  The first probe is the
+    last term, which settles k0 = n, the low exponents' case, at once.
+    """
+    lo, hi, mid = 0, n, n - 1
+    while lo < hi:
+        log = s * math.log2(2 * mid + 1)
+        if abs(log - top) > 1e-9 * log + 1:
+            big = log > top
+        else:
+            big = (2 * mid + 1) ** s >> top > 0
+        if big:
+            hi = mid
+        else:
+            lo = mid + 1
+        mid = (lo + hi) // 2
+    return lo
+
+
 def _beta_accelerated(s: int, digits: int) -> Fraction:
     """Chebyshev-based acceleration of the alternating series.
 
@@ -101,21 +147,35 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
     n / (d_n 2^bits) of the exact weighted sum.  That loss is divided by
     d_n > 10^digits, so 2^bits > n 10^10 is all it takes to keep it below
     10^-(digits+10): fewer than 50 bits up to 10,000 digits.
+
+    Only the first k0 terms need big-integer work.  The loop's b_k has sign
+    (-1)^(k+1) and |b_0| + ... + |b_n| = d_n, so
+    c_k = (-1)^k (|b_(k+1)| + ... + |b_n|): its size falls strictly from
+    d_n - 1 and stays at least |b_n| = 4^n / 2 for every k < n.  With
+    top = bits + bitlength(d_n), 0 < |c_k| 2^bits < d_n 2^bits <= 2^top, so
+    once (2k+1)^s >= 2^top the floor is 0 at even k and -1 at odd k.  k0 is
+    the first such k (or n), found by bisection on logarithms; the n - k0
+    terms past it are counted, not divided, which leaves acc bit-identical.
+    With d_n by binary powering, the cost is k0 + O(log n) big-integer
+    steps: k0 = n for low exponents at many digits, a handful of terms at
+    high exponents, one term once 3^s >= 2^top.  A kernel that starts the
+    series at an offset keeps the same c_k and so the same lemma; only its
+    cutoff moves, to the first shifted power past 2^top.
     """
     n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
-    u_prev, u = 2, 6
-    for _ in range(n - 1):
-        u_prev, u = u, 6 * u - u_prev
-    d = u // 2
+    d = _chebyshev_d(n)
     bits = (n * 10**10).bit_length()
+    k0 = _first_big_term(s, bits + d.bit_length(), n)
     b = -1
     c = -d
     acc = 0
-    for k in range(n):
+    for k in range(k0):
         c = b - c
         acc += (c << bits) // (2 * k + 1) ** s
         # exact: b_k = (-1)^(k+1) 4^k n/(n+k) C(n+k, 2k) stays integral
         b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
+    # the odd k in [k0, n) each floor to -1
+    acc -= n // 2 - k0 // 2
     return Fraction(acc, d << bits)
 
 
@@ -125,8 +185,13 @@ def beta_series(s: int, digits: int) -> HighPrecisionReal:
     Every s and digit count goes through the accelerated evaluation
     (Cohen, Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)),
     whose geometric error bound certifies the result; it is rounded to
-    digits + 5 places.
+    digits + 5 places.  Of its n ~ 1.31 digits terms, only the k0 whose
+    power (2k+1)^s stays below 2^(bits + bitlength(d_n)) are divided (see
+    _beta_accelerated), so the cost is k0 + O(log n) big-integer steps:
+    all n for beta(3) to 3000 digits, one for beta(10^7).
     """
+    s = _as_int(s, "s")
+    digits = _as_int(digits, "digits")
     if s < 1:
         raise ValueError("s must be >= 1")
     if digits < 1:
@@ -152,6 +217,7 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     |coeff| times either error below 10^-(digits+10), and rounding to
     digits+5 places adds at most 10^-(digits+5) / 2.
     """
+    digits = _as_int(digits, "digits")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if v.power == 0 or v.coeff == 0:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from betakit.betavalues import (
     PiPowerValue,
     _beta_accelerated,
+    _chebyshev_d,
+    _first_big_term,
     beta_odd_exact,
     beta_odd_exact_via_euler,
     beta_series,
@@ -122,6 +124,38 @@ class TestBetaSeries:
         with pytest.raises(ValueError):
             beta_series(2, 0)
 
+    def test_float_exponent_is_a_type_error_naming_s(self):
+        with pytest.raises(TypeError, match="^s must be an integer, not float$"):
+            beta_series(2.0, 10)
+
+    def test_float_digits_is_a_type_error_naming_digits(self):
+        with pytest.raises(TypeError, match="^digits must be an integer, not float$"):
+            beta_series(3, 10.5)
+
+    def test_bools_stay_ints(self):
+        assert beta_series(True, 10) == beta_series(1, 10)
+        assert beta_series(3, True) == beta_series(3, 1)
+
+    def test_huge_exponent_takes_one_term(self):
+        # 3^(10^7) has 16 million bits; the cutoff never forms it
+        assert beta_series(10**7, 12).decimal_str() == "1.000000000000"
+        assert beta_series(10**100, 30).decimal_str() == "1." + "0" * 30
+
+    def test_high_exponents_agree_with_rendered_closed_form(self):
+        for k in range(151):
+            for digits in (1, 12, 30, 100):
+                series = beta_series(2 * k + 1, digits)
+                rendered = render_decimal(beta_odd_exact(k), digits)
+                assert abs(series.value - rendered.value) < F(2, 10**digits), (k, digits)
+
+    def test_agrees_with_mpmath_at_50_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(70):
+            for s in (2, 50, 100, 300):
+                # 60 significant digits of a 70-digit evaluation: off by < 1e-60
+                ref = F(mpmath.nstr(mpmath.dirichlet(s, [0, 1, 0, -1]), 60))
+                assert abs(beta_series(s, 50).value - ref) < F(1, 10**50), s
+
     def test_few_digits_are_correctly_rounded(self):
         # beta(2) = 0.915965594..., beta(4) = 0.988944551...; a float sum cut
         # off at the first-omitted-term bound printed 0.91596 and 0.98895
@@ -130,6 +164,10 @@ class TestBetaSeries:
 
 
 class TestRenderDecimal:
+    def test_float_digits_is_a_type_error_naming_digits(self):
+        with pytest.raises(TypeError, match="^digits must be an integer, not float$"):
+            render_decimal(beta_odd_exact(1), 2.5)
+
     def test_quarter_pi_fifteen_digits(self):
         v = render_decimal(PiPowerValue(F(1, 4), 1), 15)
         assert v.decimal_str() == "0.785398163397448"
@@ -152,13 +190,18 @@ class TestRenderDecimal:
             assert abs(rendered.value - series.value) < F(1, 10**12)
 
 
-def _crvz_fraction_loop(s: int, digits: int) -> Fraction:
-    """The accelerated series as the earlier all-`Fraction` loop."""
+def _series_terms(digits: int) -> tuple[int, int, int]:
+    """n, d_n and bits of the accelerated series, d_n by the n-step recurrence."""
     n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
     u_prev, u = 2, 6
     for _ in range(n - 1):
         u_prev, u = u, 6 * u - u_prev
-    d = u // 2
+    return n, u // 2, (n * 10**10).bit_length()
+
+
+def _crvz_fraction_loop(s: int, digits: int) -> Fraction:
+    """The accelerated series as the earlier all-`Fraction` loop."""
+    n, d, _ = _series_terms(digits)
     scale = 10 ** (digits + 10)
     b = Fraction(-1)
     c = Fraction(-d)
@@ -168,6 +211,28 @@ def _crvz_fraction_loop(s: int, digits: int) -> Fraction:
         acc += c * (scale // (2 * k + 1) ** s)
         b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
     return acc / d / scale
+
+
+def _crvz_full_loop(s: int, digits: int) -> Fraction:
+    """The integer series as the earlier code ran it: every one of the n terms."""
+    n, d, bits = _series_terms(digits)
+    b, c, acc = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        acc += (c << bits) // (2 * k + 1) ** s
+        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
+    return Fraction(acc, d << bits)
+
+
+def _linear_k0(s: int, top: int, n: int) -> int:
+    """min(n, the first k with (2k+1)^s >= 2^top), by a linear search on exact powers."""
+    return next((k for k in range(n) if (2 * k + 1) ** s >= 1 << top), n)
+
+
+def _cutoff(s: int, digits: int) -> tuple[int, int]:
+    """The series' k0, and n."""
+    n, d, bits = _series_terms(digits)
+    return _linear_k0(s, bits + d.bit_length(), n), n
 
 
 def _exact_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
@@ -225,11 +290,7 @@ class TestFixedPointKernels:
 
 def _crvz_exact_sum(s: int, digits: int) -> Fraction:
     """The CRVZ weighted sum (1/d_n) sum_k c_k / (2k+1)^s with no floors."""
-    n = int((digits * math.log(10) + math.log(8)) / math.log(3 + math.sqrt(8))) + 2
-    u_prev, u = 2, 6
-    for _ in range(n - 1):
-        u_prev, u = u, 6 * u - u_prev
-    d = u // 2
+    n, d, _ = _series_terms(digits)
     b, c = -1, -d
     # one common denominator: a Fraction sum would reduce at every term
     denom = math.lcm(*((2 * k + 1) ** s for k in range(n)))
@@ -239,6 +300,70 @@ def _crvz_exact_sum(s: int, digits: int) -> Fraction:
         acc += c * (denom // (2 * k + 1) ** s)
         b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
     return Fraction(acc, d * denom)
+
+
+CUTOFF_EXPONENTS = list(range(1, 81)) + [101, 201, 601, 10**4]
+CUTOFF_DIGITS = list(range(1, 31)) + [50, 100, 200, 1000]
+
+
+class TestSeriesCutoff:
+    """Terms past the first power above 2^top are counted, not divided."""
+
+    def test_matches_full_loop_on_grid(self):
+        for s in CUTOFF_EXPONENTS:
+            for digits in CUTOFF_DIGITS:
+                assert _beta_accelerated(s, digits) == _crvz_full_loop(s, digits), (s, digits)
+
+    def test_grid_spans_every_cutoff_regime(self):
+        k0_regimes = set()
+        for s in CUTOFF_EXPONENTS:
+            for digits in CUTOFF_DIGITS:
+                k0, n = _cutoff(s, digits)
+                k0_regimes.add("n" if k0 == n else 1 if k0 == 1 else "between")
+        assert k0_regimes == {"n", 1, "between"}
+        assert _cutoff(1, 1000)[0] == _cutoff(1, 1000)[1]
+        assert _cutoff(10**4, 1000)[0] == 1
+
+    def test_matches_full_loop_on_either_side_of_the_boundary(self):
+        # for each k, the least s with (2k+1)^s >= 2^top puts k0 <= k, and
+        # s - 1 leaves (2k+1)^(s-1) just below it
+        for digits in list(range(1, 31)) + [100]:
+            n, d, bits = _series_terms(digits)
+            top = bits + d.bit_length()
+            for k in range(1, n):
+                s = 1
+                while (2 * k + 1) ** s < 1 << top:
+                    s += 1
+                for t in (s - 1, s):
+                    assert _beta_accelerated(t, digits) == _crvz_full_loop(t, digits), (t, digits)
+                assert _cutoff(s, digits)[0] <= k < _cutoff(s - 1, digits)[0]
+
+    def test_first_big_term_matches_linear_search(self):
+        for s in (1, 2, 3, 7, 40, 41, 600, 601):
+            for n in (1, 2, 5, 50):
+                for base in range(3, 2 * n + 3, 2):
+                    # tops right at each power, so the exact branch decides
+                    boundary = (base**s).bit_length()
+                    for top in (boundary - 1, boundary, boundary + 1):
+                        assert _first_big_term(s, top, n) == _linear_k0(s, top, n), (s, top, n)
+
+    def test_chebyshev_d_matches_recurrence(self):
+        for digits in range(1, 400):
+            n, d, _ = _series_terms(digits)
+            assert _chebyshev_d(n) == d, digits
+
+    def test_weights_alternate_fall_and_stay_nonzero(self):
+        # the lemma the cutoff rests on: c_k = (-1)^k |c_k| with
+        # d_n > |c_0| > |c_1| > ... > |c_(n-1)| > 0
+        for digits in range(1, 400):
+            n, d, _ = _series_terms(digits)
+            b, c, size = -1, -d, d
+            for k in range(n):
+                c = b - c
+                assert c != 0 and (c > 0) == (k % 2 == 0), (digits, k)
+                assert abs(c) < size, (digits, k)
+                size = abs(c)
+                b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
 
 
 class TestErrorBudgets:
