@@ -30,6 +30,7 @@ from .eulerpoly import (
 from .exact import rational_str
 from .highprec import BudgetExceededError
 from .quadrature import (
+    DEFAULT_TOL,
     MIN_TOL,
     IntegrandSpec,
     aux_integral_I_closed,
@@ -44,7 +45,6 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_DEFAULT_TOL = 1e-8
 _MAX_DIGITS = 1000
 
 
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=None,
                         help="decimal digits for rendered values (default 12)")
-    common.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="absolute tolerance, at least 1e-13: beta even exits 2 if its "
                              "error bound exceeds it (default 1e-8)")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")

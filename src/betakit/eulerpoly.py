@@ -3,11 +3,12 @@
 The Euler polynomials E_n(x) are generated by 2 e^(xt) / (e^t + 1), the
 Euler numbers E_n by 2 e^t / (e^(2t) + 1), and the Bernoulli polynomials
 B_n(x) by the classical recurrence with the B_1 = -1/2 convention.  Each
-table caches integer sequences, grown on demand, and builds a polynomial
-only when asked: 2^j E_j(0) and E_n from the tangent and secant triangles,
-and D B_j from the Bernoulli sum recurrence.  No table is derived from
-another, so the dual-route checks compare independent computations; every
-classical identity relating them is an executable, exactly-checked suite.
+table is its integer sequences, grown on demand, and builds a polynomial
+only when asked, keeping none: 2^j E_j(0) and E_n from the tangent and
+secant triangles, and D B_j from the Bernoulli sum recurrence.  No table is
+derived from another, so the dual-route checks compare independent
+computations; every classical identity relating them is an executable,
+exactly-checked suite.
 """
 
 from __future__ import annotations
@@ -64,16 +65,15 @@ def _triangle_step(col: list[int], c: int) -> list[int]:
 class _Table:
     """Integer sequences, each grown on demand on its own, and rows built from them.
 
-    Scalar readers read the sequences and build no row.  ``poly(n)`` builds
-    row n in O(n) (``_row`` on the sequence ``_sequence(n)`` returns) and
-    keeps it nowhere, ``number(n)`` grows ``numbers`` to index n, and
-    ``ensure(n)`` also grows ``polys``, the identity suite's row prefix.
-    Growth appends under the table's lock (one writer), and entries never
-    change once written, so reads need no synchronization.
+    A table holds its sequences alone.  Scalar readers read them and build
+    no row; ``poly(n)`` is the only way to get a row: it builds row n in
+    O(n) (``_row`` on the sequence ``_sequence(n)`` returns) and keeps it
+    nowhere, and ``number(n)`` grows ``numbers`` to index n.  Growth appends
+    under the table's lock (one writer), and entries never change once
+    written, so reads need no synchronization.
     """
 
     def __init__(self) -> None:
-        self.polys: list[RationalPolynomial] = []
         self.numbers: list[Fraction] = []
         self._lock = threading.Lock()
 
@@ -85,11 +85,6 @@ class _Table:
                 for m in range(len(entries), n + 1):
                     entries.append(entry(m))
         return entries
-
-    def ensure(self, n: int) -> None:
-        self.number(n)
-        seq = self._sequence(n)
-        self._grow(self.polys, n, lambda m: self._row(seq, m))
 
     def poly(self, n: int) -> RationalPolynomial:
         return self._row(self._sequence(n), n)
@@ -353,37 +348,58 @@ def _is_row(p: RationalPolynomial, scale: int, terms: list[int]) -> bool:
     return all(x * scale == p.den * t for x, t in zip_longest(p.nums, terms, fillvalue=0))
 
 
-def _sequence_checks(rows: list, brows: list, a: list[int], den: int, b: list[int]) -> tuple:
-    # One pass over r with Pascal's row c = C(r, .), grown by additions.  Per
-    # Euler index r < len(rows): whether row r is the Appell row of a, 1.1
-    # and 1.3 decided on a through index r, and (2^r E_r(1/2), 2^r); per
-    # Bernoulli index: whether row r is that of D B_j over D, (4 D B_(r,chi4),
-    # 4 D) and, for 1 <= r < len(rows), the bridge decided through index r.
-    euler_ok, reflect, shift_sum, half = [], [], [], []
-    bern_ok, chi4, bridge = [], [None], [None]
+def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
+    # One pass over r with Pascal's row c = C(r, .), grown by additions, in
+    # which row r of each table is built, certified and checked.  Per Euler
+    # index r <= nmax: 1.1, 1.3, 1.4 and 1.5 at r, and E_r(1/2) as a ratio;
+    # per Bernoulli index r <= nmax + 1: (4 D B_(r,chi4), 4 D) and, for
+    # 1 <= r <= nmax, the bridge at r.
+    a = et.scaled_at_zero(nmax)
+    den, b = bt.scaled_numbers(nmax + 1)
+    reflect, shift_sum, vanish, deriv, half, chi4, bridge = [], [], [], [], [], [None], [None]
+    prev, prev_ok = RationalPolynomial.zero(), True  # E_(r-1), and 0 below E_0
     c, p3, ok11, ok13, ok_bridge = [], [1], True, True, True
-    for r, brow in enumerate(brows):
+    for r in range(nmax + 2):
         c = [1, *map(add, c, c[1:]), 1] if c else [1]
         u = [x * y for x, y in zip(c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
-        bern_ok.append(_is_row(brow, den, u[::-1]))
+        brow = bt.poly(r)
+        bern_ok = _is_row(brow, den, u[::-1])
         if r:
             p3.append(3 * p3[-1])
-            chi4.append((sum(x * (1 - p3[r - j]) << 2 * j for j, x in enumerate(u) if x), den << 2))
-        if r < len(rows):
-            t = [x * y for x, y in zip(c, a)]  # C(r, j) a_j
-            terms = [x << r - j for j, x in enumerate(t)][::-1]  # the coefficient of x^i, over 2^r
-            euler_ok.append(_is_row(rows[r], 1 << r, terms))
-            at_one = sum(terms)  # A_r = 2^r E_r(1)
-            ok11 = ok11 and at_one == (-1) ** r * a[r]
-            ok13 = ok13 and at_one + a[r] == (0 if r else 2)
-            reflect.append(ok11)
-            shift_sum.append(ok13)
-            half.append((sum(t), 1 << r))
-            if r:
-                rhs = sum(x << j for j, x in enumerate(u[:r]) if x)
-                ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
-                bridge.append(ok_bridge)
-    return euler_ok, reflect, shift_sum, half, bern_ok, chi4, bridge
+            chi4.append((sum(x * (1 - p3[r - j]) << 2 * j for j, x in enumerate(u) if x), den << 2)
+                        if bern_ok else _chi4(brow, r).as_integer_ratio())
+        if r > nmax:
+            break
+        row = et.poly(r)
+        t = [x * y for x, y in zip(c, a)]  # C(r, j) a_j
+        terms = [x << r - j for j, x in enumerate(t)][::-1]  # the coefficient of x^i, over 2^r
+        ok = _is_row(row, 1 << r, terms)
+        at_one = sum(terms)  # A_r = 2^r E_r(1)
+        ok11 = ok11 and at_one == (-1) ** r * a[r]
+        ok13 = ok13 and at_one + a[r] == (0 if r else 2)
+        if ok:
+            checks = ok11, ok13, a[r] == at_one == 0, (sum(t), 1 << r)
+        else:
+            # on the row E_r = (1/D) sum c_j x^j: with E_r(x+1) = (1/D) sum s_j x^j,
+            # 1.1 reads (-1)^j s_j = (-1)^r c_j; E_r(0) = c_0 / D, E_r(1) = sum c_j / D
+            s = taylor_shift(row.nums)
+            checks = (s == [-x if (r + j) % 2 else x for j, x in enumerate(row.nums)],
+                      [x + y for x, y in zip(s, row.nums)] == [0] * r + [2 * row.den],
+                      not any(row.nums[:1]) and sum(row.nums) == 0,
+                      poly_eval(row, _HALF).as_integer_ratio())
+        for family, check in zip((reflect, shift_sum, vanish, half), checks):
+            family.append(check)
+        # 1.5 on the rows: D_(r-1) j c_j = r D_r f_(j-1), with E_r = (1/D_r) sum c_j x^j
+        # and E_(r-1) = (1/D_(r-1)) sum f_j x^j
+        deriv.append((ok and prev_ok)
+                     or [j * x * prev.den for j, x in enumerate(row.nums) if j]
+                     == [r * f * row.den for f in prev.nums])
+        if r:
+            rhs = sum(x << j for j, x in enumerate(u[:r]) if x)
+            ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
+            bridge.append(ok_bridge if bern_ok and prev_ok else _bridge_holds(brow, prev, r))
+        prev, prev_ok = row, ok
+    return reflect, shift_sum, vanish, deriv, half, chi4, bridge
 
 
 def run_identity_suite(
@@ -413,14 +429,16 @@ def run_identity_suite(
     Each family is a stream of (n, ok) checks, one instance per index, and
     reports its first failing n.  Both tables hold Appell sequences (Appell
     1880; DLMF 24.4): E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i and
-    B_n(x) = sum_i C(n, i) B_(n-i) x^i.  So the suite first certifies, in
-    O(n), that row n is its own table's Appell row: with a_j = 2^j E_j(0)
-    (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``), an Euler row
-    (1/den) sum nums_i x^i is certified when nums_i 2^n = den C(n, i) 2^i
-    a_(n-i), and a Bernoulli row when nums_i D = den C(n, i) D B_(n-i), for
-    every i <= n with nothing past degree n.  The binomials come
-    from Pascal's rule by additions, not from the ``_binomials`` the rows
-    were built with, so a row built with a wrong binomial is not certified.
+    B_n(x) = sum_i C(n, i) B_(n-i) x^i.  In one pass over n the suite builds
+    row n of each table with ``poly(n)`` and certifies in O(n) that it is
+    its own table's Appell row: with
+    a_j = 2^j E_j(0) (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``),
+    an Euler row (1/den) sum nums_i x^i is certified when
+    nums_i 2^n = den C(n, i) 2^i a_(n-i), and a Bernoulli row when
+    nums_i D = den C(n, i) D B_(n-i), for every i <= n with nothing past
+    degree n.  The binomials come from Pascal's rule by additions, not from
+    the ``_binomials`` the rows were built with, so a row built with a wrong
+    binomial is not certified.
     Every shifted or evaluated Appell row is again a sum over the sequence
     (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows each
     family is decided by scalar sums, one per index r and shared by every
@@ -445,11 +463,13 @@ def run_identity_suite(
            the coefficient of x^i on the right is
            C(k-1, i) 2^m (B_m(1/2) - B_m) / m, and 2^m B_m(1/2) is
            sum_(j<=m) C(m, j) B_j 2^j; on the left it is C(k-1, i) E_(m-1)(0).
-      1.4  reads the row, which forms no shift: E_n(0) and E_n(1) are its
-           constant term and its coefficient sum over den.
+      1.4  holds at n iff a_n = A_n = 0: E_n(0) = a_n / 2^n and
+           E_n(1) = A_n / 2^n.
 
-    An instance that touches an uncertified row (a corrupted or injected
-    one) is checked on that row, on its integer coefficient list: one
+    Every row is built once and dropped after the next index, so the pass
+    holds O(nmax) integers of rows.  An instance that touches an
+    uncertified row (a corrupted or injected one) is checked in the pass on
+    that row, on its integer coefficient list: one
     addition-only Taylor shift gives E_n(x+1) for 1.1 and 1.3, another
     B_k((x+1)/2) for the bridge, the derivative's coefficients give 1.5,
     and ``poly_eval`` and one Horner pass give E_n(1/2) and B_{n,chi4}.  Two
@@ -457,50 +477,23 @@ def run_identity_suite(
     multiplying both sides by the same nonzero integer keeps them equal or
     unequal, so either way the verdict holds for every x.  On true tables no
     shift (O(n^2) per row) is formed, and the suite costs O(nmax^2) integer
-    operations.  ``trials`` (>= 1) and ``seed`` are
-    validated and otherwise ignored, so the report depends on nmax and the
-    tables alone.  Failures are reported, not raised: a corrupted table
-    yields a failing entry.
+    operations.  ``trials`` (>= 1) and ``seed`` are validated and otherwise
+    ignored, so the report depends on nmax and the tables alone.  Failures
+    are reported, not raised: a corrupted table yields a failing entry.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     et = euler if euler is not None else _EULER
     bt = bernoulli if bernoulli is not None else _BERNOULLI
-    et.ensure(nmax)
-    bt.ensure(nmax + 1)
-    rows, brows = et.polys[: nmax + 1], bt.polys[: nmax + 2]
-    den, b = bt.scaled_numbers(nmax + 1)
-    euler_ok, reflect, shift_sum, half, bern_ok, chi4, bridge = _sequence_checks(
-        rows, brows, et.scaled_at_zero(nmax), den, b)
-
-    # the row checks, where an instance touches an uncertified row
-    for n, p in enumerate(rows):
-        if not euler_ok[n]:
-            # E_n(x+1) = (1/D) sum s_j x^j, and E_n(1-x) has coefficients
-            # (-1)^j s_j / D, so 1.1 reads (-1)^j s_j = (-1)^n c_j
-            s = taylor_shift(p.nums)
-            reflect[n] = s == [-c if (n + j) % 2 else c for j, c in enumerate(p.nums)]
-            shift_sum[n] = [x + c for x, c in zip(s, p.nums)] == [0] * n + [2 * p.den]
-            half[n] = poly_eval(p, _HALF).as_integer_ratio()
-    for n in range(1, nmax + 2):
-        if not bern_ok[n]:
-            chi4[n] = _chi4(brows[n], n).as_integer_ratio()
-        if n <= nmax and not (bern_ok[n] and euler_ok[n - 1]):
-            bridge[n] = _bridge_holds(brows[n], rows[n - 1], n)
-
+    et.number(nmax)
+    reflect, shift_sum, vanish, deriv, half, chi4, bridge = _suite_pass(et, bt, nmax)
     families = {
         "1.1": enumerate(reflect),
         "1.2": ((n, _ratio_eq(*et.numbers[n].as_integer_ratio(), h << n, v))
                 for n, (h, v) in enumerate(half)),
         "1.3": enumerate(shift_sum),
-        # E_n(0) = c_0 / D and E_n(1) = sum c_i / D
-        "1.4": ((n, not any(rows[n].nums[:1]) and sum(rows[n].nums) == 0)
-                for n in range(2, nmax + 1, 2)),
-        # D_(n-1) j c_j = n D_n f_(j-1), with E_(n-1) = (1/D_(n-1)) sum f_j x^j
-        "1.5": ((n, all(euler_ok[max(n - 1, 0) : n + 1])
-                 or [j * c * q.den for j, c in enumerate(p.nums) if j]
-                 == [n * f * p.den for f in q.nums])
-                for n, (p, q) in enumerate(zip(rows, [RationalPolynomial.zero()] + rows))),
+        "1.4": ((n, vanish[n]) for n in range(2, nmax + 1, 2)),
+        "1.5": enumerate(deriv),
         # E_n(1/2) (n+1) 2^(n-1) = -B_{n+1,chi4}, doubled
         "1.6": ((n, _ratio_eq(half[n][0] * ((n + 1) << n), half[n][1],
                               -2 * chi4[n + 1][0], chi4[n + 1][1]))

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MIN_TOL = 1e-13  # double-precision floor for requested tolerances
+DEFAULT_TOL = 1e-8  # the tol of every call that passes none, the CLI's included
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] for n = 15, as (nodes, weights).
@@ -219,7 +220,8 @@ def beta_even_integrand(k: int, t: float) -> float:
     return _scale(2 * k - 1) * _sec_integrand(k, t)
 
 
-def beta_even_quadrature(k: int, tol: float, printed_sign: bool = False) -> QuadratureResult:
+def beta_even_quadrature(k: int, tol: float = DEFAULT_TOL,
+                         printed_sign: bool = False) -> QuadratureResult:
     """beta(2k) by quadrature of the integral representation.
 
     beta(2k) = (-1)^k / 2 * integral_0^(1/2) p_{2k-1}(t) sec(pi t) dt for any
@@ -257,7 +259,7 @@ def aux_integral_J_closed(k: int, m: int) -> PiPowerValue:
     return PiPowerValue(coeff, -(2 * k + 2))
 
 
-def aux_integral_numeric(spec: IntegrandSpec, tol: float) -> QuadratureResult:
+def aux_integral_numeric(spec: IntegrandSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """I(k, m) or J(k, m) by repeated integration by parts, rounded to a double.
 
     With n = 2k (I, sine) or 2k + 1 (J, cosine) and c = (2m+1) pi, step i

@@ -21,7 +21,7 @@ from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field
 from .highprec import pi_fraction
 from .quadrature import (
-    MIN_TOL, _float_coeffs, _horner, _scale, _sec_integral, beta_even_integrand,
+    DEFAULT_TOL, MIN_TOL, _float_coeffs, _horner, _scale, _sec_integral, beta_even_integrand,
 )
 
 __all__ = [
@@ -280,7 +280,7 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
     return PartialSumTrace("I_star", k, 0.0, entries)
 
 
-def partial_sum_J(k: int, n_max: int, tol: float) -> PartialSumTrace:
+def partial_sum_J(k: int, n_max: int, tol: float = DEFAULT_TOL) -> PartialSumTrace:
     """Partial sums of sum_m (-1)^m J(k-1, m) against their integral target.
 
     The closed form gives the terms, with the prefactor (-1)^k s(2k-1); the

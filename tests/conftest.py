@@ -106,12 +106,12 @@ def polynomial_identity_suite(nmax: int, euler, bernoulli) -> dict:
     Fraction (``compose_affine`` for E_n(x+1) and B_k((x+1)/2), ``poly_eval``
     at 1/4, 1/2 and 3/4, ``derivative``) and compared with ``==``: the
     reference that ``run_identity_suite``'s integer coefficient lists are
-    held to.  ``euler`` and ``bernoulli`` are tables grown to at least nmax
-    and nmax + 1.
+    held to.  Its rows come from the tables' ``poly(n)``, as the suite's do,
+    and its numbers from ``euler.number(n)``.
     """
     half = Fraction(1, 2)
-    e = euler.polys
-    b = bernoulli.polys
+    e = [euler.poly(n) for n in range(nmax + 1)]
+    b = [bernoulli.poly(n) for n in range(nmax + 2)]
 
     def chi4(n):
         return 4 ** (n - 1) * (b[n](Fraction(1, 4)) - b[n](Fraction(3, 4)))
@@ -123,7 +123,7 @@ def polynomial_identity_suite(nmax: int, euler, bernoulli) -> dict:
     families = {
         "1.1": [(n, shifted[n].compose_affine(-1, 0) == (-1) ** n * e[n])
                 for n in range(nmax + 1)],
-        "1.2": [(n, euler.numbers[n] == 2**n * e[n](half)) for n in range(nmax + 1)],
+        "1.2": [(n, euler.number(n) == 2**n * e[n](half)) for n in range(nmax + 1)],
         "1.3": [(n, shifted[n] + e[n] == RationalPolynomial.monomial(n, 2))
                 for n in range(nmax + 1)],
         "1.4": [(n, e[n](Fraction(0)) == 0 and e[n](Fraction(1)) == 0)

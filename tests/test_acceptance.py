@@ -74,7 +74,7 @@ def test_criterion_3_identity_suite_with_negative_control():
     assert len(report.results) == 8
 
     corrupted = EulerTable()
-    corrupted.ensure(10)
+    corrupted.number(10)
     corrupted.numbers[4] = F(6)
     control = run_identity_suite(10, 5, SUITE_SEED, euler=corrupted)
     assert not control.all_passed

@@ -139,11 +139,11 @@ class TestGeneralizedBernoulliChi4:
 class TestTables:
     def test_euler_table_invariants(self):
         t = EulerTable()
-        t.ensure(12)
-        assert t.polys[0] == RationalPolynomial.from_coefficients([1])
-        assert t.polys[1] == RationalPolynomial.from_coefficients([-HALF, 1])
+        t.number(12)
+        assert t.poly(0) == RationalPolynomial.from_coefficients([1])
+        assert t.poly(1) == RationalPolynomial.from_coefficients([-HALF, 1])
         for n in range(13):
-            assert t.numbers[n] == 2**n * t.polys[n](HALF)
+            assert t.numbers[n] == 2**n * t.poly(n)(HALF)
             if n % 2 == 1:
                 assert t.numbers[n] == 0
 
@@ -160,16 +160,16 @@ class TestTables:
                     row[i] += c * cj
             rows.append(row)
         t = EulerTable()
-        t.ensure(10)  # grown in two steps, so resuming the scalar recurrence is covered
-        t.ensure(40)
-        assert [list(p.coeffs) for p in t.polys] == rows
-        assert t.numbers == [2**m * t.polys[m](HALF) for m in range(41)]
+        _grow(t, 10)  # grown in two steps, so resuming the scalar recurrence is covered
+        _grow(t, 40)
+        assert [list(p.coeffs) for p in _rows(t, 40)] == rows
+        assert t.numbers == [2**m * t.poly(m)(HALF) for m in range(41)]
 
     def test_bernoulli_table_growth_is_idempotent(self):
         t = BernoulliTable()
-        t.ensure(5)
+        _grow(t, 5)
         five = list(t.numbers)
-        t.ensure(9)
+        _grow(t, 9)
         assert t.numbers[:6] == five
 
     def test_concurrent_table_growth(self):
@@ -198,6 +198,25 @@ class TestTables:
 REFERENCE_N = 201
 
 
+def _grow(table, n: int) -> None:
+    # grow both of the table's sequences to index n in one step each
+    table.number(n)
+    table.poly(n)
+
+
+def _rows(table, n: int) -> list[RationalPolynomial]:
+    return [table.poly(m) for m in range(n + 1)]
+
+
+def _holds_no_row(table) -> bool:
+    # no attribute of the table is a row, or a list or tuple holding one
+    for value in vars(table).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, RationalPolynomial) for v in items):
+            return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def euler_reference():
     return appell_euler_table(REFERENCE_N)
@@ -222,10 +241,11 @@ class TestIntegerTables:
         ref_polys, ref_numbers = request.getfixturevalue(reference)
         t = table()
         for n in (0, 7, 60, REFERENCE_N):  # each step resumes the triangles
-            t.ensure(n)
+            _grow(t, n)
+            rows = _rows(t, n)
             assert t.numbers == ref_numbers[: n + 1], n
-            assert t.polys == ref_polys[: n + 1], n
-        assert _pickled(t.polys, t.numbers) == _pickled(ref_polys, ref_numbers)
+            assert rows == ref_polys[: n + 1], n
+        assert _pickled(rows, t.numbers) == _pickled(ref_polys, ref_numbers)
 
     def test_concurrent_growth_equals_reference(self, euler_reference, bernoulli_reference):
         # more threads than cores, switching every microsecond, each growing
@@ -236,7 +256,7 @@ class TestIntegerTables:
 
         et, bt = EulerTable(), BernoulliTable()
         sizes = (120, 7, REFERENCE_N, 60, 1, 150, 33, REFERENCE_N)
-        threads = [threading.Thread(target=lambda n=n: (et.ensure(n), bt.ensure(n)))
+        threads = [threading.Thread(target=lambda n=n: (_grow(et, n), _grow(bt, n)))
                    for n in sizes]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -248,10 +268,10 @@ class TestIntegerTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert (et.polys, et.numbers) == euler_reference
-        assert (bt.polys, bt.numbers) == bernoulli_reference
+        assert (_rows(et, REFERENCE_N), et.numbers) == euler_reference
+        assert (_rows(bt, REFERENCE_N), bt.numbers) == bernoulli_reference
 
-    @pytest.mark.parametrize("order", ["numbers first", "polys first", "interleaved"])
+    @pytest.mark.parametrize("order", ["numbers first", "rows first", "interleaved"])
     @pytest.mark.parametrize("table, reference", [
         (EulerTable, "euler_reference"), (BernoulliTable, "bernoulli_reference"),
     ])
@@ -259,8 +279,8 @@ class TestIntegerTables:
         # each thread reads one entry through number() or poly(), which grow
         # only the sequence that entry is read from: in the first two orders
         # the numbers stay unbuilt until their own threads run, and poly()
-        # keeps no row, so polys stays empty until ensure().  Every entry
-        # read, and both lists after ensure(), equal the reference
+        # keeps no row, so the table never holds one.  Every entry read, and
+        # the numbers and rows once grown to the end, equal the reference
         import threading
 
         ref_polys, ref_numbers = request.getfixturevalue(reference)
@@ -283,10 +303,10 @@ class TestIntegerTables:
                 for th in threads:
                     th.join(timeout=60)
                 assert not any(th.is_alive() for th in threads)
-                assert t.polys == []
+                assert _holds_no_row(t)
                 if order == "numbers first" and phase is phases[0]:
                     assert t.numbers == ref_numbers
-                if order == "polys first" and phase is phases[0]:
+                if order == "rows first" and phase is phases[0]:
                     assert t.numbers == []
         finally:
             sys.setswitchinterval(interval)
@@ -294,42 +314,47 @@ class TestIntegerTables:
         for read, n, value in got:
             want = (ref_numbers if read == t.number else ref_polys)[n]
             assert pickle.dumps(value) == pickle.dumps(want), (read.__name__, n)
-        t.ensure(REFERENCE_N)
-        assert (t.polys, t.numbers) == (ref_polys, ref_numbers)
-        assert _pickled(t.polys, t.numbers) == _pickled(ref_polys, ref_numbers)
+        t.number(REFERENCE_N)
+        rows = _rows(t, REFERENCE_N)
+        assert (rows, t.numbers) == (ref_polys, ref_numbers)
+        assert _pickled(rows, t.numbers) == _pickled(ref_polys, ref_numbers)
 
-    @pytest.mark.parametrize("call, reads_numbers", [
-        ("from betakit import euler_number; euler_number(200)", True),
-        ("from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)", True),
+    @pytest.mark.parametrize("call, reads_numbers, rows", [
+        ("from betakit import euler_number; euler_number(200)", True, "0 0"),
+        ("from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)", True, "0 0"),
         ("from betakit.cli import run_cli\n"
          "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
-         True),
-        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False),
+         True, "0 0"),
+        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False, "0 0"),
         ("from betakit import IntegrandSpec, aux_integral_numeric\n"
-         "aux_integral_numeric(IntegrandSpec('aux_I', 50, 0), 1e-8)", True),
-        ("from betakit import ExtendedFunctionSpec; ExtendedFunctionSpec('f', 50)", True),
-        ("from betakit import correction_term; correction_term(50, 0)", True),
+         "aux_integral_numeric(IntegrandSpec('aux_I', 50, 0), 1e-8)", True, "0 0"),
+        ("from betakit import ExtendedFunctionSpec; ExtendedFunctionSpec('f', 50)", True, "0 0"),
+        ("from betakit import correction_term; correction_term(50, 0)", True, "0 0"),
         ("from betakit import euler_polynomial, bernoulli_polynomial\n"
-         "assert euler_polynomial(301).degree == bernoulli_polynomial(302).degree - 1", False),
+         "assert euler_polynomial(301).degree == bernoulli_polynomial(302).degree - 1",
+         False, "1 1"),
     ], ids=["euler_number", "beta_even_quadrature", "beta_odd_cross_check", "beta_odd_exact",
             "aux_I_50_0", "extended_f_50", "correction_term_50_0", "polynomials"])
-    def test_number_paths_build_no_euler_row(self, call, reads_numbers):
+    def test_number_paths_build_no_euler_row(self, call, reads_numbers, rows):
         # a fresh process, so no earlier test has grown the module's tables:
         # each call reads the tables' integer sequences (E_n from the secant
-        # triangle alone where it reads numbers), and poly(n) builds the one
-        # row it returns and keeps it nowhere, so neither row prefix grows
-        script = (f"{call}\nfrom betakit import eulerpoly\n"
-                  "print(len(eulerpoly._EULER.polys), len(eulerpoly._BERNOULLI.polys),"
+        # triangle alone where it reads numbers) and builds no row; only
+        # euler_polynomial and bernoulli_polynomial build a row, the one
+        # they return.  rows counts the calls to each table's _row
+        script = ("from betakit import eulerpoly\nbuilt = []\n"
+                  "for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):\n"
+                  "    cls._row = lambda self, seq, n, real=cls._row:"
+                  " built.append(type(self)) or real(self, seq, n)\n"
+                  f"{call}\n"
+                  "print(built.count(eulerpoly.EulerTable), built.count(eulerpoly.BernoulliTable),"
                   " len(eulerpoly._EULER.numbers) > 0)\n")
         r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.decode().splitlines()[-1] == f"0 0 {reads_numbers}"
+        assert r.stdout.decode().splitlines()[-1] == f"{rows} {reads_numbers}"
 
     @pytest.mark.parametrize("table", [EulerTable, BernoulliTable])
     def test_rows_carry_their_canonical_integer_form(self, table):
-        t = table()
-        t.ensure(REFERENCE_N)
-        for p in t.polys:
+        for p in _rows(table(), REFERENCE_N):
             assert p == RationalPolynomial.from_coefficients(p.coeffs)
             assert math.gcd(p.den, *p.nums) == 1
 
@@ -371,7 +396,7 @@ class TestIdentitySuite:
 
     def test_corrupted_table_fails_on_power_identity(self):
         t = EulerTable()
-        t.ensure(10)
+        t.number(10)
         t.numbers[4] = F(6)
         report = run_identity_suite(10, 5, 42, euler=t)
         assert not report.all_passed
@@ -384,8 +409,7 @@ class TestIdentitySuite:
         # E_7 + x^3 is no Euler polynomial; 1.1 and 1.3 compare polynomials,
         # so they catch it whatever x a sample would have drawn
         t = EulerTable()
-        t.ensure(12)
-        t.polys[7] = t.polys[7] + RationalPolynomial.monomial(3, 1)
+        _inject(t, {7: t.poly(7) + RationalPolynomial.monomial(3, 1)})
         report = run_identity_suite(12, 1, 0, euler=t)
         failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
         assert failures == {
@@ -397,8 +421,7 @@ class TestIdentitySuite:
         # B_9 + x^2 is no Bernoulli polynomial: B_{9,chi4} moves, which 1.6
         # (at n = 8) and bridge_chi4 see, and so does the bridge to E_8(x)
         t = BernoulliTable()
-        t.ensure(13)
-        t.polys[9] = t.polys[9] + RationalPolynomial.monomial(2, 1)
+        _inject(t, {9: t.poly(9) + RationalPolynomial.monomial(2, 1)})
         report = run_identity_suite(12, 1, 0, bernoulli=t)
         failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
         assert failures == {
@@ -424,28 +447,28 @@ class TestIdentitySuite:
             assert entry["first_failure"] is None or set(entry["first_failure"]) == {"n"}
 
 
-def _fresh_tables(nmax: int) -> tuple[EulerTable, BernoulliTable]:
-    et, bt = EulerTable(), BernoulliTable()
-    et.ensure(nmax)
-    bt.ensure(nmax + 1)
-    return et, bt
+def _inject(table, rows: dict[int, RationalPolynomial]) -> None:
+    # the table's poly(n) returns rows[n] where given, and its own row elsewhere
+    own = table.poly
+    table.poly = lambda n: rows[n] if n in rows else own(n)
 
 
-def _corrupt(rows: list[RationalPolynomial], n: int, rng: random.Random) -> None:
-    # one wrong row: a term added (possibly above the degree), c (x^i - 1)
-    # added (the value at 1 kept), a rescale, zero, another row, or the
-    # leading term dropped
-    p = rows[n]
+def _corrupt(table, size: int, rng: random.Random) -> None:
+    # one wrong row among rows 0 .. size - 1: a term added (possibly above
+    # the degree), c (x^i - 1) added (the value at 1 kept), a rescale, zero,
+    # another row, or the leading term dropped
+    n = rng.randrange(size)
+    p = table.poly(n)
     c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
     i = rng.randint(0, p.degree + 1)
-    rows[n] = [
+    _inject(table, {n: [
         lambda: p + RationalPolynomial.monomial(i, c),
         lambda: p + RationalPolynomial.monomial(i, c) - RationalPolynomial.monomial(0, c),
         lambda: p * (c if c != 1 else F(2)),
         RationalPolynomial.zero,
-        lambda: rows[rng.randrange(len(rows))],
+        lambda: table.poly(rng.randrange(size)),
         lambda: RationalPolynomial(p.den, p.nums[:-1]),
-    ][rng.randrange(6)]()
+    ][rng.randrange(6)]()})
 
 
 class TestSuiteMatchesPolynomialReference:
@@ -453,7 +476,7 @@ class TestSuiteMatchesPolynomialReference:
 
     @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60])
     def test_true_tables(self, nmax):
-        et, bt = _fresh_tables(nmax)
+        et, bt = EulerTable(), BernoulliTable()
         report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(nmax, et, bt)
         assert report["all_passed"]
@@ -467,32 +490,49 @@ class TestSuiteMatchesPolynomialReference:
             real = getattr(eulerpoly, name)
             monkeypatch.setattr(eulerpoly, name,
                                 lambda *a, name=name, real=real: calls.append(name) or real(*a))
-        et, bt = _fresh_tables(nmax)
+        et, bt = EulerTable(), BernoulliTable()
         assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
         assert calls == []
+
+    @pytest.mark.parametrize("nmax", [0, 1, 12, 60])
+    def test_builds_each_row_once_and_keeps_none(self, nmax, monkeypatch):
+        # the pass builds rows 0 .. nmax of the Euler table and
+        # 0 .. nmax + 1 of the Bernoulli table, each once, and drops them
+        built = []
+        for cls in (EulerTable, BernoulliTable):
+            monkeypatch.setattr(cls, "_row", lambda self, seq, n, real=cls._row:
+                                built.append((type(self), n)) or real(self, seq, n))
+        et, bt = EulerTable(), BernoulliTable()
+        assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
+        assert sorted(n for cls, n in built if cls is EulerTable) == list(range(nmax + 1))
+        assert sorted(n for cls, n in built if cls is BernoulliTable) == list(range(nmax + 2))
+        assert _holds_no_row(et) and _holds_no_row(bt)
 
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize("table", ["euler", "bernoulli", "both"])
     def test_single_row_corruption(self, table, seed):
         rng = random.Random(seed)
         nmax = rng.randint(1, 24)
-        et, bt = _fresh_tables(nmax)
-        for rows in {"euler": [et.polys], "bernoulli": [bt.polys],
-                     "both": [et.polys, bt.polys]}[table]:
-            _corrupt(rows, rng.randrange(len(rows)), rng)
+        et, bt = EulerTable(), BernoulliTable()
+        for t, size in {"euler": [(et, nmax + 1)], "bernoulli": [(bt, nmax + 2)],
+                        "both": [(et, nmax + 1), (bt, nmax + 2)]}[table]:
+            _corrupt(t, size, rng)
         report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(nmax, et, bt)
 
     @pytest.mark.parametrize("j", [0, 1, 4, 9])
     @pytest.mark.parametrize("table", ["euler", "bernoulli"])
-    def test_sequence_entry_corrupted_after_ensure(self, table, j):
-        # the rows stay true, but from index j up they are no longer the
-        # Appell rows of the corrupted sequence: the suite checks those rows
-        # themselves, and decides the rows below j from the sequence
-        et, bt = _fresh_tables(14)
+    def test_true_rows_over_corrupted_sequence(self, table, j):
+        # poly() returns the rows of an untouched table, which from index j
+        # up are no longer the Appell rows of the corrupted sequence: the
+        # suite checks those rows themselves, and decides the rows below j
+        # from the sequence
+        et, bt = EulerTable(), BernoulliTable()
         if table == "euler":
+            et.poly = EulerTable().poly
             et.scaled_at_zero(14)[j] += 2
         else:
+            bt.poly = BernoulliTable().poly
             bt.scaled_numbers(15)[1][j] += 1
         report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(14, et, bt)
@@ -505,16 +545,16 @@ class TestSuiteMatchesPolynomialReference:
         # the true sequence, though it passes every identity that holds for
         # any Appell sequence; B_5 + 1 differs from B_5 by a constant, which
         # neither the bridge nor B_{5,chi4} sees
-        et, bt = _fresh_tables(12)
+        et, bt = EulerTable(), BernoulliTable()
         if table == "euler":
             other = EulerTable()
             other.scaled_at_zero(5)[5] += 2
-            et.polys[n] = other.poly(n)
+            _inject(et, {n: other.poly(n)})
         else:
             other = BernoulliTable()
             den, b = other.scaled_numbers(5)
             b[5] += den
-            bt.polys[n] = other.poly(n)
+            _inject(bt, {n: other.poly(n)})
         report = run_identity_suite(12, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(12, et, bt)
         assert report["all_passed"] == (table == "bernoulli" and n == 5)
@@ -533,7 +573,7 @@ class TestSuiteMatchesPolynomialReference:
             return row
 
         monkeypatch.setattr(eulerpoly, "_binomials", wrong)
-        et, bt = _fresh_tables(14)
+        et, bt = EulerTable(), BernoulliTable()
         report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
         assert not report["all_passed"]
         assert report == polynomial_identity_suite(14, et, bt)
@@ -543,10 +583,11 @@ class TestSuiteMatchesPolynomialReference:
         # B_7 replaced by P of any degree and E_6 by (2^7/7) (P((x+1)/2) - P(x/2)):
         # both bridges, and 1.6 at n = 6, hold for the pair
         k, nmax = 7, 10
-        et, bt = _fresh_tables(nmax)
+        et, bt = EulerTable(), BernoulliTable()
         p = RationalPolynomial.from_coefficients([F(j - 3, j + 2) for j in range(degree + 1)])
-        bt.polys[k] = p
-        et.polys[k - 1] = F(2**k, k) * (p.compose_affine(HALF, HALF) - p.compose_affine(HALF, 0))
+        _inject(bt, {k: p})
+        bridge = F(2**k, k) * (p.compose_affine(HALF, HALF) - p.compose_affine(HALF, 0))
+        _inject(et, {k - 1: bridge})
         report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(nmax, et, bt)
         passed = {r["identity_id"]: r["passed"] for r in report["identities"]}

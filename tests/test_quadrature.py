@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from betakit.quadrature import (
     beta_even_integrand,
     beta_even_quadrature,
 )
+from betakit.telescope import partial_sum_J
 
 F = Fraction
 
@@ -253,6 +255,28 @@ class TestBetaEvenQuadrature:
     def test_result_json_schema(self):
         payload = beta_even_quadrature(1, 1e-8).to_json()
         assert set(payload) == {"value", "abs_error_estimate", "n_evals"}
+
+
+class TestDefaultTol:
+    """A call that passes no tol gets the CLI's 1e-8, defined once in quadrature."""
+
+    def test_one_constant(self):
+        from betakit import cli, telescope
+
+        assert quadrature.DEFAULT_TOL == 1e-8
+        assert cli.DEFAULT_TOL is telescope.DEFAULT_TOL is quadrature.DEFAULT_TOL
+
+    @pytest.mark.parametrize("fn, args", [
+        (beta_even_quadrature, (1,)),
+        (beta_even_quadrature, (150,)),
+        (aux_integral_numeric, (IntegrandSpec("aux_I", 7, 2),)),
+        (aux_integral_numeric, (IntegrandSpec("aux_J", 150, 2),)),
+        (partial_sum_J, (2, 10**4)),
+        (partial_sum_J, (19, 0)),
+    ], ids=["beta_even_1", "beta_even_150", "aux_I_7_2", "aux_J_150_2", "J_2", "J_19"])
+    def test_default_call_equals_explicit_1e_8(self, fn, args):
+        # pickles carry each float's 8 bytes, so equal pickles are bit for bit
+        assert pickle.dumps(fn(*args)) == pickle.dumps(fn(*args, 1e-8))
 
 
 class TestAuxClosedForms:

@@ -335,9 +335,13 @@ class TestAlternatingSums:
     def test_refusal_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(eulerpoly, "_BERNOULLI", eulerpoly.BernoulliTable())
         monkeypatch.setattr(eulerpoly, "_EULER", eulerpoly.EulerTable())
+        built = []
+        for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):
+            monkeypatch.setattr(cls, "_row", lambda self, seq, n, real=cls._row:
+                                built.append(n) or real(self, seq, n))
         with pytest.raises(OverflowError, match=r"\(2N\+1\)\^95 exceeds the double range"):
             partial_sum_I_star(47, 10**5)
-        assert len(eulerpoly._BERNOULLI.polys) == 0
+        assert built == []
         assert len(eulerpoly._EULER.numbers) == 0
         # correction_term reads the Bernoulli integers, not a row
         assert eulerpoly._BERNOULLI._scaled == (1, [])
