@@ -26,15 +26,11 @@ from .eulerpoly import (
     euler_number,
     euler_polynomial,
     generalized_bernoulli_chi4,
-    gf_coefficient_check,
     run_identity_suite,
 )
 from .exact import (
     Rational,
     RationalPolynomial,
-    binomial,
-    poly_compose_affine,
-    poly_derivative,
     poly_eval,
     rational_from_str,
     rational_str,
@@ -85,7 +81,6 @@ __all__ = [
     "beta_series",
     "bernoulli_number",
     "bernoulli_polynomial",
-    "binomial",
     "correction_term",
     "decimal_string",
     "e_star",
@@ -93,12 +88,9 @@ __all__ = [
     "euler_polynomial",
     "extended_eval",
     "generalized_bernoulli_chi4",
-    "gf_coefficient_check",
     "partial_sum_I_star",
     "partial_sum_J",
     "pi_fraction",
-    "poly_compose_affine",
-    "poly_derivative",
     "poly_eval",
     "quantize",
     "rational_from_str",

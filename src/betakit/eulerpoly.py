@@ -20,7 +20,6 @@ from itertools import zip_longest
 from operator import add
 
 from .exact import RationalPolynomial, ValueClass, poly_eval, taylor_shift
-from .highprec import HighPrecisionReal, quantize
 
 __all__ = [
     "BernoulliTable",
@@ -32,7 +31,6 @@ __all__ = [
     "euler_number",
     "euler_polynomial",
     "generalized_bernoulli_chi4",
-    "gf_coefficient_check",
     "run_identity_suite",
 ]
 
@@ -233,45 +231,6 @@ def _chi4(b: RationalPolynomial, n: int) -> Fraction:
         acc = (acc << 2) + c * (1 - p3)
         p3 *= 3
     return Fraction(acc, b.den) * Fraction(4) ** (n - 1 - b.degree)
-
-
-def gf_coefficient_check(n: int, digits: int) -> HighPrecisionReal:
-    """|E_n/n! - c_n| where c_n is the generating-function Taylor coefficient.
-
-    c_n is computed by an independent route: the exponential series of
-    2 e^t and e^(2t) + 1 are truncated at order n and divided as power
-    series, all in decimal fixed point with `digits` working digits.  The
-    returned difference is therefore a direct check of the recurrence-built
-    table against the generating function.
-    """
-    if digits < 10:
-        raise ValueError("digits must be >= 10")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    scale = 10**digits
-
-    def fx(r: Fraction) -> int:
-        return int(quantize(r, digits) * scale)
-
-    def fx_mul(a: int, b: int) -> int:
-        return fx(Fraction(a * b, scale * scale))
-
-    def fx_div(a: int, b: int) -> int:
-        return fx(Fraction(a, b))
-
-    fact = [math.factorial(i) for i in range(n + 1)]
-    num = [fx(Fraction(2, fact[i])) for i in range(n + 1)]
-    den = [fx(Fraction(2**i, fact[i])) for i in range(n + 1)]
-    den[0] += scale  # the +1 in e^(2t) + 1
-    quot = [0] * (n + 1)
-    for i in range(n + 1):
-        acc = num[i]
-        for j in range(1, i + 1):
-            acc -= fx_mul(den[j], quot[i - j])
-        quot[i] = fx_div(acc, den[0])
-
-    target = euler_number(n) / fact[n]
-    return HighPrecisionReal(abs(target - Fraction(quot[n], scale)), digits)
 
 
 class IdentityResult(ValueClass, frozen=False):

@@ -1,9 +1,10 @@
-"""Exact rational and polynomial arithmetic.
+"""Exact rationals and polynomials.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as :data:`Rational`); dense polynomials are stored as reduced
-integer forms and computed on plain integers.  All values are immutable and
-all operations are pure, so they can be shared freely between threads.
+integer forms, which the tables build and the identity suite reads.  All
+values are immutable and all functions are pure, so they can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 
 # The universal exact scalar.  Fraction already maintains the canonical form
 # we need: positive denominator, gcd(|num|, den) = 1, and zero stored as 0/1.
@@ -22,10 +23,7 @@ RationalLike = int | Fraction
 __all__ = [
     "Rational",
     "RationalPolynomial",
-    "binomial",
     "digit_string",
-    "poly_compose_affine",
-    "poly_derivative",
     "poly_eval",
     "rational_from_str",
     "rational_str",
@@ -80,15 +78,6 @@ def rational_from_str(s: str) -> Fraction:
     return -value if s.startswith("-") else value
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k), requiring 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
-    return math.comb(n, k)
-
-
 # how a frozen ValueClass's __init__ sets its fields, past its __setattr__
 _set_field = object.__setattr__
 
@@ -137,9 +126,11 @@ class RationalPolynomial(ValueClass):
     (1/den) sum nums[i] x^i for an integer den > 0 and integers nums.  The
     constructor reduces them to the one canonical form, gcd(den, nums...) = 1
     with no trailing zero (the zero polynomial is den 1, nums (), degree -1),
-    so equal polynomials have equal fields and arithmetic, ``==``, ``hash``
+    so equal polynomials have equal fields and ``==``, ``hash``, evaluation
     and pickles run on plain integers.  :meth:`from_coefficients` builds one
     from rationals, and :attr:`coeffs` derives ``Fraction`` coefficients.
+    It has no arithmetic operators: the tables build rows and the identity
+    suite reads them.
     """
 
     def __init__(self, den: int, nums: Iterable[int]) -> None:
@@ -162,13 +153,6 @@ class RationalPolynomial(ValueClass):
     def zero(cls) -> "RationalPolynomial":
         return cls(1, ())
 
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
-        if power < 0:
-            raise ValueError(f"monomial power must be >= 0, got {power}")
-        u, v = Fraction(coeff).as_integer_ratio()
-        return cls(v, (0,) * power + (u,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """``coeffs[i]`` is the coefficient of x^i; built on each read."""
@@ -185,37 +169,6 @@ class RationalPolynomial(ValueClass):
 
     def __call__(self, x: RationalLike) -> Fraction:
         return poly_eval(self, x)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        d = math.lcm(self.den, other.den)
-        m1, m2 = d // self.den, d // other.den
-        return RationalPolynomial(
-            d, [x * m1 + y * m2 for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
-        )
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(self.den, [-c for c in self.nums])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + -other
-
-    def __mul__(self, scalar: RationalLike) -> "RationalPolynomial":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        u, v = scalar.as_integer_ratio()
-        return RationalPolynomial(self.den * v, [c * u for c in self.nums])
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalPolynomial":
-        return poly_derivative(self)
-
-    def compose_affine(self, a: RationalLike, b: RationalLike) -> "RationalPolynomial":
-        return poly_compose_affine(self, a, b)
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -263,11 +216,6 @@ def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
     return Fraction(acc, d * vpow[deg])
 
 
-def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
-    """Formal derivative, in canonical form."""
-    return RationalPolynomial(p.den, [i * c for i, c in enumerate(p.nums) if i])
-
-
 def taylor_shift(nums: Iterable[int]) -> list[int]:
     """Coefficients of p(x + 1), given those of p (lowest power first).
 
@@ -284,39 +232,3 @@ def taylor_shift(nums: Iterable[int]) -> list[int]:
         out.append(r.pop())
     return out
 
-
-def poly_compose_affine(
-    p: RationalPolynomial, a: RationalLike, b: RationalLike
-) -> RationalPolynomial:
-    """The polynomial q with q(x) = p(a*x + b), computed exactly.
-
-    On the common-denominator integer form p = (1/D) sum c_i x^i, with
-    a*x + b = (u_a*x + u_b)/v over one common denominator v,
-    q(x) = R(u_a*x) / (D v^d) where R(z) = sum c_i v^(d-i) (z + u_b)^i.  R
-    is the Taylor shift of the integers r_i = c_i v^(d-i) by u_b: with
-    z = u_b*y it is the shift by one of r_i u_b^i, whose coefficient of y^j
-    is then divided by u_b^j (exactly), so :func:`taylor_shift` is the only
-    shift kernel.  The coefficient of z^j is then scaled by u_a^j, all on
-    plain integers, and the result is reduced once at the end.  The v and
-    u_a scalings are skipped when those are 1.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    d, ints = p.den, p.nums
-    v = math.lcm(a.denominator, b.denominator)
-    ua, ub = a.numerator * (v // a.denominator), b.numerator * (v // b.denominator)
-    deg = len(ints) - 1
-    r, vpow = list(ints), 1
-    if v != 1:
-        for i in range(deg - 1, -1, -1):
-            vpow *= v
-            r[i] *= vpow
-    if ub:
-        w = [ub**i for i in range(deg + 1)]
-        r = [c // wi for c, wi in zip(taylor_shift([c * wi for c, wi in zip(r, w)]), w)]
-    if ua != 1:
-        upow = 1
-        for j in range(1, deg + 1):
-            upow *= ua
-            r[j] *= upow
-    return RationalPolynomial(d * vpow, r)

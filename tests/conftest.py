@@ -7,8 +7,10 @@ derivative/mean-zero characterization.  Expected values frozen in the
 tests were computed by these routes.  The package's integer tables are
 also held equal to the Fraction recurrences it used to run
 (:func:`appell_euler_table`, :func:`bernoulli_sum_table`), and the identity
-suite's integer coefficient lists to the polynomial API
-(:func:`polynomial_identity_suite`).
+suite's integer coefficient lists to the same identities built on a
+polynomial of the tests' own (:func:`polynomial_identity_suite`).  That
+polynomial is a list of Fractions and shares no code with ``betakit.exact``,
+so no oracle here runs the package's polynomial kernels.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
-
-from betakit.exact import RationalPolynomial
 
 # 50 decimal digits of pi, for checking the certified rendering
 PI_LITERAL = Fraction(
@@ -32,6 +33,55 @@ PI_LITERAL = Fraction(
 # beta(2) = Catalan's constant, 30 digits; no closed form is known, so this
 # literal is the external anchor for the even-argument checks
 CATALAN_LITERAL = Fraction(915965594177219015054603514932, 10**30)
+
+
+# The tests' own polynomial: its coefficients as a list of Fractions, lowest
+# power first, with no trailing zero, so two lists are equal exactly when the
+# polynomials are (the zero polynomial is []).  A package row compares with
+# one as list(row.coeffs).
+
+
+def fpoly(coeffs) -> list[Fraction]:
+    """The polynomial with the given coefficients, lowest power first."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def fpoly_add(p, q) -> list[Fraction]:
+    return fpoly(x + y for x, y in zip_longest(p, q, fillvalue=0))
+
+
+def fpoly_scale(s, p) -> list[Fraction]:
+    return fpoly(s * c for c in p)
+
+
+def fpoly_eval(p, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def fpoly_derivative(p) -> list[Fraction]:
+    return fpoly(i * c for i, c in enumerate(p) if i)
+
+
+def fpoly_compose(p, a, b) -> list[Fraction]:
+    """p(a x + b), by binomial expansion: coefficient j is a^j sum_(i>=j) C(i, j) b^(i-j) p_i."""
+    bpow = [b**m for m in range(len(p))]
+    return fpoly(
+        a**j * sum(math.comb(i, j) * bpow[i - j] * p[i] for i in range(j, len(p)) if bpow[i - j])
+        for j in range(len(p))
+    )
+
+
+def euler_from_bernoulli(b, k: int) -> list[Fraction]:
+    """(2^k / k) (B_k((x+1)/2) - B_k(x/2)) for b = B_k: E_(k-1)(x) when b is true."""
+    half = Fraction(1, 2)
+    diff = fpoly_add(fpoly_compose(b, half, half), fpoly_scale(-1, fpoly_compose(b, half, 0)))
+    return fpoly_scale(Fraction(2**k, k), diff)
 
 
 def machin_pi(digits: int) -> Fraction:
@@ -64,23 +114,18 @@ def appell_euler_at_zero(n: int) -> list[Fraction]:
     return at_zero
 
 
-def appell_euler_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction]]:
+def appell_euler_table(n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     """(E_0(x) .. E_n(x), E_0 .. E_n) from the Appell form over E_m(0).
 
     The rows are E_m(x) = sum_i C(m, i) E_(m-i)(0) x^i and the numbers
     E_m = 2^m E_m(1/2): the Fraction reference for the integer triangles.
     """
     at_zero = appell_euler_at_zero(n)
-    polys = [
-        RationalPolynomial.from_coefficients(
-            math.comb(m, i) * at_zero[m - i] for i in range(m + 1)
-        )
-        for m in range(n + 1)
-    ]
-    return polys, [2**m * p(Fraction(1, 2)) for m, p in enumerate(polys)]
+    polys = [fpoly(math.comb(m, i) * at_zero[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    return polys, [2**m * fpoly_eval(p, Fraction(1, 2)) for m, p in enumerate(polys)]
 
 
-def bernoulli_sum_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction]]:
+def bernoulli_sum_table(n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     """(B_0(x) .. B_n(x), B_0 .. B_n) from sum_(j<=m) C(m+1, j) B_j = 0 in Fractions.
 
     The Fraction form of the recurrence betakit's Bernoulli table runs on
@@ -90,50 +135,44 @@ def bernoulli_sum_table(n: int) -> tuple[list[RationalPolynomial], list[Fraction
     for m in range(n + 1):
         s = sum((math.comb(m + 1, j) * nums[j] for j in range(m)), Fraction(0))
         nums.append(Fraction(1) if m == 0 else -s / (m + 1))
-    polys = [
-        RationalPolynomial.from_coefficients(
-            math.comb(m, j) * nums[j] for j in range(m, -1, -1)
-        )
-        for m in range(n + 1)
-    ]
+    polys = [fpoly(math.comb(m, j) * nums[j] for j in range(m, -1, -1)) for m in range(n + 1)]
     return polys, nums
 
 
 def polynomial_identity_suite(nmax: int, euler, bernoulli) -> dict:
-    """The identity suite's ``to_json()`` report, from the polynomial API.
+    """The identity suite's ``to_json()`` report, from the tests' own polynomial.
 
-    Every side of every identity is built as a RationalPolynomial or a
-    Fraction (``compose_affine`` for E_n(x+1) and B_k((x+1)/2), ``poly_eval``
-    at 1/4, 1/2 and 3/4, ``derivative``) and compared with ``==``: the
-    reference that ``run_identity_suite``'s integer coefficient lists are
-    held to.  Its rows come from the tables' ``poly(n)``, as the suite's do,
-    and its numbers from ``euler.number(n)``.
+    Every side of every identity is built as a coefficient list (``fpoly``:
+    :func:`fpoly_compose` for E_n(x+1), E_n(1-x) and B_k((x+1)/2),
+    :func:`fpoly_eval` at 0, 1/4, 1/2, 3/4 and 1, :func:`fpoly_derivative`)
+    or a Fraction and compared with ``==``: the reference that
+    ``run_identity_suite``'s integer coefficient lists are held to.  Its rows
+    are the ``coeffs`` of the tables' ``poly(n)``, as the suite's are, and its
+    numbers come from ``euler.number(n)``.
     """
     half = Fraction(1, 2)
-    e = [euler.poly(n) for n in range(nmax + 1)]
-    b = [bernoulli.poly(n) for n in range(nmax + 2)]
+    e = [list(euler.poly(n).coeffs) for n in range(nmax + 1)]
+    b = [list(bernoulli.poly(n).coeffs) for n in range(nmax + 2)]
 
     def chi4(n):
-        return 4 ** (n - 1) * (b[n](Fraction(1, 4)) - b[n](Fraction(3, 4)))
+        return 4 ** (n - 1) * (fpoly_eval(b[n], Fraction(1, 4)) - fpoly_eval(b[n], Fraction(3, 4)))
 
-    def bridge(k):
-        return Fraction(2**k, k) * (b[k].compose_affine(half, half) - b[k].compose_affine(half, 0))
-
-    shifted = [e[n].compose_affine(1, 1) for n in range(nmax + 1)]
+    shifted = [fpoly_compose(e[n], 1, 1) for n in range(nmax + 1)]
     families = {
-        "1.1": [(n, shifted[n].compose_affine(-1, 0) == (-1) ** n * e[n])
+        "1.1": [(n, fpoly_compose(shifted[n], -1, 0) == fpoly_scale((-1) ** n, e[n]))
                 for n in range(nmax + 1)],
-        "1.2": [(n, euler.number(n) == 2**n * e[n](half)) for n in range(nmax + 1)],
-        "1.3": [(n, shifted[n] + e[n] == RationalPolynomial.monomial(n, 2))
+        "1.2": [(n, euler.number(n) == 2**n * fpoly_eval(e[n], half)) for n in range(nmax + 1)],
+        "1.3": [(n, fpoly_add(shifted[n], e[n]) == fpoly([0] * n + [2]))
                 for n in range(nmax + 1)],
-        "1.4": [(n, e[n](Fraction(0)) == 0 and e[n](Fraction(1)) == 0)
+        "1.4": [(n, fpoly_eval(e[n], 0) == 0 and fpoly_eval(e[n], 1) == 0)
                 for n in range(2, nmax + 1, 2)],
-        "1.5": [(n, e[n].derivative() == (n * e[n - 1] if n else RationalPolynomial.zero()))
+        "1.5": [(n, fpoly_derivative(e[n]) == fpoly_scale(n, e[n - 1] if n else []))
                 for n in range(nmax + 1)],
-        "1.6": [(n, e[n](half) == -chi4(n + 1) / ((n + 1) * Fraction(2) ** (n - 1)))
+        "1.6": [(n, fpoly_eval(e[n], half) == -chi4(n + 1) / ((n + 1) * Fraction(2) ** (n - 1)))
                 for n in range(0, nmax + 1, 2)],
-        "bridge_euler_bernoulli": [(k, e[k - 1] == bridge(k)) for k in range(1, nmax + 1)],
-        "bridge_chi4": [(k, e[k - 1](half) == -chi4(k) / (Fraction(2) ** (k - 2) * k))
+        "bridge_euler_bernoulli": [(k, e[k - 1] == euler_from_bernoulli(b[k], k))
+                                   for k in range(1, nmax + 1)],
+        "bridge_chi4": [(k, fpoly_eval(e[k - 1], half) == -chi4(k) / (Fraction(2) ** (k - 2) * k))
                         for k in range(1, nmax + 1)],
     }
     results = []
@@ -172,23 +211,23 @@ def gf_euler_number_oracle(n: int) -> Fraction:
     return gf_euler_numbers(n)[n]
 
 
-def gf_euler_poly_oracle(n: int) -> RationalPolynomial:
+def gf_euler_poly_oracle(n: int) -> list[Fraction]:
     """E_n(x) from exact series division of 2 e^(xt) / (e^t + 1).
 
     Coefficients of t^i are polynomials in x: numerator 2 x^i / i!,
     denominator the scalar series of e^t + 1.
     """
     fact = [math.factorial(i) for i in range(n + 1)]
-    num = [RationalPolynomial.monomial(i, Fraction(2, fact[i])) for i in range(n + 1)]
+    num = [fpoly([0] * i + [Fraction(2, fact[i])]) for i in range(n + 1)]
     den = [Fraction(1, fact[i]) for i in range(n + 1)]
     den[0] += 1
-    quot: list[RationalPolynomial] = []
+    quot: list[list[Fraction]] = []
     for i in range(n + 1):
         acc = num[i]
         for j in range(1, i + 1):
-            acc = acc - den[j] * quot[i - j]
-        quot.append(acc * (1 / den[0]))
-    return quot[n] * Fraction(fact[n])
+            acc = fpoly_add(acc, fpoly_scale(-den[j], quot[i - j]))
+        quot.append(fpoly_scale(1 / den[0], acc))
+    return fpoly_scale(fact[n], quot[n])
 
 
 # float sample points for the accuracy checks at the removable singularities:
@@ -249,19 +288,17 @@ def chunked_digits(n: int) -> str:
     return str(n) + "".join(reversed(chunks))
 
 
-def _poly_antiderivative(p: RationalPolynomial) -> RationalPolynomial:
-    coeffs = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)]
-    return RationalPolynomial.from_coefficients(coeffs)
+def _poly_antiderivative(p: list[Fraction]) -> list[Fraction]:
+    return fpoly([0] + [c / (i + 1) for i, c in enumerate(p)])
 
 
-def bernoulli_poly_oracle(n: int) -> RationalPolynomial:
+def bernoulli_poly_oracle(n: int) -> list[Fraction]:
     """B_n(x) characterized by B_0 = 1, B_n' = n B_{n-1}, mean zero on [0,1]."""
-    p = RationalPolynomial.from_coefficients([1])
+    p = [Fraction(1)]
     for m in range(1, n + 1):
-        p = m * _poly_antiderivative(p)
+        p = fpoly_scale(m, _poly_antiderivative(p))
         anti = _poly_antiderivative(p)
-        mean = anti(Fraction(1)) - anti(Fraction(0))
-        p = p - RationalPolynomial.from_coefficients([mean])
+        p = fpoly_add(p, [fpoly_eval(anti, 0) - fpoly_eval(anti, 1)])
     return p
 
 

@@ -11,13 +11,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import gf_euler_numbers
+
 from betakit.betavalues import (
     beta_odd_exact,
     beta_odd_exact_via_euler,
     beta_series,
     render_decimal,
 )
-from betakit.eulerpoly import EulerTable, gf_coefficient_check, run_identity_suite
+from betakit.eulerpoly import EulerTable, euler_number, run_identity_suite
 from betakit.quadrature import (
     IntegrandSpec,
     aux_integral_I_closed,
@@ -85,12 +87,10 @@ def test_criterion_3_identity_suite_with_negative_control():
 
 
 def test_criterion_4_generating_function_cross_check():
-    worst = 0.0
+    series = gf_euler_numbers(12)
     for n in range(13):
-        diff = float(gf_coefficient_check(n, 30).value)
-        worst = max(worst, diff)
-        assert diff < 1e-20, n
-    _report(4, f"gf coefficients match to better than 1e-20 (worst {worst:.1e})")
+        assert euler_number(n) == series[n], n
+    _report(4, "E_0..E_12 equal exact series division of 2e^t/(e^(2t)+1)")
 
 
 def test_criterion_5_integral_representation_and_sign():

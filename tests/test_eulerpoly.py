@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import pickle
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,9 @@ from betakit.eulerpoly import (
     euler_number,
     euler_polynomial,
     generalized_bernoulli_chi4,
-    gf_coefficient_check,
     run_identity_suite,
 )
-from betakit.exact import RationalPolynomial, poly_eval
+from betakit.exact import RationalPolynomial
 from betakit.quadrature import IntegrandSpec, aux_integral_numeric
 
 from conftest import (
@@ -36,7 +37,13 @@ from conftest import (
     appell_euler_table,
     bernoulli_poly_oracle,
     bernoulli_sum_table,
+    euler_from_bernoulli,
+    fpoly_add,
+    fpoly_derivative,
+    fpoly_eval,
+    fpoly_scale,
     gf_euler_number_oracle,
+    gf_euler_numbers,
     gf_euler_poly_oracle,
     polynomial_identity_suite,
 )
@@ -57,15 +64,13 @@ class TestEulerPolynomials:
         )
 
     def test_e5_against_series_oracle(self):
-        expected = RationalPolynomial.from_coefficients(
-            [F(-1, 2), 0, F(5, 2), 0, F(-5, 2), 1]
-        )
+        expected = [F(-1, 2), 0, F(5, 2), 0, F(-5, 2), 1]
         assert gf_euler_poly_oracle(5) == expected
-        assert euler_polynomial(5) == expected
+        assert list(euler_polynomial(5).coeffs) == expected
 
     @pytest.mark.parametrize("n", range(9))
     def test_table_matches_series_division(self, n):
-        assert euler_polynomial(n) == gf_euler_poly_oracle(n)
+        assert list(euler_polynomial(n).coeffs) == gf_euler_poly_oracle(n)
 
 
 class TestEulerNumbers:
@@ -104,7 +109,7 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("n", range(10))
     def test_polys_match_mean_zero_oracle(self, n):
-        assert bernoulli_polynomial(n) == bernoulli_poly_oracle(n)
+        assert list(bernoulli_polynomial(n).coeffs) == bernoulli_poly_oracle(n)
 
     def test_numbers_match_akiyama_tanigawa(self):
         oracle = akiyama_tanigawa_bernoulli(16)
@@ -112,7 +117,8 @@ class TestBernoulli:
 
     def test_derivative_relation(self):
         for n in range(1, 12):
-            assert bernoulli_polynomial(n).derivative() == n * bernoulli_polynomial(n - 1)
+            derivative = fpoly_derivative(bernoulli_polynomial(n).coeffs)
+            assert derivative == fpoly_scale(n, bernoulli_polynomial(n - 1).coeffs)
 
 
 class TestGeneralizedBernoulliChi4:
@@ -132,7 +138,7 @@ class TestGeneralizedBernoulliChi4:
     def test_matches_quarter_point_values(self, bernoulli_reference):
         polys, _ = bernoulli_reference
         for n in range(1, REFERENCE_N + 1):
-            want = 4 ** (n - 1) * (poly_eval(polys[n], F(1, 4)) - poly_eval(polys[n], F(3, 4)))
+            want = 4 ** (n - 1) * (fpoly_eval(polys[n], F(1, 4)) - fpoly_eval(polys[n], F(3, 4)))
             assert generalized_bernoulli_chi4(n) == want, n
 
 
@@ -208,6 +214,16 @@ def _rows(table, n: int) -> list[RationalPolynomial]:
     return [table.poly(m) for m in range(n + 1)]
 
 
+def _coeffs(rows: list[RationalPolynomial]) -> list[list[Fraction]]:
+    # each row as the reference tables hold it, a list of its coefficients
+    return [list(p.coeffs) for p in rows]
+
+
+def _as_rows(reference: list[list[Fraction]]) -> list[RationalPolynomial]:
+    # the reference rows as package rows, whose pickles hold the integer form
+    return [RationalPolynomial.from_coefficients(c) for c in reference]
+
+
 def _holds_no_row(table) -> bool:
     # no attribute of the table is a row, or a list or tuple holding one
     for value in vars(table).values():
@@ -244,8 +260,8 @@ class TestIntegerTables:
             _grow(t, n)
             rows = _rows(t, n)
             assert t.numbers == ref_numbers[: n + 1], n
-            assert rows == ref_polys[: n + 1], n
-        assert _pickled(rows, t.numbers) == _pickled(ref_polys, ref_numbers)
+            assert _coeffs(rows) == ref_polys[: n + 1], n
+        assert _pickled(rows, t.numbers) == _pickled(_as_rows(ref_polys), ref_numbers)
 
     def test_concurrent_growth_equals_reference(self, euler_reference, bernoulli_reference):
         # more threads than cores, switching every microsecond, each growing
@@ -268,8 +284,8 @@ class TestIntegerTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert (_rows(et, REFERENCE_N), et.numbers) == euler_reference
-        assert (_rows(bt, REFERENCE_N), bt.numbers) == bernoulli_reference
+        assert (_coeffs(_rows(et, REFERENCE_N)), et.numbers) == euler_reference
+        assert (_coeffs(_rows(bt, REFERENCE_N)), bt.numbers) == bernoulli_reference
 
     @pytest.mark.parametrize("order", ["numbers first", "rows first", "interleaved"])
     @pytest.mark.parametrize("table, reference", [
@@ -284,6 +300,7 @@ class TestIntegerTables:
         import threading
 
         ref_polys, ref_numbers = request.getfixturevalue(reference)
+        ref_rows = _as_rows(ref_polys)
         t = table()
         sizes = (120, 7, REFERENCE_N, 60, 1, 150, 33, REFERENCE_N)
         readers = [t.number, t.poly] if order == "numbers first" else [t.poly, t.number]
@@ -312,12 +329,12 @@ class TestIntegerTables:
             sys.setswitchinterval(interval)
         assert len(got) == sum(map(len, phases))
         for read, n, value in got:
-            want = (ref_numbers if read == t.number else ref_polys)[n]
+            want = (ref_numbers if read == t.number else ref_rows)[n]
             assert pickle.dumps(value) == pickle.dumps(want), (read.__name__, n)
         t.number(REFERENCE_N)
         rows = _rows(t, REFERENCE_N)
-        assert (rows, t.numbers) == (ref_polys, ref_numbers)
-        assert _pickled(rows, t.numbers) == _pickled(ref_polys, ref_numbers)
+        assert (_coeffs(rows), t.numbers) == (ref_polys, ref_numbers)
+        assert _pickled(rows, t.numbers) == _pickled(ref_rows, ref_numbers)
 
     @pytest.mark.parametrize("call, reads_numbers, rows", [
         ("from betakit import euler_number; euler_number(200)", True, "0 0"),
@@ -359,21 +376,11 @@ class TestIntegerTables:
             assert math.gcd(p.den, *p.nums) == 1
 
 
-class TestGfCoefficientCheck:
-    def test_constant_and_linear_terms(self):
-        assert float(gf_coefficient_check(0, 10).value) < 1e-5
-        assert float(gf_coefficient_check(1, 10).value) < 1e-5
-
-    def test_n4_at_30_digits(self):
-        assert float(gf_coefficient_check(4, 30).value) < 1e-20
-
-    def test_all_up_to_12(self):
-        for n in range(13):
-            assert float(gf_coefficient_check(n, 30).value) < 1e-20
-
-    def test_rejects_low_precision(self):
-        with pytest.raises(ValueError):
-            gf_coefficient_check(4, 5)
+class TestGeneratingFunction:
+    def test_numbers_up_to_40_equal_series_division(self):
+        # E_n against exact division of 2 e^t / (e^(2t) + 1), one division to 40
+        series = gf_euler_numbers(40)
+        assert [euler_number(n) for n in range(41)] == series
 
 
 class TestIdentitySuite:
@@ -409,7 +416,7 @@ class TestIdentitySuite:
         # E_7 + x^3 is no Euler polynomial; 1.1 and 1.3 compare polynomials,
         # so they catch it whatever x a sample would have drawn
         t = EulerTable()
-        _inject(t, {7: t.poly(7) + RationalPolynomial.monomial(3, 1)})
+        _inject(t, {7: _plus(t.poly(7), (3, 1))})
         report = run_identity_suite(12, 1, 0, euler=t)
         failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
         assert failures == {
@@ -421,7 +428,7 @@ class TestIdentitySuite:
         # B_9 + x^2 is no Bernoulli polynomial: B_{9,chi4} moves, which 1.6
         # (at n = 8) and bridge_chi4 see, and so does the bridge to E_8(x)
         t = BernoulliTable()
-        _inject(t, {9: t.poly(9) + RationalPolynomial.monomial(2, 1)})
+        _inject(t, {9: _plus(t.poly(9), (2, 1))})
         report = run_identity_suite(12, 1, 0, bernoulli=t)
         failures = {r.identity_id: r.first_failure for r in report.results if not r.passed}
         assert failures == {
@@ -453,6 +460,14 @@ def _inject(table, rows: dict[int, RationalPolynomial]) -> None:
     table.poly = lambda n: rows[n] if n in rows else own(n)
 
 
+def _plus(p: RationalPolynomial, *terms: tuple[int, Fraction]) -> RationalPolynomial:
+    # p + sum c x^i over the (i, c) pairs, built from p's coefficients
+    cs = list(p.coeffs)
+    for i, c in terms:
+        cs = fpoly_add(cs, [0] * i + [c])
+    return RationalPolynomial.from_coefficients(cs)
+
+
 def _corrupt(table, size: int, rng: random.Random) -> None:
     # one wrong row among rows 0 .. size - 1: a term added (possibly above
     # the degree), c (x^i - 1) added (the value at 1 kept), a rescale, zero,
@@ -462,9 +477,9 @@ def _corrupt(table, size: int, rng: random.Random) -> None:
     c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
     i = rng.randint(0, p.degree + 1)
     _inject(table, {n: [
-        lambda: p + RationalPolynomial.monomial(i, c),
-        lambda: p + RationalPolynomial.monomial(i, c) - RationalPolynomial.monomial(0, c),
-        lambda: p * (c if c != 1 else F(2)),
+        lambda: _plus(p, (i, c)),
+        lambda: _plus(p, (i, c), (0, -c)),
+        lambda: RationalPolynomial.from_coefficients(fpoly_scale(c if c != 1 else F(2), p.coeffs)),
         RationalPolynomial.zero,
         lambda: table.poly(rng.randrange(size)),
         lambda: RationalPolynomial(p.den, p.nums[:-1]),
@@ -472,7 +487,20 @@ def _corrupt(table, size: int, rng: random.Random) -> None:
 
 
 class TestSuiteMatchesPolynomialReference:
-    """The integer-list suite reports what the polynomial API finds."""
+    """The integer-list suite reports what the tests' own polynomial finds."""
+
+    def test_reference_shares_no_code_with_the_package(self):
+        # the reference suite and the table oracles run none of betakit's
+        # polynomial kernels: conftest imports from betakit only the G15 rule
+        tree = ast.parse(Path(__file__).with_name("conftest.py").read_text())
+        imports = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(a.name, None) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [(node.module, a.name) for a in node.names]
+        from_betakit = [(m, name) for m, name in imports if m.split(".")[0] == "betakit"]
+        assert from_betakit == [("betakit.quadrature", "_G15")]
 
     @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60])
     def test_true_tables(self, nmax):
@@ -584,10 +612,9 @@ class TestSuiteMatchesPolynomialReference:
         # both bridges, and 1.6 at n = 6, hold for the pair
         k, nmax = 7, 10
         et, bt = EulerTable(), BernoulliTable()
-        p = RationalPolynomial.from_coefficients([F(j - 3, j + 2) for j in range(degree + 1)])
-        _inject(bt, {k: p})
-        bridge = F(2**k, k) * (p.compose_affine(HALF, HALF) - p.compose_affine(HALF, 0))
-        _inject(et, {k - 1: bridge})
+        p = [F(j - 3, j + 2) for j in range(degree + 1)]
+        _inject(bt, {k: RationalPolynomial.from_coefficients(p)})
+        _inject(et, {k - 1: RationalPolynomial.from_coefficients(euler_from_bernoulli(p, k))})
         report = run_identity_suite(nmax, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(nmax, et, bt)
         passed = {r["identity_id"]: r["passed"] for r in report["identities"]}
@@ -599,7 +626,7 @@ class TestSequenceCorruption:
 
     Each case corrupts a fresh table, or one put in place of the module's
     table, before any row is built from it; rows built later carry the
-    corruption, and the suite's reports still equal the polynomial API's.
+    corruption, and the suite's reports still equal the reference suite's.
     """
 
     @pytest.fixture
@@ -693,6 +720,5 @@ class TestIdentityProperties:
     @given(st.integers(min_value=1, max_value=16))
     @settings(max_examples=20, deadline=None)
     def test_euler_bernoulli_bridge(self, k):
-        bk = bernoulli_polynomial(k)
-        rhs = F(2**k, k) * (bk.compose_affine(HALF, HALF) - bk.compose_affine(HALF, 0))
-        assert euler_polynomial(k - 1) == rhs
+        rhs = euler_from_bernoulli(bernoulli_polynomial(k).coeffs, k)
+        assert list(euler_polynomial(k - 1).coeffs) == rhs
