@@ -10,12 +10,11 @@ bound, serves as the numerical oracle the closed forms are tested against.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field, digit_string, rational_str
-from .highprec import HighPrecisionReal, pi_fraction, quantize
+from .highprec import HighPrecisionReal, _as_int, pi_power, quantize
 
 __all__ = [
     "HighPrecisionReal",
@@ -31,11 +30,12 @@ class PiPowerValue(ValueClass):
     """An exact real of the form coeff * pi^power.
 
     Zero is normalized to (0, 0) so equality of values is equality of
-    fields.
+    fields; power must be an integer (bools included), else a TypeError.
     """
 
     def __init__(self, coeff: int | Fraction, power: int) -> None:
         coeff = Fraction(coeff)
+        power = _as_int(power, "power")
         _set_field(self, "coeff", coeff)
         _set_field(self, "power", power if coeff else 0)
 
@@ -48,8 +48,9 @@ class PiPowerValue(ValueClass):
         }
 
     def __float__(self) -> float:
-        # pi^power within 1e-20 relative, so one rounding lands within an ulp
-        return float(self.coeff * pi_fraction(20 + len(str(abs(self.power)))) ** self.power)
+        # pi^power within 2^-80 relative, so one rounding lands within an ulp
+        p = self.power
+        return float(self.coeff * (pi_power(p, 80 + 2 * abs(p).bit_length()) if p else 1))
 
     def __str__(self) -> str:
         if self.power == 0:
@@ -83,14 +84,6 @@ def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
         raise ValueError("k must be >= 0")
     coeff = (-1) ** k * euler_number(2 * k) / Fraction(4 ** (k + 1) * math.factorial(2 * k))
     return PiPowerValue(coeff, 2 * k + 1)
-
-
-def _as_int(value: object, name: str) -> int:
-    """value as an int (bools included), or a TypeError that names it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def _chebyshev_d(n: int) -> int:
@@ -207,15 +200,10 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     the coefficient magnitude, so the final quantization dominates the
     error budget.
 
-    pi^q, q = |power|, is formed in binary fixed point with
-    2^bits > 10^working.  P = floor(pi_fraction(working) 2^bits) / 2^bits
-    is within 2 10^-working of pi, and each truncating product
-    (x P) >> bits loses less than one unit 2^-bits, so pi^q comes out
-    within (2q + 1.5) pi^(q-1) 10^-working.  A negative power takes the
-    reciprocal floor(2^(2 bits) / x): one more unit, plus the error of
-    pi^q divided by pi^(2q).  The q + coeff_mag digits of headroom keep
-    |coeff| times either error below 10^-(digits+10), and rounding to
-    digits+5 places adds at most 10^-(digits+5) / 2.
+    highprec.pi_power at 2^bits > 10^working is within |power| 10^-working
+    relative, and |coeff| |power| pi^power < 10^(coeff_mag + |power|) as
+    (10/pi)^q >= q, so the headroom keeps the product's error below
+    10^-(digits+10); rounding to digits+5 places adds 10^-(digits+5) / 2.
     """
     digits = _as_int(digits, "digits")
     if digits < 1:
@@ -224,13 +212,5 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
         return HighPrecisionReal(v.coeff, digits)
     coeff_mag = len(digit_string(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
-    bits = (10**working).bit_length()
-    pi = pi_fraction(working)
-    p = (pi.numerator << bits) // pi.denominator
-    x = p
-    for _ in range(abs(v.power) - 1):
-        x = (x * p) >> bits
-    if v.power < 0:
-        x = (1 << 2 * bits) // x
-    value = v.coeff * Fraction(x, 1 << bits)
+    value = v.coeff * pi_power(v.power, (10**working).bit_length())
     return HighPrecisionReal(quantize(value, digits + 5), digits)

@@ -10,12 +10,14 @@ into one exact fraction (Haible & Papanikolaou, "Fast multiprecision
 evaluation of series of rational numbers", 1998) and scaled to an integer
 with one square root and one floor division.  The alternating tail is
 bounded by its first omitted term and each floor loses less than one
-scaled unit, so 10 guard digits dominate both by a wide margin.
+scaled unit, so 10 guard digits dominate both by a wide margin.  Every
+power of pi in the package comes from one kernel with one bound, pi_power.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +28,7 @@ __all__ = [
     "HighPrecisionReal",
     "decimal_string",
     "pi_fraction",
+    "pi_power",
     "quantize",
 ]
 
@@ -85,8 +88,45 @@ def pi_fraction(digits: int) -> Fraction:
     return Fraction(426880 * root * q // t, unity)
 
 
-def _round_half_even_scaled(x: Fraction, places: int) -> int:
-    """Nearest integer to x * 10^places, ties to even."""
+def pi_power(q: int, bits: int) -> Fraction:
+    """pi^q within |q| 2^-bits relative, for q != 0 and bits >= max(40, bitlength(q)).
+
+    Binary powering of P = floor(pi_fraction(bits // 3 + 1) 2^bits), each
+    product truncated to `bits` fractional bits; q < 0 takes the exact
+    reciprocal.  Proof for q > 0, with u = 2^-bits and the fixed-point pi^j
+    equal to 2^bits pi^j e^(L_j): P is within 1 + 2^(-0.107 bits) < 1.06 units
+    of 2^bits pi, so |L_1| < 0.34 u, and the squarings and products with P
+    add up to q L_1.  Truncating a product v (in units) to y > v - 1 lowers
+    L by ln(v / y) < 1 / (v - 1), under 1.7 u / pi^j where it forms pi^j
+    with |L| <= 1/2, and later squarings scale that by at most q / j.  The j
+    are distinct and >= 2, so the losses total under 1.7 q u sum_j
+    1 / (j pi^j) < 0.12 q u.  Hence |L_q| < 0.46 q u < 1/2 (q u < 1), and
+    |e^(L_q) - 1| <= |L_q| e^|L_q| < q u, for the reciprocal as well.
+    """
+    if not q or bits < max(40, abs(q).bit_length()):
+        raise ValueError("pi_power needs q != 0 and bits >= max(40, bitlength(q))")
+    pi = pi_fraction(bits // 3 + 1)
+    x = p = (pi.numerator << bits) // pi.denominator
+    for bit in bin(abs(q))[3:]:
+        x = x * x >> bits
+        if bit == "1":
+            x = x * p >> bits
+    return Fraction(x, 1 << bits) if q > 0 else Fraction(1 << bits, x)
+
+
+def _as_int(value: object, name: str) -> int:
+    """value as an int (bools included), or a TypeError that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _round_half_even_scaled(x: Fraction, places: int) -> tuple[int, int]:
+    """(nearest integer to x * 10^places, ties to even; places as a checked int)."""
+    places = _as_int(places, "places")
+    if places < 0:
+        raise ValueError("places must be >= 0")
     scaled = x * 10**places
     q, r = divmod(scaled.numerator, scaled.denominator)
     # divmod on a negative numerator floors, so r >= 0 and q is the floor;
@@ -94,19 +134,18 @@ def _round_half_even_scaled(x: Fraction, places: int) -> int:
     twice = 2 * r
     if twice > scaled.denominator or (twice == scaled.denominator and q % 2 != 0):
         q += 1
-    return q
+    return q, places
 
 
 def quantize(x: Fraction, places: int) -> Fraction:
     """Round x to the nearest multiple of 10^-places (ties to even)."""
-    return Fraction(_round_half_even_scaled(x, places), 10**places)
+    q, places = _round_half_even_scaled(x, places)
+    return Fraction(q, 10**places)
 
 
 def decimal_string(x: Fraction, places: int) -> str:
     """Fixed-point decimal rendering of x with `places` digits, half-even."""
-    if places < 0:
-        raise ValueError("places must be >= 0")
-    q = _round_half_even_scaled(x, places)
+    q, places = _round_half_even_scaled(x, places)
     sign = "-" if q < 0 else ""
     digits = digit_string(abs(q)).rjust(places + 1, "0")
     if places == 0:

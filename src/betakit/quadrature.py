@@ -35,7 +35,7 @@ from .betavalues import PiPowerValue
 from . import eulerpoly
 from .eulerpoly import euler_number
 from .exact import ValueClass, _set_field
-from .highprec import pi_fraction
+from .highprec import pi_power
 
 __all__ = [
     "IntegrandSpec",
@@ -106,22 +106,13 @@ class IntegrandSpec(ValueClass):
         _set_field(self, "m", m)
 
 
-def _pi_power_over_factorial(n: int) -> tuple[int, int]:
-    # (x, d) with x / d within 2^-64 relative of pi^(n+1) / n!.  p / 2^b is
-    # within 2^(1-b) of pi, so x = floor(p^(n+1) / 2^(bn)) is within
-    # (n + 2) 2^-b < 2^-64 relative of pi^(n+1) 2^b; d = n! 2^b
-    bits = 64 + (n + 2).bit_length()
-    pi = pi_fraction(bits // 3 + 1)
-    p = (pi.numerator << bits) // pi.denominator
-    return p ** (n + 1) >> (bits * n), math.factorial(n) << bits
-
-
 @lru_cache(maxsize=256)
 def _scale(n: int) -> float:
     """s(n) = n!/pi^(n+1), so that E_n = s(n) p_n; a ValueError past n = 218."""
-    x, d = _pi_power_over_factorial(n)
+    # pi^(n+1) = x / d within (n + 1) 2^-(64 + bitlength(n + 2)) < 2^-64 relative
+    x, d = pi_power(n + 1, 64 + (n + 2).bit_length()).as_integer_ratio()
     try:
-        return d / x
+        return math.factorial(n) * d / x
     except OverflowError:
         raise ValueError(f"n!/pi^(n+1) exceeds the double range at n={n}") from None
 
@@ -133,13 +124,13 @@ def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
     By the Appell sum (DLMF 24.4), coefficient i of E_n is
     C(n, i) 2^i s_(n-i) / 2^n, read from the Euler table's integers with no
     row built: s_j = 2^j E_j(0) (tangent) about 0, s_j = E_j (secant) about
-    1/2.  Each, times pi^(n+1) / n!, is rounded once by an integer division:
-    within an ulp, and the zero entries of s are skipped as exact zeros.
+    1/2.  Each, times pi^(n+1) / n! as in _scale, is rounded once by an integer
+    division: within an ulp, and the zero entries of s are skipped as exact zeros.
     """
     e = eulerpoly._EULER
     s = [e.number(j).numerator for j in range(n + 1)] if at_half else e.scaled_at_zero(n)
-    x, d = _pi_power_over_factorial(n)
-    d <<= n
+    x, d = pi_power(n + 1, 64 + (n + 2).bit_length()).as_integer_ratio()
+    d = math.factorial(n) * d << n
     return tuple((x * math.comb(n, i) * s[n - i] << i) / d if s[n - i] else 0.0
                  for i in range(n + 1))
 

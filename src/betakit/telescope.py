@@ -19,7 +19,7 @@ from operator import truediv
 from . import eulerpoly
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field
-from .highprec import pi_fraction
+from .highprec import pi_power
 from .quadrature import (
     DEFAULT_TOL, MIN_TOL, _float_coeffs, _horner, _scale, _sec_integral, beta_even_integrand,
 )
@@ -98,22 +98,22 @@ class ExtendedFunctionSpec(ValueClass):
         _set_field(self, "name", name)
         _set_field(self, "k", k)
         _scale(2 * k - 1 if name == "h" else 2 * k)  # raises past k = 109
-        # f's two terms agree to about 3^-2k of their size (their difference
-        # is led by the n = 1 terms of the odd zeta and beta sums), so pi to
-        # k + 20 digits leaves about 20 correct digits; both limits fit a
-        # double wherever the scale does (the largest, h at k = 109, 1.8e306)
+        # f's two terms agree to about 3^-2k = 2^-3.17k of their size (led by the
+        # n = 1 terms of the odd zeta and beta sums), so 1/pi within 2^-(4k+80)
+        # leaves over 80 correct bits; both limits fit a double wherever the
+        # scale does (the largest, h at k = 109, 1.8e306)
         ev: dict[str, float] = {}
         if name == "f":
             at_zero = Fraction(eulerpoly._EULER.scaled_at_zero(2 * k - 1)[2 * k - 1], 1 << 2 * k - 1)
             ev["0"] = float(
-                k * at_zero / pi_fraction(k + 20) - euler_number(2 * k) / 2 ** (2 * k + 1)
+                k * at_zero * pi_power(-1, 4 * k + 80) - euler_number(2 * k) / 2 ** (2 * k + 1)
             )
             ev["1/2"] = 0.0
         elif name == "g":
             ev["1/2"] = 0.0
         else:
             at_half = euler_number(2 * k - 2) / 2 ** (2 * k - 2)
-            ev["1/2"] = float(-(2 * k - 1) * at_half / (2 * pi_fraction(k + 20)))
+            ev["1/2"] = float(-(2 * k - 1) * at_half * pi_power(-1, 4 * k + 80) / 2)
         _set_field(self, "endpoint_values", ev)
 
     def __hash__(self) -> int:

@@ -19,7 +19,7 @@ from betakit.betavalues import (
     beta_series,
     render_decimal,
 )
-from betakit.highprec import decimal_string, pi_fraction, quantize
+from betakit.highprec import HighPrecisionReal, decimal_string, pi_fraction, quantize
 from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
 from conftest import CATALAN_LITERAL, PI_LITERAL, machin_pi
@@ -44,6 +44,17 @@ class TestPiPowerValue:
         assert str(PiPowerValue(F(1, 4), 1)) == "1/4 * pi"
         assert str(PiPowerValue(F(-2), -3)) == "-2 * pi^-3"
         assert str(PiPowerValue(F(3, 7), 0)) == "3/7"
+
+    @pytest.mark.parametrize("power", [2.5, 2.0, F(2), "2", None])
+    def test_rejects_a_non_integer_power(self, power):
+        # 2.0 would otherwise equal the power 2, and 2.5 float to pi^2.5
+        message = f"^power must be an integer, not {type(power).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            PiPowerValue(1, power)
+
+    def test_bool_power_is_an_int(self):
+        v = PiPowerValue(3, True)
+        assert v == PiPowerValue(3, 1) and type(v.power) is int
 
 
 class TestMachinPi:
@@ -244,6 +255,36 @@ def _exact_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
     return quantize(v.coeff * pi_fraction(working) ** v.power, digits + 5)
 
 
+def _loop_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
+    """render_decimal's value by its earlier |power| - 1 truncating fixed-point products."""
+    if v.power == 0 or v.coeff == 0:
+        return v.coeff
+    coeff_mag = len(str(abs(v.coeff.numerator) // v.coeff.denominator + 1))
+    working = digits + 10 + abs(v.power) + coeff_mag
+    bits = (10**working).bit_length()
+    pi = pi_fraction(working)
+    p = (pi.numerator << bits) // pi.denominator
+    x = p
+    for _ in range(abs(v.power) - 1):
+        x = (x * p) >> bits
+    if v.power < 0:
+        x = (1 << 2 * bits) // x
+    return quantize(v.coeff * Fraction(x, 1 << bits), digits + 5)
+
+
+def _fraction_pi_power(v: PiPowerValue) -> Fraction:
+    """float(v)'s earlier argument: a Fraction power of a 20-digit pi."""
+    return v.coeff * pi_fraction(20 + len(str(abs(v.power)))) ** v.power
+
+
+def _float_hex(x: PiPowerValue | Fraction) -> str:
+    """float(x).hex(), or "overflow" past the double range."""
+    try:
+        return float(x).hex()
+    except OverflowError:
+        return "overflow"
+
+
 GRID_DIGITS = (13, 29, 101, 400)
 # Before rounding, the old and new series differ by up to about 1e-4 units
 # of the last of the digits+5 places (the render by about 1e-7), so a rare
@@ -270,6 +311,21 @@ class TestFixedPointKernels:
             for digits in (1,) + GRID_DIGITS:
                 expected = _exact_pi_power_render(v, digits)
                 assert render_decimal(v, digits).value == expected, (v, digits)
+
+    def test_render_bit_identical_to_earlier_loop(self):
+        for k in range(21):
+            for v in (beta_odd_exact(k), aux_integral_I_closed(k, k % 5),
+                      aux_integral_J_closed(k, 2 * k % 7), PiPowerValue(F(-7, 3) ** k, k - 10)):
+                for digits in (1,) + GRID_DIGITS + (1000,):
+                    want = _loop_pi_power_render(v, digits)
+                    assert render_decimal(v, digits).value == want, (v, digits)
+
+    def test_float_bit_identical_to_earlier_fraction_power(self):
+        values = [beta_odd_exact(k) for k in range(301)]
+        values += [closed(k, m) for closed in (aux_integral_I_closed, aux_integral_J_closed)
+                   for k in range(110) for m in (0, 1, 7, 200)]
+        for v in values:
+            assert _float_hex(v) == _float_hex(_fraction_pi_power(v)), v
 
     @given(st.integers(min_value=1, max_value=41), st.integers(min_value=13, max_value=400))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -422,3 +478,19 @@ class TestDecimalFormatting:
     def test_quantize_consistent_with_string(self):
         x = F(123456789, 100000)
         assert decimal_string(quantize(x, 3), 3) == decimal_string(x, 3)
+
+    def test_negative_places_refused(self):
+        for fn in (quantize, decimal_string):
+            with pytest.raises(ValueError, match="places must be >= 0"):
+                fn(F(1, 3), -1)
+
+    @pytest.mark.parametrize("places", [2.0, 2.5, F(2), "2"])
+    def test_non_integer_places_refused(self, places):
+        message = f"^places must be an integer, not {type(places).__name__}$"
+        for fn in (quantize, decimal_string, lambda x, p: HighPrecisionReal(x, 5).decimal_str(p)):
+            with pytest.raises(TypeError, match=message):
+                fn(F(1, 3), places)
+
+    def test_bool_places_are_ints(self):
+        assert quantize(F(1, 3), True) == F(3, 10)
+        assert decimal_string(F(1, 3), True) == "0.3"

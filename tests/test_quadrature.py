@@ -22,9 +22,10 @@ from conftest import (
     sin_cos_oracle,
 )
 
-from betakit import quadrature
+from betakit import eulerpoly, quadrature
 from betakit.betavalues import beta_series, render_decimal
 from betakit.eulerpoly import euler_polynomial
+from betakit.highprec import pi_fraction
 from betakit.quadrature import (
     _G15,
     _NODE_ERR,
@@ -123,11 +124,23 @@ def _exact_p_coeffs(n: int, at_half: bool) -> tuple[Fraction, ...]:
     return tuple(scale * x for x in c)
 
 
-@pytest.mark.parametrize("at_half", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 99, 100, 218, 300])
+def _exact_power_pi_ratio(n: int) -> tuple[int, int]:
+    """(x, d), x / d the earlier pi^(n+1) / n!: one exact power of a fixed-point pi, one shift."""
+    bits = 64 + (n + 2).bit_length()
+    pi = pi_fraction(bits // 3 + 1)
+    p = (pi.numerator << bits) // pi.denominator
+    return p ** (n + 1) >> (bits * n), math.factorial(n) << bits
+
+
+COEFF_GRID = pytest.mark.parametrize("n", [1, 2, 99, 100, 218, 300])
+BASES = pytest.mark.parametrize("at_half", [False, True])
+
+
 class TestFloatCoeffs:
     """p_n's float coefficients: finite for every n, each within one ulp."""
 
+    @BASES
+    @COEFF_GRID
     def test_against_exact_oracle(self, n, at_half):
         got = _float_coeffs(n, at_half)
         want = _exact_p_coeffs(n, at_half)
@@ -138,6 +151,8 @@ class TestFloatCoeffs:
             if w == 0:  # E_n(0) for even n >= 2, E_n(1/2) for odd n
                 assert g == 0.0, i
 
+    @BASES
+    @COEFF_GRID
     def test_against_mpmath(self, n, at_half):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
@@ -146,6 +161,19 @@ class TestFloatCoeffs:
                 e = mpmath.eulernum(j) / 2**j if at_half else mpmath.eulerpoly(j, 0)
                 w = mpmath.pi ** (n + 1) * e / (mpmath.factorial(i) * mpmath.factorial(j))
                 assert abs(g - w) <= math.ulp(float(w)), i
+
+    def test_bit_identical_to_earlier_exact_power(self):
+        # every coefficient and scale that fits a double, in both bases
+        e = eulerpoly._EULER
+        for n in range(219):
+            x, d = _exact_power_pi_ratio(n)
+            assert quadrature._scale(n).hex() == (d / x).hex(), n
+            secant = [e.number(j).numerator for j in range(n + 1)]
+            for at_half, s in ((False, e.scaled_at_zero(n)), (True, secant)):
+                want = [(x * math.comb(n, i) * s[n - i] << i) / (d << n) if s[n - i] else 0.0
+                        for i in range(n + 1)]
+                want = [c.hex() for c in want]
+                assert [c.hex() for c in _float_coeffs(n, at_half)] == want, (n, at_half)
 
 
 class TestBetaEvenIntegrand:

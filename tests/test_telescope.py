@@ -23,6 +23,7 @@ from conftest import (
 from betakit import eulerpoly, telescope
 from betakit.betavalues import beta_series
 from betakit.eulerpoly import euler_number
+from betakit.highprec import pi_fraction
 from betakit.quadrature import _scale
 from betakit.telescope import (
     ExtendedFunctionSpec,
@@ -100,6 +101,16 @@ class TestExtendedFunctions:
                                   f_want) <= 1e-15, k
             assert relative_error(ExtendedFunctionSpec("h", k).endpoint_values["1/2"],
                                   h_want) <= 1e-15, k
+
+    def test_endpoints_bit_identical_to_earlier_pi_division(self):
+        # the limits as they were formed before, divided by pi_fraction(k + 20)
+        for k in range(1, 110):
+            pi = pi_fraction(k + 20)
+            at_zero = F(eulerpoly._EULER.scaled_at_zero(2 * k - 1)[2 * k - 1], 1 << 2 * k - 1)
+            f_was = float(k * at_zero / pi - euler_number(2 * k) / 2 ** (2 * k + 1))
+            h_was = float(-(2 * k - 1) * (euler_number(2 * k - 2) / 2 ** (2 * k - 2)) / (2 * pi))
+            assert ExtendedFunctionSpec("f", k).endpoint_values["0"].hex() == f_was.hex(), k
+            assert ExtendedFunctionSpec("h", k).endpoint_values["1/2"].hex() == h_was.hex(), k
 
     @pytest.mark.parametrize("name", ["f", "g", "h"])
     def test_past_the_double_range(self, name):
