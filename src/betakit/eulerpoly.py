@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from itertools import zip_longest
-from operator import add
+from itertools import repeat, zip_longest
+from operator import add, lshift, mul
 
-from .exact import RationalPolynomial, ValueClass, poly_eval, taylor_shift
+from .exact import RationalPolynomial, ValueClass, taylor_shift
+from .highprec import _as_int
 
 __all__ = [
     "BernoulliTable",
@@ -34,15 +35,14 @@ __all__ = [
     "run_identity_suite",
 ]
 
-_HALF = Fraction(1, 2)
-
 
 def _binomials(m: int) -> list[int]:
-    # C(m, 0), ..., C(m, m), one small multiply and exact division each
+    # C(m, 0), ..., C(m, m): the first half by one small multiply and exact
+    # division each, then its mirror image, C(m, i) = C(m, m - i)
     row = [1]
-    for i in range(m):
+    for i in range(m // 2):
         row.append(row[-1] * (m - i) // (i + 1))
-    return row
+    return row + row[m % 2 - 2::-1]
 
 
 def _triangle_step(col: list[int], c: int) -> list[int]:
@@ -133,7 +133,8 @@ class EulerTable(_Table):
         return Fraction((-1) ** (m // 2) * self._secant[-1])
 
     def _row(self, a: list[int], n: int) -> RationalPolynomial:
-        return RationalPolynomial(1 << n, [c * a[n - i] << i for i, c in enumerate(_binomials(n))])
+        return RationalPolynomial(1 << n,
+                                  map(lshift, map(mul, _binomials(n), a[n::-1]), range(n + 1)))
 
 
 class BernoulliTable(_Table):
@@ -176,7 +177,7 @@ class BernoulliTable(_Table):
 
     def _row(self, seq: tuple[int, list[int]], n: int) -> RationalPolynomial:
         den, b = seq
-        return RationalPolynomial(den, [c * b[n - i] for i, c in enumerate(_binomials(n))])
+        return RationalPolynomial(den, map(mul, _binomials(n), b[n::-1]))
 
 
 _EULER = EulerTable()
@@ -206,31 +207,26 @@ def bernoulli_number(n: int) -> Fraction:
 def generalized_bernoulli_chi4(n: int) -> Fraction:
     """Generalized Bernoulli number for the nontrivial character mod 4.
 
-    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  That
-    is sum_j C(n, j) D B_j (1 - 3^(n-j)) 4^j / (4 D), one O(n) pass over
-    the Bernoulli table's integers D B_j: no row is built.
+    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  One
+    O(n) Horner pass over the coefficients C(n, i) D B_(n-i) of D B_n(x),
+    formed from the Bernoulli table's integers D B_j: no row is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     den, b = _BERNOULLI.scaled_numbers(n)
-    acc, c, p3 = 0, 1, 3**n
-    for j in range(n + 1):
-        if b[j]:  # zero for odd j >= 3
-            acc += c * b[j] * (1 - p3) << 2 * j
-        c = c * (n - j) // (j + 1)
-        p3 //= 3
-    return Fraction(acc, den << 2)
+    return Fraction(*_chi4(den, [*map(mul, _binomials(n), b[n::-1])], n))
 
 
-def _chi4(b: RationalPolynomial, n: int) -> Fraction:
-    # 4^(n-1) (b(1/4) - b(3/4)) for b = (1/D) sum b_i x^i of degree d, by one
-    # integer Horner pass for sum b_i (1 - 3^i) 4^(d-i), which is that value
-    # times 4^(d-n+1) D: over 4D for a Bernoulli row (d = n)
+def _chi4(den: int, nums: list[int] | tuple[int, ...], n: int) -> tuple[int, int]:
+    # 4^(n-1) (b(1/4) - b(3/4)) as an integer ratio, for b = (1/den) sum nums_i x^i:
+    # one Horner pass gives sum nums_i (1 - 3^i) 4^(d-i) with d = len(nums) - 1,
+    # which is that value times 4^(d-n+1) den
     acc, p3 = 0, 1
-    for c in b.nums:
-        acc = (acc << 2) + c * (1 - p3)
+    for c in nums:
+        acc = (acc << 2) + c * (1 - p3) if c else acc << 2
         p3 *= 3
-    return Fraction(acc, b.den) * Fraction(4) ** (n - 1 - b.degree)
+    e = 2 * (n - len(nums))
+    return (acc << e, den) if e >= 0 else (acc, den << -e)
 
 
 class IdentityResult(ValueClass, frozen=False):
@@ -309,52 +305,50 @@ def _is_row(p: RationalPolynomial, scale: int, terms: list[int]) -> bool:
 
 def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
     # One pass over r with Pascal's row c = C(r, .), grown by additions, in
-    # which row r of each table is built, certified and checked.  Per Euler
-    # index r <= nmax: 1.1, 1.3, 1.4 and 1.5 at r, and E_r(1/2) as a ratio;
-    # per Bernoulli index r <= nmax + 1: (4 D B_(r,chi4), 4 D) and, for
-    # 1 <= r <= nmax, the bridge at r.
+    # which row r of each table is built, certified and read.  Per Euler
+    # index r <= nmax: 1.1 and 1.3 at r, and on the row 1.4, 1.5 and
+    # E_r(1/2) as a ratio; per Bernoulli index r <= nmax + 1: B_(r,chi4) as
+    # a ratio and, for 1 <= r <= nmax, the bridge at r.
     a = et.scaled_at_zero(nmax)
     den, b = bt.scaled_numbers(nmax + 1)
     reflect, shift_sum, vanish, deriv, half, chi4, bridge = [], [], [], [], [], [None], [None]
     prev, prev_ok = RationalPolynomial.zero(), True  # E_(r-1), and 0 below E_0
-    c, p3, ok11, ok13, ok_bridge = [], [1], True, True, True
+    c, ok11, ok13, ok_bridge = [], True, True, True
     for r in range(nmax + 2):
         c = [1, *map(add, c, c[1:]), 1] if c else [1]
-        u = [x * y for x, y in zip(c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
+        u = [*map(mul, c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
         brow = bt.poly(r)
         bern_ok = _is_row(brow, den, u[::-1])
         if r:
-            p3.append(3 * p3[-1])
-            chi4.append((sum(x * (1 - p3[r - j]) << 2 * j for j, x in enumerate(u) if x), den << 2)
-                        if bern_ok else _chi4(brow, r).as_integer_ratio())
+            chi4.append(_chi4(brow.den, brow.nums, r))
         if r > nmax:
             break
         row = et.poly(r)
-        t = [x * y for x, y in zip(c, a)]  # C(r, j) a_j
-        terms = [x << r - j for j, x in enumerate(t)][::-1]  # the coefficient of x^i, over 2^r
+        # C(r, j) 2^(r-j) a_j, the coefficient of x^(r-j), over 2^r
+        terms = [*map(lshift, map(mul, c, a), range(r, -1, -1))][::-1]
         ok = _is_row(row, 1 << r, terms)
         at_one = sum(terms)  # A_r = 2^r E_r(1)
         ok11 = ok11 and at_one == (-1) ** r * a[r]
         ok13 = ok13 and at_one + a[r] == (0 if r else 2)
+        # on the row E_r = (1/D) sum c_j x^j, of length d
+        nums, d = row.nums, len(row.nums)
         if ok:
-            checks = ok11, ok13, a[r] == at_one == 0, (sum(t), 1 << r)
+            checks = ok11, ok13
         else:
-            # on the row E_r = (1/D) sum c_j x^j: with E_r(x+1) = (1/D) sum s_j x^j,
-            # 1.1 reads (-1)^j s_j = (-1)^r c_j; E_r(0) = c_0 / D, E_r(1) = sum c_j / D
-            s = taylor_shift(row.nums)
-            checks = (s == [-x if (r + j) % 2 else x for j, x in enumerate(row.nums)],
-                      [x + y for x, y in zip(s, row.nums)] == [0] * r + [2 * row.den],
-                      not any(row.nums[:1]) and sum(row.nums) == 0,
-                      poly_eval(row, _HALF).as_integer_ratio())
-        for family, check in zip((reflect, shift_sum, vanish, half), checks):
+            # with E_r(x+1) = (1/D) sum s_j x^j, 1.1 reads (-1)^j s_j = (-1)^r c_j
+            s = taylor_shift(nums)
+            checks = (s == [-x if (r + j) % 2 else x for j, x in enumerate(nums)],
+                      [x + y for x, y in zip(s, nums)] == [0] * r + [2 * row.den])
+        for family, check in zip((reflect, shift_sum), checks):
             family.append(check)
-        # 1.5 on the rows: D_(r-1) j c_j = r D_r f_(j-1), with E_r = (1/D_r) sum c_j x^j
-        # and E_(r-1) = (1/D_(r-1)) sum f_j x^j
-        deriv.append((ok and prev_ok)
-                     or [j * x * prev.den for j, x in enumerate(row.nums) if j]
-                     == [r * f * row.den for f in prev.nums])
+        # E_r(0) = c_0 / D, E_r(1) = sum c_j / D, E_r(1/2) = sum c_j 2^(d-j) / (D 2^d)
+        vanish.append(not any(nums[:1]) and sum(nums) == 0)
+        half.append((sum(map(lshift, nums, range(d, 0, -1))), row.den << d))
+        # 1.5: j D_(r-1) c_j = r D f_(j-1), with E_(r-1) = (1/D_(r-1)) sum f_j x^j
+        deriv.append([*map(mul, range(prev.den, d * prev.den, prev.den), nums[1:])]
+                     == [*map(mul, prev.nums, repeat(r * row.den))])
         if r:
-            rhs = sum(x << j for j, x in enumerate(u[:r]) if x)
+            rhs = sum(map(lshift, u[:r], range(r)))
             ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
             bridge.append(ok_bridge if bern_ok and prev_ok else _bridge_holds(brow, prev, r))
         prev, prev_ok = row, ok
@@ -386,21 +380,37 @@ def run_identity_suite(
            E_{k-1}(1/2) = -B_{k,chi4} / (2^(k-2) k)
 
     Each family is a stream of (n, ok) checks, one instance per index, and
-    reports its first failing n.  Both tables hold Appell sequences (Appell
-    1880; DLMF 24.4): E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i and
-    B_n(x) = sum_i C(n, i) B_(n-i) x^i.  In one pass over n the suite builds
-    row n of each table with ``poly(n)`` and certifies in O(n) that it is
-    its own table's Appell row: with
-    a_j = 2^j E_j(0) (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``),
-    an Euler row (1/den) sum nums_i x^i is certified when
+    reports its first failing n.  In one pass over n the suite builds row n
+    of each table with ``poly(n)`` and drops it after the next index, so the
+    pass holds O(nmax) integers of rows.  Reading a row costs O(n) integer
+    operations, so five families read the row itself, certified or not;
+    with E_n = (1/D) sum c_j x^j of length d:
+
+      1.4  E_n(0) = c_0 / D and E_n(1) = sum c_j / D.
+      1.2, 1.6, bridge_chi4
+           E_n(1/2) = sum c_j 2^(d-j) / (D 2^d) in one integer pass, and
+           B_{n,chi4} in one Horner pass over the Bernoulli row's integers
+           (the kernel of :func:`generalized_bernoulli_chi4`), compared as
+           cross-multiplied integers.
+      1.5  j D_(n-1) c_j = n D f_(j-1) for every j, with the row below
+           E_(n-1) = (1/D_(n-1)) sum f_j x^j.
+
+    1.1, 1.3 and bridge_euler_bernoulli compare shifted polynomials, an
+    O(n^2) Taylor shift per row, so they use a certificate instead.  Both
+    tables hold Appell sequences (Appell 1880; DLMF 24.4):
+    E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i and
+    B_n(x) = sum_i C(n, i) B_(n-i) x^i.  The pass certifies in O(n) that
+    row n is its own table's Appell row: with a_j = 2^j E_j(0)
+    (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``), an Euler row
+    (1/den) sum nums_i x^i is certified when
     nums_i 2^n = den C(n, i) 2^i a_(n-i), and a Bernoulli row when
     nums_i D = den C(n, i) D B_(n-i), for every i <= n with nothing past
     degree n.  The binomials come from Pascal's rule by additions, not from
     the ``_binomials`` the rows were built with, so a row built with a wrong
     binomial is not certified.
-    Every shifted or evaluated Appell row is again a sum over the sequence
-    (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows each
-    family is decided by scalar sums, one per index r and shared by every
+    Every shifted Appell row is again a sum over the sequence
+    (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows the
+    three are decided by scalar sums, one per index r and shared by every
     row above it; with A_r = sum_j C(r, j) 2^(r-j) a_j = 2^r E_r(1):
 
       1.1  holds at n iff A_r = (-1)^r a_r for every r <= n: the
@@ -409,37 +419,27 @@ def run_identity_suite(
       1.3  holds at n iff A_r + a_r = 2 [r = 0] for every r <= n: the
            coefficient of x^i in E_n(x+1) + E_n(x) is
            C(n, i) (E_r(1) + E_r(0)) with r = n - i.
-      1.5  holds for any two certified rows: i C(n, i) = n C(n-1, i-1), so
-           an Appell row's derivative is n times the row below.
-      1.2, 1.6, bridge_chi4
-           compare cross-multiplied integers: H_n = sum_j C(n, j) a_j is
-           2^n E_n(1/2) (the row at x = 1/2), and
-           X_n = sum_j C(n, j) D B_j (1 - 3^(n-j)) 4^j is 4 D B_(n,chi4)
-           (4^(n-1) (B_n(1/4) - B_n(3/4)) term by term).
       bridge_euler_bernoulli
            holds at k iff m D a_(m-1) = 2^(m-1) sum_(j<m) C(m, j) D B_j 2^j
            for every 1 <= m <= k: with m = k - i and C(k, i)/k = C(k-1, i)/m,
            the coefficient of x^i on the right is
            C(k-1, i) 2^m (B_m(1/2) - B_m) / m, and 2^m B_m(1/2) is
            sum_(j<=m) C(m, j) B_j 2^j; on the left it is C(k-1, i) E_(m-1)(0).
-      1.4  holds at n iff a_n = A_n = 0: E_n(0) = a_n / 2^n and
-           E_n(1) = A_n / 2^n.
 
-    Every row is built once and dropped after the next index, so the pass
-    holds O(nmax) integers of rows.  An instance that touches an
-    uncertified row (a corrupted or injected one) is checked in the pass on
-    that row, on its integer coefficient list: one
+    An instance of the three that touches an uncertified row (a corrupted
+    or injected one) is checked on that row's integer coefficient list: one
     addition-only Taylor shift gives E_n(x+1) for 1.1 and 1.3, another
-    B_k((x+1)/2) for the bridge, the derivative's coefficients give 1.5,
-    and ``poly_eval`` and one Horner pass give E_n(1/2) and B_{n,chi4}.  Two
-    polynomials agree at every x exactly when their coefficients agree, and
-    multiplying both sides by the same nonzero integer keeps them equal or
-    unequal, so either way the verdict holds for every x.  On true tables no
-    shift (O(n^2) per row) is formed, and the suite costs O(nmax^2) integer
-    operations.  ``trials`` (>= 1) and ``seed`` are validated and otherwise
-    ignored, so the report depends on nmax and the tables alone.  Failures
-    are reported, not raised: a corrupted table yields a failing entry.
+    B_k((x+1)/2) for the bridge.  Two polynomials agree at every x exactly
+    when their coefficients agree, and multiplying both sides by the same
+    nonzero integer keeps them equal or unequal, so either way the verdict
+    holds for every x.  On true tables no shift is formed, and the suite
+    costs O(nmax^2) integer operations.  ``trials`` (>= 1) and ``seed`` are
+    validated and otherwise ignored: the report depends on nmax and the
+    tables alone.  Failures are reported, not raised.
     """
+    nmax = _as_int(nmax, "nmax")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     et = euler if euler is not None else _EULER

@@ -13,6 +13,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import floordiv
 
 # The universal exact scalar.  Fraction already maintains the canonical form
 # we need: positive denominator, gcd(|num|, den) = 1, and zero stored as 0/1.
@@ -141,7 +142,7 @@ class RationalPolynomial(ValueClass):
             nums.pop()
         g = math.gcd(den, *nums)
         _set_field(self, "den", den // g)
-        _set_field(self, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
+        _set_field(self, "nums", tuple(map(floordiv, nums, repeat(g))) if g > 1 else tuple(nums))
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> "RationalPolynomial":
@@ -202,11 +203,6 @@ def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
     d, ints = p.den, p.nums
     u, v = x.numerator, x.denominator
     deg = len(ints) - 1
-    if v == 1:
-        acc = ints[deg]
-        for i in range(deg - 1, -1, -1):
-            acc = acc * u + ints[i]
-        return Fraction(acc, d)
     vpow = [1] * (deg + 1)
     for j in range(1, deg + 1):
         vpow[j] = vpow[j - 1] * v

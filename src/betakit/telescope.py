@@ -19,7 +19,7 @@ from operator import truediv
 from . import eulerpoly
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field
-from .highprec import pi_power
+from .highprec import _as_int, pi_power
 from .quadrature import (
     DEFAULT_TOL, MIN_TOL, _float_coeffs, _horner, _scale, _sec_integral, beta_even_integrand,
 )
@@ -58,6 +58,7 @@ def correction_term(k: int, m: int) -> Fraction:
     form -B_{2k+1,chi4}/((2k+1) 2^(2k+1)) is computed as well and must
     agree exactly; a mismatch would mean a corrupted table.
     """
+    k, m = _as_int(k, "k"), _as_int(m, "m")
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
     if m != 0:
@@ -271,6 +272,7 @@ def partial_sum_I_star(k: int, n_max: int) -> PartialSumTrace:
     (-1)^k s(2k), so k <= 109, and the terms are floats: (2 n_max + 1)^(2k+1)
     past the double range raises OverflowError, before any table is built.
     """
+    k, n_max = _as_int(k, "k"), _as_int(n_max, "n_max")
     if k < 0 or n_max < 0:
         raise ValueError("k and n_max must be >= 0")
     pref = (-1) ** k * _scale(2 * k)
@@ -290,6 +292,7 @@ def partial_sum_J(k: int, n_max: int, tol: float = DEFAULT_TOL) -> PartialSumTra
     to MIN_TOL.  As for I*, k <= 109, (2 n_max + 1)^(2k) must fit a double
     (checked before the target is computed), and the sums stop once settled.
     """
+    k, n_max = _as_int(k, "k"), _as_int(n_max, "n_max")
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_max < 0:

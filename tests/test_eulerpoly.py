@@ -446,6 +446,16 @@ class TestIdentitySuite:
         with pytest.raises(ValueError):
             run_identity_suite(3, 0, 42)
 
+    @pytest.mark.parametrize("nmax", [2.0, 2.5, F(2), "2", None])
+    def test_rejects_a_non_integer_nmax(self, nmax):
+        message = f"^nmax must be an integer, not {type(nmax).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            run_identity_suite(nmax)
+
+    def test_rejects_negative_nmax(self):
+        with pytest.raises(ValueError, match="^nmax must be >= 0$"):
+            run_identity_suite(-1)
+
     def test_report_json_schema(self):
         payload = json.loads(run_identity_suite(4, 2, 5).to_json_str())
         assert set(payload) == {"nmax", "all_passed", "identities"}
@@ -512,15 +522,17 @@ class TestSuiteMatchesPolynomialReference:
     @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60, 201])
     def test_true_tables_form_no_row_check(self, nmax, monkeypatch):
         # every row of a true table is certified as its sequence's Appell
-        # row, so no instance falls back to the row checks
+        # row, so no Taylor shift is formed; B_{n,chi4} is read off each
+        # Bernoulli row 1 .. nmax + 1 by the one chi4 kernel, once
         calls = []
-        for name in ("taylor_shift", "_bridge_holds", "poly_eval", "_chi4"):
+        for name in ("taylor_shift", "_bridge_holds", "_chi4"):
             real = getattr(eulerpoly, name)
             monkeypatch.setattr(eulerpoly, name,
-                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+                                lambda *a, name=name, real=real: calls.append((name, a[-1]))
+                                or real(*a))
         et, bt = EulerTable(), BernoulliTable()
         assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
-        assert calls == []
+        assert calls == [("_chi4", n) for n in range(1, nmax + 2)]
 
     @pytest.mark.parametrize("nmax", [0, 1, 12, 60])
     def test_builds_each_row_once_and_keeps_none(self, nmax, monkeypatch):
@@ -673,6 +685,16 @@ class TestSequenceCorruption:
         assert failing == {"1.2": {"n": 2 * k}}
         assert run_cli(["beta", "odd", "--k", str(k), "--cross-check"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_chi4_kernel_feeds_both_routes_and_the_suite(self, tables, monkeypatch):
+        # beta_odd_exact and the suite read B_{n,chi4} from one kernel: with
+        # its leading term dropped, the two beta(2k+1) routes disagree, and
+        # 1.6 and bridge_chi4 fail while every other family holds
+        real = eulerpoly._chi4
+        monkeypatch.setattr(eulerpoly, "_chi4", lambda den, nums, n: real(den, nums[:-1], n))
+        assert all(beta_odd_exact(k) != beta_odd_exact_via_euler(k) for k in range(1, 7))
+        failing = {r.identity_id for r in run_identity_suite(12).results if not r.passed}
+        assert failing == {"1.6", "bridge_chi4"}
 
     @pytest.mark.parametrize("j", [2, 3, 6])
     def test_bernoulli_integer_fails_routes_and_chi4(self, tables, j):

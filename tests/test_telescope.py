@@ -66,6 +66,12 @@ class TestCorrectionTerm:
         assert correction_term(0, 1) == 0
         assert correction_term(5, 3) == 0
 
+    @pytest.mark.parametrize("k, m, name", [(1.0, 0, "k"), (1, 0.0, "m"), (F(1), 0, "k")])
+    def test_rejects_non_integer_arguments(self, k, m, name):
+        message = f"^{name} must be an integer, not {type(k if name == 'k' else m).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            correction_term(k, m)
+
     def test_two_expressions_agree_exactly(self):
         # E_{2k}/2^(2k+2) vs -B_{2k+1,chi4}/((2k+1) 2^(2k+1)); correction_term
         # raises if they ever disagreed, so surviving the call is the check
@@ -292,6 +298,15 @@ class TestPartialSumJ:
     def test_scale_past_the_double_range_raises(self):
         with pytest.raises(ValueError, match=r"exceeds the double range at n=219"):
             partial_sum_J(110, 10, 1e-8)
+
+
+@pytest.mark.parametrize("trace", [partial_sum_I_star, partial_sum_J])
+@pytest.mark.parametrize("k, n_max, name", [(2, 10.5, "n_max"), (2, "10", "n_max"), (2.0, 10, "k")])
+def test_partial_sums_reject_non_integer_arguments(trace, k, n_max, name):
+    # a float N would otherwise end the trace at the sample N = 10.5
+    message = f"^{name} must be an integer, not {type(k if name == 'k' else n_max).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        trace(k, n_max)
 
 
 def _reference_sums(power: int, ns: list[int]) -> list[tuple[int, float]]:
