@@ -65,6 +65,7 @@ def beta_odd_exact(k: int) -> PiPowerValue:
     beta(2k+1) = (-1)^(k+1) (pi/2)^(2k+1) B_{2k+1,chi4} / (2k+1)!, stated
     here with the power of two folded into the rational coefficient.
     """
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     n = 2 * k + 1
@@ -80,6 +81,7 @@ def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
     agreement with the generalized-Bernoulli route is forced by the
     half-point identities; the test suite asserts it field by field.
     """
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     coeff = (-1) ** k * euler_number(2 * k) / Fraction(4 ** (k + 1) * math.factorial(2 * k))

@@ -2,14 +2,17 @@
 
 Subcommands expose the exact closed forms, the quadrature and series
 routes, the identity suite and the telescoping traces, each in text, JSON
-or CSV form.  Each handler returns its result in all three forms (text
-lines, a JSON object from the library serializers, CSV lines) and its
-stderr notes with an exit code; run_cli prints the form asked for and the
-notes through one guarded writer.  Exit codes: 0 success, 1 verification
-failure (a failed self-check included), 2 usage error (a beta even error
-bound above --tol included), 3 numeric budget exceeded, which no library
-path raises any more; a stdout or stderr closed early (``| head``) drops
-the rest of that stream, not the exit code.
+or CSV form.  A subcommand takes only the options its handler reads:
+--format and --max-k everywhere, --digits (default BETAKIT_DIGITS, else
+12) on beta odd, beta even and aux, --tol on beta even, --seed and
+--trials on verify.  Each handler returns its result in all three forms
+(text lines, a JSON object from the library serializers, CSV lines) and
+its stderr notes with an exit code; run_cli prints the form asked for and
+the notes through one guarded writer.  Exit codes: 0 success, 1
+verification failure (a failed self-check included), 2 usage error (a beta
+even error bound above --tol included), 3 numeric budget exceeded, which
+no library path raises any more; a stdout or stderr closed early
+(``| head``) drops the rest of that stream, not the exit code.
 """
 
 from __future__ import annotations
@@ -48,28 +51,14 @@ EXIT_BUDGET = 3
 _MAX_DIGITS = 1000
 
 
-def _default_digits(parser: argparse.ArgumentParser) -> int:
-    # read only when --digits is absent, so an explicit flag wins over a bad value
-    raw = os.environ.get("BETAKIT_DIGITS")
-    if raw is None:
-        return 12
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"BETAKIT_DIGITS must be an integer, got {raw!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
-                        help="decimal digits for rendered values (default 12)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="absolute tolerance, at least 1e-13: beta even exits 2 if its "
-                             "error bound exceeds it (default 1e-8)")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--seed", type=int, default=42)
     common.add_argument("--max-k", type=int, default=50, dest="max_k",
                         help="guard against accidentally huge exact computations")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=None,
+                        help="decimal digits for rendered values (default 12)")
 
     parser = argparse.ArgumentParser(
         prog="betakit",
@@ -80,15 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     beta = sub.add_parser("beta", help="beta function values")
     betasub = beta.add_subparsers(dest="subcommand", required=True)
 
-    odd = betasub.add_parser("odd", parents=[common],
+    odd = betasub.add_parser("odd", parents=[digits, common],
                              help="exact beta(2k+1) as a rational multiple of pi^(2k+1)")
     odd.add_argument("--k", type=int, required=True)
     odd.add_argument("--cross-check", action="store_true", dest="cross_check",
                      help="also compute the Euler-number route and compare")
     odd.set_defaults(handler=_cmd_beta_odd, _parser=odd)
 
-    even = betasub.add_parser("even", parents=[common],
+    even = betasub.add_parser("even", parents=[digits, common],
                               help="beta(2k) by quadrature of the integral representation")
+    even.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                      help="absolute tolerance, at least 1e-13: exits 2 if the error "
+                           "bound exceeds it (default 1e-8)")
     even.add_argument("--k", type=int, required=True)
     even.add_argument("--show-erratum", action="store_true", dest="show_erratum",
                       help="print both prefactor sign variants")
@@ -110,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="run the exact identity suite")
     verify.add_argument("--nmax", type=int, default=10)
     verify.add_argument("--trials", type=int, default=5)
+    verify.add_argument("--seed", type=int, default=42)
     verify.set_defaults(handler=_cmd_verify, _parser=verify)
 
     tele = sub.add_parser("telescope", parents=[common], help="partial-sum traces")
@@ -118,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tele.add_argument("--N", type=int, required=True, dest="n_max")
     tele.set_defaults(handler=_cmd_telescope, _parser=tele)
 
-    aux = sub.add_parser("aux", parents=[common],
+    aux = sub.add_parser("aux", parents=[digits, common],
                          help="auxiliary integrals: closed form and numeric cross-check")
     aux.add_argument("--family", choices=("i", "j"), required=True)
     aux.add_argument("--k", type=int, required=True)
@@ -129,12 +122,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args) -> None:
-    p = args._parser
-    if args.digits is None:
-        args.digits = _default_digits(p)
-    if not 1 <= args.digits <= _MAX_DIGITS:
-        p.error(f"digits must be in [1, {_MAX_DIGITS}]")
-    if not args.tol >= MIN_TOL:  # NaN fails it too
+    p, given = args._parser, vars(args)
+    if "digits" in given:
+        if args.digits is None:  # read only without --digits: the flag wins over a bad value
+            raw = os.environ.get("BETAKIT_DIGITS", "12")
+            try:
+                args.digits = int(raw)
+            except ValueError:
+                p.error(f"BETAKIT_DIGITS must be an integer, got {raw!r}")
+        if not 1 <= args.digits <= _MAX_DIGITS:
+            p.error(f"digits must be in [1, {_MAX_DIGITS}]")
+    if "tol" in given and not args.tol >= MIN_TOL:  # NaN fails it too
         p.error(f"tol must be >= {MIN_TOL}")
     if args.max_k < 1:
         p.error("max-k must be >= 1")
@@ -292,7 +290,7 @@ def _cmd_telescope(args) -> tuple[tuple, int]:
         if args.family == "istar":
             trace = partial_sum_I_star(args.k, args.n_max)
         else:
-            trace = partial_sum_J(args.k, args.n_max, args.tol)
+            trace = partial_sum_J(args.k, args.n_max)
     except (ValueError, OverflowError) as exc:
         args._parser.error(str(exc))
     text = [f"family {trace.family}, k={trace.k}, target {trace.target!r}"]
@@ -309,7 +307,7 @@ def _cmd_aux(args) -> tuple[tuple, int]:
     name = args.family.upper()
     closed = (aux_integral_I_closed if name == "I" else aux_integral_J_closed)(k, m)
     try:
-        numeric = aux_integral_numeric(IntegrandSpec(f"aux_{name}", k, m), args.tol)
+        numeric = aux_integral_numeric(IntegrandSpec(f"aux_{name}", k, m))
     except ValueError as exc:
         args._parser.error(str(exc))
     # aux_integral_numeric raises unless integration by parts equals the

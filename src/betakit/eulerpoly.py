@@ -186,22 +186,22 @@ _BERNOULLI = BernoulliTable()
 
 def euler_polynomial(n: int) -> RationalPolynomial:
     """Exact Euler polynomial E_n(x)."""
-    return _EULER.poly(n)
+    return _EULER.poly(_as_int(n, "n"))
 
 
 def euler_number(n: int) -> Fraction:
     """Exact Euler number E_n = 2^n E_n(1/2); an integer, zero for odd n."""
-    return _EULER.number(n)
+    return _EULER.number(_as_int(n, "n"))
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """Exact Bernoulli polynomial B_n(x)."""
-    return _BERNOULLI.poly(n)
+    return _BERNOULLI.poly(_as_int(n, "n"))
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n = B_n(0), with B_1 = -1/2."""
-    return _BERNOULLI.number(n)
+    return _BERNOULLI.number(_as_int(n, "n"))
 
 
 def generalized_bernoulli_chi4(n: int) -> Fraction:
@@ -211,6 +211,7 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
     O(n) Horner pass over the coefficients C(n, i) D B_(n-i) of D B_n(x),
     formed from the Bernoulli table's integers D B_j: no row is built.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     den, b = _BERNOULLI.scaled_numbers(n)
@@ -437,7 +438,7 @@ def run_identity_suite(
     validated and otherwise ignored: the report depends on nmax and the
     tables alone.  Failures are reported, not raised.
     """
-    nmax = _as_int(nmax, "nmax")
+    nmax, trials = _as_int(nmax, "nmax"), _as_int(trials, "trials")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if trials < 1:

@@ -35,7 +35,7 @@ from .betavalues import PiPowerValue
 from . import eulerpoly
 from .eulerpoly import euler_number
 from .exact import ValueClass, _set_field
-from .highprec import pi_power
+from .highprec import _as_int, pi_power
 
 __all__ = [
     "IntegrandSpec",
@@ -99,6 +99,7 @@ class IntegrandSpec(ValueClass):
     def __init__(self, kind: str, k: int, m: int = 0) -> None:
         if kind not in ("aux_I", "aux_J"):
             raise ValueError(f"unknown integrand kind {kind!r}")
+        k, m = _as_int(k, "k"), _as_int(m, "m")
         if k < 0 or m < 0:
             raise ValueError("auxiliary integrals require k, m >= 0")
         _set_field(self, "kind", kind)
@@ -223,6 +224,7 @@ def beta_even_quadrature(k: int, tol: float = DEFAULT_TOL,
     beta(2) come out negative and exists only so the discrepancy can be
     demonstrated against the series oracle.
     """
+    k = _as_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not tol >= MIN_TOL:  # NaN fails it too
@@ -236,6 +238,7 @@ def beta_even_quadrature(k: int, tol: float = DEFAULT_TOL,
 
 def aux_integral_I_closed(k: int, m: int) -> PiPowerValue:
     """Closed form I(k, m) = (-1)^k (2k)! / ((2m+1)^(2k+1) pi^(2k+1))."""
+    k, m = _as_int(k, "k"), _as_int(m, "m")
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
     coeff = Fraction((-1) ** k * math.factorial(2 * k), (2 * m + 1) ** (2 * k + 1))
@@ -244,6 +247,7 @@ def aux_integral_I_closed(k: int, m: int) -> PiPowerValue:
 
 def aux_integral_J_closed(k: int, m: int) -> PiPowerValue:
     """Closed form J(k, m) = (-1)^(k+1) (2k+1)! / ((2m+1)^(2k+2) pi^(2k+2))."""
+    k, m = _as_int(k, "k"), _as_int(m, "m")
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
     coeff = Fraction((-1) ** (k + 1) * math.factorial(2 * k + 1), (2 * m + 1) ** (2 * k + 2))

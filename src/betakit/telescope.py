@@ -42,6 +42,7 @@ def e_star(k: int, t: float) -> float:
     t = 1/2 value vanish for every k), which is what lets the telescoped
     series cancel.  It is s(2k) times the same difference for p_{2k}: k <= 109.
     """
+    k = _as_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0.0 <= t <= 0.5:
@@ -91,6 +92,7 @@ class ExtendedFunctionSpec(ValueClass):
     def __init__(self, name: str, k: int) -> None:
         if name not in ("f", "g", "h"):
             raise ValueError(f"unknown extended function {name!r}")
+        k = _as_int(k, "k")
         if name == "g":
             if k < 0:
                 raise ValueError("g requires k >= 0")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from betakit.cli import run_cli
+from betakit.cli import _build_parser, run_cli
 from betakit.highprec import BudgetExceededError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,11 +187,13 @@ class TestBetaEven:
         ["telescope", "--family", "j", "--k", "3", "--N", "10"],
     ])
     def test_nan_tol_is_usage_error(self, argv, capsys):
-        # NaN compares false with everything, so it must fail the floor too
+        # NaN compares false with everything, so it must fail the floor too;
+        # telescope takes no --tol, so there argparse refuses the option itself
         assert run_cli([*argv, "--tol", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].endswith("error: tol must be >= 1e-13")
+        error = "tol must be >= 1e-13" if argv[0] == "beta" else "unrecognized arguments: --tol nan"
+        assert captured.err.splitlines()[-1].endswith(f"error: {error}")
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
     @pytest.mark.parametrize("k", ["86", "150"])
@@ -357,6 +360,45 @@ class TestAuxCommand:
         r = run_betakit(["aux", "--family", "j", "--k", "109", "--m", "1", "--max-k", "200"])
         assert r.returncode == 0
         assert r.stdout.decode().splitlines()[1].endswith("exact match")
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand takes the options its handler reads, and no other."""
+
+    OPTIONS = {
+        "beta odd": {"--digits", "--format", "--max-k", "--k", "--cross-check"},
+        "beta even": {"--digits", "--tol", "--format", "--max-k", "--k", "--show-erratum"},
+        "euler": {"--format", "--max-k", "--n", "--poly"},
+        "bernoulli": {"--format", "--max-k", "--n", "--poly", "--chi4"},
+        "verify": {"--format", "--max-k", "--seed", "--nmax", "--trials"},
+        "telescope": {"--format", "--max-k", "--family", "--k", "--N"},
+        "aux": {"--digits", "--format", "--max-k", "--family", "--k", "--m"},
+    }
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        def leaves(parser, name=""):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield name.strip(), {s for a in parser._actions for s in a.option_strings}
+            for action in subs:
+                for word, sub in action.choices.items():
+                    yield from leaves(sub, f"{name}{word} ")
+
+        found = dict(leaves(_build_parser()))
+        assert found == {name: {"-h", "--help", *opts} for name, opts in self.OPTIONS.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--n", "5", "--poly"],
+        ["bernoulli", "--n", "3", "--chi4", "--format", "json"],
+        ["verify", "--nmax", "6", "--format", "csv"],
+        ["telescope", "--family", "j", "--k", "2", "--N", "100"],
+    ])
+    def test_digits_variable_steers_no_other_subcommand(self, argv, monkeypatch):
+        monkeypatch.delenv("BETAKIT_DIGITS", raising=False)
+        unset = _run_captured(argv)
+        monkeypatch.setenv("BETAKIT_DIGITS", "abc")
+        assert _run_captured(argv) == unset
+        assert unset["exit"] == 0 and unset["stdout"]
 
 
 class TestUsageAndErrors:

@@ -3,7 +3,8 @@
 Equality field by field within one class, hashes and read-only fields for
 the frozen classes, mutable and unhashable identity results, keyword
 construction with defaults, the ``Cls(field=value, ...)`` repr, pickling,
-and the constructors' validation.
+and the constructors' validation, including the public readers' integer
+arguments.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ from betakit import (
     PiPowerValue,
     QuadratureResult,
     RationalPolynomial,
+    aux_integral_I_closed,
+    aux_integral_J_closed,
+    bernoulli_number,
+    bernoulli_polynomial,
+    beta_even_quadrature,
+    beta_odd_exact,
+    beta_odd_exact_via_euler,
+    e_star,
+    euler_number,
+    euler_polynomial,
+    generalized_bernoulli_chi4,
+    run_identity_suite,
 )
 
 # (build, the repr the dataclass form printed); build makes a fresh instance
@@ -174,3 +187,34 @@ def test_constructors_normalize():
     zero = PiPowerValue(Fraction(0), 7)
     assert (zero.coeff, zero.power) == (0, 0) and type(zero.coeff) is Fraction
     assert type(PiPowerValue(3, 1).coeff) is Fraction
+
+
+# each public reader of an integer argument: (the argument's name, a call taking it)
+INTEGER_READERS = {
+    "euler_number": ("n", euler_number),
+    "bernoulli_number": ("n", bernoulli_number),
+    "euler_polynomial": ("n", euler_polynomial),
+    "bernoulli_polynomial": ("n", bernoulli_polynomial),
+    "generalized_bernoulli_chi4": ("n", generalized_bernoulli_chi4),
+    "beta_odd_exact": ("k", beta_odd_exact),
+    "beta_odd_exact_via_euler": ("k", beta_odd_exact_via_euler),
+    "aux_integral_I_closed-k": ("k", lambda v: aux_integral_I_closed(v, 0)),
+    "aux_integral_I_closed-m": ("m", lambda v: aux_integral_I_closed(1, v)),
+    "aux_integral_J_closed-k": ("k", lambda v: aux_integral_J_closed(v, 0)),
+    "aux_integral_J_closed-m": ("m", lambda v: aux_integral_J_closed(1, v)),
+    "beta_even_quadrature": ("k", beta_even_quadrature),
+    "IntegrandSpec-k": ("k", lambda v: IntegrandSpec("aux_I", v, 0)),
+    "IntegrandSpec-m": ("m", lambda v: IntegrandSpec("aux_I", 1, v)),
+    "ExtendedFunctionSpec": ("k", lambda v: ExtendedFunctionSpec("g", v)),
+    "e_star": ("k", lambda v: e_star(v, 0.25)),
+    "run_identity_suite-trials": ("trials", lambda v: run_identity_suite(2, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.5, Fraction(1), "1", None])
+@pytest.mark.parametrize("reader", list(INTEGER_READERS))
+def test_integer_arguments_are_named(reader, bad):
+    name, call = INTEGER_READERS[reader]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not {type(bad).__name__}$"):
+        call(bad)
+    assert call(True) == call(1)  # bools stay ints
