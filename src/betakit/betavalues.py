@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .eulerpoly import euler_number, generalized_bernoulli_chi4
 from .exact import ValueClass, _set_field, digit_string, rational_str
-from .highprec import HighPrecisionReal, _as_int, pi_power, quantize
+from .highprec import HighPrecisionReal, _as_int, _round_ratio, pi_power, quantize
 
 __all__ = [
     "HighPrecisionReal",
@@ -206,6 +206,7 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     relative, and |coeff| |power| pi^power < 10^(coeff_mag + |power|) as
     (10/pi)^q >= q, so the headroom keeps the product's error below
     10^-(digits+10); rounding to digits+5 places adds 10^-(digits+5) / 2.
+    The product is rounded from its unreduced numerator and denominator.
     """
     digits = _as_int(digits, "digits")
     if digits < 1:
@@ -214,5 +215,8 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
         return HighPrecisionReal(v.coeff, digits)
     coeff_mag = len(digit_string(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
-    value = v.coeff * pi_power(v.power, (10**working).bit_length())
-    return HighPrecisionReal(quantize(value, digits + 5), digits)
+    pi = pi_power(v.power, (10**working).bit_length())
+    c = v.coeff
+    places = digits + 5
+    q = _round_ratio(c.numerator * pi.numerator, c.denominator * pi.denominator, places)
+    return HighPrecisionReal(Fraction(q, 10**places), digits)

@@ -335,7 +335,9 @@ def run_cli(argv: list[str]) -> int:
     """Parse argv (without the program name) and execute one subcommand."""
     out: list[str] = []
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # under the usage of the subcommand that refused them
+            args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _validate_common(args)
         (text, payload, csv, notes), code = args.handler(args)
         if args.format == "json":

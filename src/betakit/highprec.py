@@ -12,6 +12,17 @@ with one square root and one floor division.  The alternating tail is
 bounded by its first omitted term and each floor loses less than one
 scaled unit, so 10 guard digits dominate both by a wide margin.  Every
 power of pi in the package comes from one kernel with one bound, pi_power.
+
+There is one fixed-point pi per process: pi_power keeps floor(pi 2^B) for
+the largest B asked for so far, and a request for fewer bits truncates it
+instead of summing the series again; the stored pi only grows.  A check
+against an independent pi found pi 2^bits at least 10.78 error bounds of
+pi_fraction(bits // 3 + 1) from an integer for every bits in 40..20000
+(closest at bits = 43), so up to 20,000 bits the truncated pi is the very
+integer a fresh computation at that precision would give, whatever the
+call order.  Every rounding to decimal places runs through one integer
+kernel, _round_ratio, on a numerator and a denominator, so no rounding
+first normalises a product with a gcd.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
-@lru_cache(maxsize=32)
+# typed, so that pi_fraction(5.0) is refused even after pi_fraction(5)
+@lru_cache(maxsize=32, typed=True)
 def pi_fraction(digits: int) -> Fraction:
     """pi as an exact rational with |pi_fraction(d) - pi| < 10^-d.
 
@@ -80,6 +92,7 @@ def pi_fraction(digits: int) -> Fraction:
     and the last floor division loses less than one: under 2 units of
     10^-(d+10) together, so 10 guard digits cover all three losses.
     """
+    digits = _as_int(digits, "digits")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     unity = 10 ** (digits + _PI_GUARD_DIGITS)
@@ -88,25 +101,44 @@ def pi_fraction(digits: int) -> Fraction:
     return Fraction(426880 * root * q // t, unity)
 
 
+# (B, floor(pi_fraction(B // 3 + 1) 2^B)) for the most bits pi_power was
+# asked for; replaced as one tuple, so a reader never sees half of a pair
+_pi_fixed = (0, 0)
+
+
 def pi_power(q: int, bits: int) -> Fraction:
     """pi^q within |q| 2^-bits relative, for q != 0 and bits >= max(40, bitlength(q)).
 
-    Binary powering of P = floor(pi_fraction(bits // 3 + 1) 2^bits), each
-    product truncated to `bits` fractional bits; q < 0 takes the exact
-    reciprocal.  Proof for q > 0, with u = 2^-bits and the fixed-point pi^j
-    equal to 2^bits pi^j e^(L_j): P is within 1 + 2^(-0.107 bits) < 1.06 units
-    of 2^bits pi, so |L_1| < 0.34 u, and the squarings and products with P
-    add up to q L_1.  Truncating a product v (in units) to y > v - 1 lowers
-    L by ln(v / y) < 1 / (v - 1), under 1.7 u / pi^j where it forms pi^j
-    with |L| <= 1/2, and later squarings scale that by at most q / j.  The j
+    Binary powering of P = floor(pi_B 2^bits), each product truncated to
+    `bits` fractional bits; q < 0 takes the exact reciprocal.  pi_B is
+    pi_fraction(B // 3 + 1) for the largest B >= bits asked for so far in
+    the process: P is floor(pi_B 2^B) shifted right by B - bits, which is
+    floor(pi_B 2^bits), and only a request past B sums the series again,
+    at exactly its own bits.  Proof for q > 0, for any call history, with
+    u = 2^-bits and the fixed-point pi^j equal to 2^bits pi^j e^(L_j):
+    |pi_B - pi| < 10^-(B // 3 + 1) <= 10^-(bits // 3 + 1) < 2^(-1.107 bits),
+    so P is within 1 + 2^(-0.107 bits) < 1.06 units of 2^bits pi,
+    |L_1| < 0.34 u, and the squarings and products with P add up to q L_1.
+    Truncating a product v (in units) to y > v - 1 lowers L by
+    ln(v / y) < 1 / (v - 1), under 1.7 u / pi^j where it forms pi^j with
+    |L| <= 1/2, and later squarings scale that by at most q / j.  The j
     are distinct and >= 2, so the losses total under 1.7 q u sum_j
     1 / (j pi^j) < 0.12 q u.  Hence |L_q| < 0.46 q u < 1/2 (q u < 1), and
     |e^(L_q) - 1| <= |L_q| e^|L_q| < q u, for the reciprocal as well.
     """
+    global _pi_fixed
+    q = _as_int(q, "q")
+    bits = _as_int(bits, "bits")
     if not q or bits < max(40, abs(q).bit_length()):
         raise ValueError("pi_power needs q != 0 and bits >= max(40, bitlength(q))")
-    pi = pi_fraction(bits // 3 + 1)
-    x = p = (pi.numerator << bits) // pi.denominator
+    top, big = _pi_fixed
+    if bits <= top:
+        p = big >> (top - bits)
+    else:
+        pi = pi_fraction(bits // 3 + 1)
+        p = (pi.numerator << bits) // pi.denominator
+        _pi_fixed = (bits, p)
+    x = p
     for bit in bin(abs(q))[3:]:
         x = x * x >> bits
         if bit == "1":
@@ -122,19 +154,25 @@ def _as_int(value: object, name: str) -> int:
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
+def _round_ratio(num: int, den: int, places: int) -> int:
+    """The integer nearest num 10^places / den, for den > 0, ties to even."""
+    q, r = divmod(num * 10**places, den)
+    # divmod on a negative numerator floors, so r >= 0 and q is the floor;
+    # round-half-even then only needs to compare the remainder to den / 2.
+    twice = 2 * r
+    if twice > den or (twice == den and q & 1):
+        q += 1
+    return q
+
+
 def _round_half_even_scaled(x: Fraction, places: int) -> tuple[int, int]:
     """(nearest integer to x * 10^places, ties to even; places as a checked int)."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"x must be an int or a Fraction, not {type(x).__name__}")
     places = _as_int(places, "places")
     if places < 0:
         raise ValueError("places must be >= 0")
-    scaled = x * 10**places
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    # divmod on a negative numerator floors, so r >= 0 and q is the floor;
-    # round-half-even then only needs to compare the remainder to 1/2.
-    twice = 2 * r
-    if twice > scaled.denominator or (twice == scaled.denominator and q % 2 != 0):
-        q += 1
-    return q, places
+    return _round_ratio(x.numerator, x.denominator, places), places
 
 
 def quantize(x: Fraction, places: int) -> Fraction:

@@ -19,7 +19,8 @@ from betakit.betavalues import (
     beta_series,
     render_decimal,
 )
-from betakit.highprec import HighPrecisionReal, decimal_string, pi_fraction, quantize
+from betakit import highprec
+from betakit.highprec import HighPrecisionReal, decimal_string, pi_fraction, pi_power, quantize
 from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
 from conftest import CATALAN_LITERAL, PI_LITERAL, machin_pi
@@ -68,6 +69,13 @@ class TestMachinPi:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             pi_fraction(0)
+
+    @pytest.mark.parametrize("digits", [2.5, "5", 5.0])
+    def test_rejects_a_non_integer(self, digits):
+        pi_fraction(5)  # the cached value for 5 must not answer for 5.0
+        message = f"^digits must be an integer, not {type(digits).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            pi_fraction(digits)
 
 
 class TestBetaOddExact:
@@ -422,6 +430,73 @@ class TestSeriesCutoff:
                 b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
 
 
+def pi_floor_margin(top_bits: int) -> tuple[float, int]:
+    """(m, bits): the least m over bits 40..top_bits, and the bits where it occurs.
+
+    pi 2^bits lies at least m 2^bits 10^-(bits // 3 + 1) from the nearest
+    integer.  m > 1 means that every pi within pi_fraction(bits // 3 + 1)'s
+    error bound floors to the same fixed-point P at that bits, so the P that
+    pi_power truncates from a more precise pi is the one a fresh pi gives.
+    pi is the tests' own machin_pi, 20 digits past the largest bound; each
+    ratio is floored to a multiple of 2^-20 and lowered by one, which covers
+    machin_pi's error of under 10^-20 in the ratio.
+    """
+    pi = machin_pi(top_bits // 3 + 21)
+    num, den = pi.numerator, pi.denominator
+    worst, at = None, 0
+    r = (num << 39) % den  # pi 2^bits mod 1 is r / den
+    for bits in range(40, top_bits + 1):
+        r = 2 * r
+        if r >= den:
+            r -= den
+        m = (min(r, den - r) * 10 ** (bits // 3 + 1) << 20) // (den << bits) - 1
+        if worst is None or m < worst:
+            worst, at = m, bits
+    return worst / 2**20, at
+
+
+class TestOnePiPerProcess:
+    """pi_power's stored fixed-point pi changes no value, whatever the call order."""
+
+    GRID_BITS = (40, 41, 43, 53, 64, 100, 333, 1000, 1024, 2049, 4000, 6000)
+    GRID_Q = [sign * j for j in range(1, 302) for sign in (1, -1)]
+
+    def _grid(self, bits_order) -> dict:
+        return {(q, bits): pi_power(q, bits) for bits in bits_order for q in self.GRID_Q}
+
+    def test_grid_independent_of_call_order(self, monkeypatch):
+        cold = {}
+        for bits in self.GRID_BITS:
+            # nothing stored: pi summed at exactly these bits
+            monkeypatch.setattr(highprec, "_pi_fixed", (0, 0))
+            cold.update(self._grid([bits]))
+        pi_power(1, 20000)
+        after_big = self._grid(self.GRID_BITS)
+        monkeypatch.setattr(highprec, "_pi_fixed", (0, 0))
+        increasing = self._grid(self.GRID_BITS)
+        assert after_big == cold
+        assert increasing == cold
+
+    def test_a_request_below_the_stored_bits_sums_no_pi(self, monkeypatch):
+        calls = []
+        fresh = highprec.pi_fraction
+        monkeypatch.setattr(highprec, "_pi_fixed", (0, 0))
+        monkeypatch.setattr(highprec, "pi_fraction", lambda d: calls.append(d) or fresh(d))
+        pi_power(3, 5000)
+        assert calls == [5000 // 3 + 1]
+        for bits in (40, 64, 4999, 5000):
+            pi_power(-7, bits)
+        assert calls == [5000 // 3 + 1]
+        pi_power(1, 5001)
+        assert calls == [5000 // 3 + 1, 5001 // 3 + 1]
+        assert highprec._pi_fixed[0] == 5001
+
+    def test_truncated_pi_is_the_fresh_pi_to_4000_bits(self):
+        # CI runs the same check to 20,000 bits; the minimum stays at 43
+        margin, bits = pi_floor_margin(4000)
+        assert (math.floor(margin * 100), bits) == (1078, 43)
+
+
 class TestErrorBudgets:
     """Each kernel meets the floor-loss budget its docstring proves."""
 
@@ -490,6 +565,17 @@ class TestDecimalFormatting:
         for fn in (quantize, decimal_string, lambda x, p: HighPrecisionReal(x, 5).decimal_str(p)):
             with pytest.raises(TypeError, match=message):
                 fn(F(1, 3), places)
+
+    @pytest.mark.parametrize("x", [1.5, 0.1, "1/3", None])
+    def test_non_rational_x_refused(self, x):
+        message = f"^x must be an int or a Fraction, not {type(x).__name__}$"
+        for fn in (quantize, decimal_string):
+            with pytest.raises(TypeError, match=message):
+                fn(x, 3)
+
+    def test_int_x_is_exact(self):
+        assert quantize(-7, 2) == -7
+        assert decimal_string(-7, 2) == "-7.00"
 
     def test_bool_places_are_ints(self):
         assert quantize(F(1, 3), True) == F(3, 10)

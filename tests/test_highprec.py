@@ -79,6 +79,12 @@ class TestPiPowerBound:
         with pytest.raises(ValueError, match="bits"):
             pi_power(-(2**45), 45)  # bitlength 46: refused before any work
 
+    @pytest.mark.parametrize("q, bits, name", [(2.0, 64, "q"), ("2", 64, "q"), (2, 64.0, "bits")])
+    def test_rejects_a_non_integer_argument(self, q, bits, name):
+        bad = q if name == "q" else bits
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, not {type(bad).__name__}$"):
+            pi_power(q, bits)
+
 
 def _pi_fraction_mentions(path: Path) -> list[tuple[str | None, str]]:
     """(enclosing function, node type) of each name, attribute or import of pi_fraction."""
