@@ -10,7 +10,7 @@ The demo exits 1 if the reference suite fails or a corrupted table passes.
 import sys
 from fractions import Fraction
 
-from betakit import BernoulliTable, EulerTable, RationalPolynomial, run_identity_suite
+from betakit import BernoulliTable, EulerTable, run_identity_suite
 
 report = run_identity_suite(20)
 print("identity suite at nmax=20:\n")
@@ -33,12 +33,12 @@ def negative_control(what: str, nmax: int, corrupt) -> bool:
 
 
 def add_to_row(table, n: int, power: int) -> None:
-    """Make table.poly(n), the row the suite reads, return row n + x^power."""
-    own = table.poly
-    coeffs = list(own(n).coeffs)
-    coeffs[power] += 1
-    changed = RationalPolynomial.from_coefficients(coeffs)
-    table.poly = lambda m: changed if m == n else own(m)
+    """Make table._row(n), the integer form (den, nums) of the row that the
+    suite and poly(n) read, return the form of row n + x^power."""
+    own = table._row
+    den, nums = own(n)
+    changed = den, nums[:power] + [nums[power] + den] + nums[power + 1:]
+    table._row = lambda m: changed if m == n else own(m)
 
 
 def bump_e4(e: EulerTable, b: BernoulliTable) -> None:

@@ -64,11 +64,13 @@ class _Table:
     """Integer sequences, each grown on demand on its own, and rows built from them.
 
     A table holds its sequences alone.  Scalar readers read them and build
-    no row; ``poly(n)`` is the only way to get a row: it builds row n in
-    O(n) (``_row`` on the sequence ``_sequence(n)`` returns) and keeps it
-    nowhere, and ``number(n)`` grows ``numbers`` to index n.  Growth appends
-    under the table's lock (one writer), and entries never change once
-    written, so reads need no synchronization.
+    no row.  ``_row(n)`` builds row n in O(n) from the table's own sequence,
+    as the unreduced integer form ``(den, nums)`` that the identity suite
+    certifies and reads, and keeps it nowhere; ``poly(n)`` is that form as
+    the canonical ``RationalPolynomial``, and ``number(n)`` grows
+    ``numbers`` to index n.  Growth appends under the table's lock (one
+    writer), and entries never change once written, so reads need no
+    synchronization.
     """
 
     def __init__(self) -> None:
@@ -76,6 +78,7 @@ class _Table:
         self._lock = threading.Lock()
 
     def _grow(self, entries: list, n: int, entry) -> list:
+        n = _as_int(n, "n")
         if n < 0:
             raise ValueError("index must be >= 0")
         if len(entries) <= n:
@@ -85,7 +88,7 @@ class _Table:
         return entries
 
     def poly(self, n: int) -> RationalPolynomial:
-        return self._row(self._sequence(n), n)
+        return RationalPolynomial(*self._row(n))
 
     def number(self, n: int) -> Fraction:
         return self._grow(self.numbers, n, self._number)[n]
@@ -100,9 +103,10 @@ class EulerTable(_Table):
     E_(2k+1) = 0: each triangle (Brent & Harvey, "Fast computation of
     Bernoulli, tangent and secant numbers", 2013) costs O(n) integer
     operations per index.  As E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i (DLMF
-    24.4), ``poly(n)`` is the integer form over 2^n with coefficients
-    C(n, i) 2^i a_(n-i).  Identity 1.2 of :func:`run_identity_suite` checks
-    one triangle against the other; neither touches the Bernoulli route.
+    24.4), ``_row(n)`` is the integer form (2^n, [C(n, i) 2^i a_(n-i)]), and
+    the identity suite certifies a row by equality with it.  Identity 1.2
+    of :func:`run_identity_suite` checks one triangle against the other;
+    neither touches the Bernoulli route.
     """
 
     def __init__(self) -> None:
@@ -115,8 +119,6 @@ class EulerTable(_Table):
     def scaled_at_zero(self, n: int) -> list[int]:
         """[a_0, a_1, ...] through at least a_n, a_j = 2^j E_j(0): integers."""
         return self._grow(self._at_zero, n, self._next_at_zero)
-
-    _sequence = scaled_at_zero
 
     def _next_at_zero(self, m: int) -> int:
         if m % 2 == 0:
@@ -132,9 +134,9 @@ class EulerTable(_Table):
             self._secant = _triangle_step(self._secant, 1)
         return Fraction((-1) ** (m // 2) * self._secant[-1])
 
-    def _row(self, a: list[int], n: int) -> RationalPolynomial:
-        return RationalPolynomial(1 << n,
-                                  map(lshift, map(mul, _binomials(n), a[n::-1]), range(n + 1)))
+    def _row(self, n: int) -> tuple[int, list[int]]:
+        a = self.scaled_at_zero(n)
+        return 1 << n, [*map(lshift, map(mul, _binomials(n), a[n::-1]), range(n + 1))]
 
 
 class BernoulliTable(_Table):
@@ -144,8 +146,9 @@ class BernoulliTable(_Table):
     D = lcm(1, ..., n + 1), rescaling what it keeps as D grows:
     D B_m = -(sum_(j<m) C(m+1, j) D B_j) / (m + 1) divides exactly, as B_m's
     denominator is a product of primes p <= m + 1 (von Staudt-Clausen).
-    ``numbers[n]`` is D B_n / D and ``poly(n)`` the integer form of
-    B_n(x) = sum_i C(n, i) B_(n-i) x^i over D.  No Euler triangle is used,
+    ``numbers[n]`` is D B_n / D, and ``_row(n)`` is the integer form
+    (D, [C(n, i) D B_(n-i)]) of B_n(x) = sum_i C(n, i) B_(n-i) x^i, which
+    the identity suite certifies by equality.  No Euler triangle is used,
     so this route stays independent of the Euler table.
     """
 
@@ -155,6 +158,7 @@ class BernoulliTable(_Table):
 
     def scaled_numbers(self, n: int) -> tuple[int, list[int]]:
         """(D, [D B_0, D B_1, ...]) through at least D B_n: integers over one D."""
+        n = _as_int(n, "n")
         if n < 0:
             raise ValueError("index must be >= 0")
         with self._lock:
@@ -169,15 +173,13 @@ class BernoulliTable(_Table):
                 self._scaled = new, b
             return self._scaled
 
-    _sequence = scaled_numbers
-
     def number(self, n: int) -> Fraction:
         den, b = self.scaled_numbers(n)
         return self._grow(self.numbers, n, lambda m: Fraction(b[m], den))[n]
 
-    def _row(self, seq: tuple[int, list[int]], n: int) -> RationalPolynomial:
-        den, b = seq
-        return RationalPolynomial(den, map(mul, _binomials(n), b[n::-1]))
+    def _row(self, n: int) -> tuple[int, list[int]]:
+        den, b = self.scaled_numbers(n)
+        return den, [*map(mul, _binomials(n), b[n::-1])]
 
 
 _EULER = EulerTable()
@@ -186,22 +188,22 @@ _BERNOULLI = BernoulliTable()
 
 def euler_polynomial(n: int) -> RationalPolynomial:
     """Exact Euler polynomial E_n(x)."""
-    return _EULER.poly(_as_int(n, "n"))
+    return _EULER.poly(n)
 
 
 def euler_number(n: int) -> Fraction:
     """Exact Euler number E_n = 2^n E_n(1/2); an integer, zero for odd n."""
-    return _EULER.number(_as_int(n, "n"))
+    return _EULER.number(n)
 
 
 def bernoulli_polynomial(n: int) -> RationalPolynomial:
     """Exact Bernoulli polynomial B_n(x)."""
-    return _BERNOULLI.poly(_as_int(n, "n"))
+    return _BERNOULLI.poly(n)
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n = B_n(0), with B_1 = -1/2."""
-    return _BERNOULLI.number(_as_int(n, "n"))
+    return _BERNOULLI.number(n)
 
 
 def generalized_bernoulli_chi4(n: int) -> Fraction:
@@ -280,28 +282,21 @@ def _family_result(identity_id: str, checks) -> IdentityResult:
                           {"n": failed[0]} if failed else None)
 
 
-def _bridge_holds(b: RationalPolynomial, e: RationalPolynomial, k: int) -> bool:
-    # with B_k = (1/D_B) sum b_j x^j, d >= k and its degree (d = k for a true
-    # row), 2^d D_B B_k(x/2) has coefficients c_j = b_j 2^(d-j) and
-    # 2^d D_B B_k((x+1)/2) their shift s; with E_(k-1) = (1/D_E) sum e_j x^j
-    # the bridge reads k D_B 2^(d-k) e_j = D_E (s_j - c_j)
-    d = max(b.degree, k)
-    c = [x << (d - j) for j, x in enumerate(b.nums)]
+def _bridge_holds(bden: int, bnums: list[int], eden: int, enums: list[int], k: int) -> bool:
+    # with B_k = (1/bden) sum b_j x^j, d >= k and its degree (d = k for a true
+    # row), 2^d bden B_k(x/2) has coefficients c_j = b_j 2^(d-j) and
+    # 2^d bden B_k((x+1)/2) their shift s; with E_(k-1) = (1/eden) sum e_j x^j
+    # the bridge reads k bden 2^(d-k) e_j = eden (s_j - c_j)
+    d = max(len(bnums) - 1, k)
+    c = [x << (d - j) for j, x in enumerate(bnums)]
     s = taylor_shift(c)
-    scale = k * b.den << (d - k)
-    return all(scale * x == e.den * (y - z) for x, y, z in zip_longest(e.nums, s, c, fillvalue=0))
+    scale = k * bden << (d - k)
+    return all(scale * x == eden * (y - z) for x, y, z in zip_longest(enums, s, c, fillvalue=0))
 
 
 def _ratio_eq(u: int, v: int, x: int, y: int) -> bool:
     # u/v == x/y for nonzero v and y, without reducing either
     return u * y == x * v
-
-
-def _is_row(p: RationalPolynomial, scale: int, terms: list[int]) -> bool:
-    # p = (1/den) sum nums_i x^i equals (1/scale) sum terms_i x^i: nums_i
-    # scale = den terms_i for every i, and nums has no (nonzero) entry past
-    # the last term
-    return all(x * scale == p.den * t for x, t in zip_longest(p.nums, terms, fillvalue=0))
 
 
 def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
@@ -313,45 +308,46 @@ def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
     a = et.scaled_at_zero(nmax)
     den, b = bt.scaled_numbers(nmax + 1)
     reflect, shift_sum, vanish, deriv, half, chi4, bridge = [], [], [], [], [], [None], [None]
-    prev, prev_ok = RationalPolynomial.zero(), True  # E_(r-1), and 0 below E_0
+    prev, prev_ok = (1, []), True  # E_(r-1), and 0 below E_0
     c, ok11, ok13, ok_bridge = [], True, True, True
     for r in range(nmax + 2):
         c = [1, *map(add, c, c[1:]), 1] if c else [1]
         u = [*map(mul, c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
-        brow = bt.poly(r)
-        bern_ok = _is_row(brow, den, u[::-1])
+        brow = bt._row(r)
+        bern_ok = brow == (den, u[::-1])
         if r:
-            chi4.append(_chi4(brow.den, brow.nums, r))
+            chi4.append(_chi4(*brow, r))
         if r > nmax:
             break
-        row = et.poly(r)
+        row = et._row(r)
         # C(r, j) 2^(r-j) a_j, the coefficient of x^(r-j), over 2^r
         terms = [*map(lshift, map(mul, c, a), range(r, -1, -1))][::-1]
-        ok = _is_row(row, 1 << r, terms)
+        ok = row == (1 << r, terms)
         at_one = sum(terms)  # A_r = 2^r E_r(1)
         ok11 = ok11 and at_one == (-1) ** r * a[r]
         ok13 = ok13 and at_one + a[r] == (0 if r else 2)
         # on the row E_r = (1/D) sum c_j x^j, of length d
-        nums, d = row.nums, len(row.nums)
+        (rden, nums), (pden, pnums) = row, prev
+        d = len(nums)
         if ok:
             checks = ok11, ok13
         else:
             # with E_r(x+1) = (1/D) sum s_j x^j, 1.1 reads (-1)^j s_j = (-1)^r c_j
             s = taylor_shift(nums)
             checks = (s == [-x if (r + j) % 2 else x for j, x in enumerate(nums)],
-                      [x + y for x, y in zip(s, nums)] == [0] * r + [2 * row.den])
+                      [x + y for x, y in zip(s, nums)] == [0] * r + [2 * rden])
         for family, check in zip((reflect, shift_sum), checks):
             family.append(check)
         # E_r(0) = c_0 / D, E_r(1) = sum c_j / D, E_r(1/2) = sum c_j 2^(d-j) / (D 2^d)
         vanish.append(not any(nums[:1]) and sum(nums) == 0)
-        half.append((sum(map(lshift, nums, range(d, 0, -1))), row.den << d))
+        half.append((sum(map(lshift, nums, range(d, 0, -1))), rden << d))
         # 1.5: j D_(r-1) c_j = r D f_(j-1), with E_(r-1) = (1/D_(r-1)) sum f_j x^j
-        deriv.append([*map(mul, range(prev.den, d * prev.den, prev.den), nums[1:])]
-                     == [*map(mul, prev.nums, repeat(r * row.den))])
+        deriv.append([*map(mul, range(pden, d * pden, pden), nums[1:])]
+                     == [*map(mul, pnums, repeat(r * rden))])
         if r:
             rhs = sum(map(lshift, u[:r], range(r)))
             ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
-            bridge.append(ok_bridge if bern_ok and prev_ok else _bridge_holds(brow, prev, r))
+            bridge.append(ok_bridge if bern_ok and prev_ok else _bridge_holds(*brow, *prev, r))
         prev, prev_ok = row, ok
     return reflect, shift_sum, vanish, deriv, half, chi4, bridge
 
@@ -382,10 +378,11 @@ def run_identity_suite(
 
     Each family is a stream of (n, ok) checks, one instance per index, and
     reports its first failing n.  In one pass over n the suite builds row n
-    of each table with ``poly(n)`` and drops it after the next index, so the
-    pass holds O(nmax) integers of rows.  Reading a row costs O(n) integer
-    operations, so five families read the row itself, certified or not;
-    with E_n = (1/D) sum c_j x^j of length d:
+    of each table as its unreduced integer form ``_row(n)`` = (D, [c_j]) and
+    drops it after the next index, so the pass holds O(nmax) integers of
+    rows and builds no ``RationalPolynomial``.  Reading a row costs O(n)
+    integer operations, so five families read the row itself, certified or
+    not; with E_n = (1/D) sum c_j x^j of length d:
 
       1.4  E_n(0) = c_0 / D and E_n(1) = sum c_j / D.
       1.2, 1.6, bridge_chi4
@@ -403,12 +400,11 @@ def run_identity_suite(
     B_n(x) = sum_i C(n, i) B_(n-i) x^i.  The pass certifies in O(n) that
     row n is its own table's Appell row: with a_j = 2^j E_j(0)
     (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``), an Euler row
-    (1/den) sum nums_i x^i is certified when
-    nums_i 2^n = den C(n, i) 2^i a_(n-i), and a Bernoulli row when
-    nums_i D = den C(n, i) D B_(n-i), for every i <= n with nothing past
-    degree n.  The binomials come from Pascal's rule by additions, not from
-    the ``_binomials`` the rows were built with, so a row built with a wrong
-    binomial is not certified.
+    is certified when its form equals (2^n, [C(n, i) 2^i a_(n-i)]), and a
+    Bernoulli row when its form equals (D, [C(n, i) D B_(n-i)]), both lists
+    for i = 0 .. n.  The binomials come from Pascal's rule by additions, not
+    from the ``_binomials`` the rows were built with, so a row built with a
+    wrong binomial is not certified.
     Every shifted Appell row is again a sum over the sequence
     (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows the
     three are decided by scalar sums, one per index r and shared by every
@@ -428,13 +424,14 @@ def run_identity_suite(
            sum_(j<=m) C(m, j) B_j 2^j; on the left it is C(k-1, i) E_(m-1)(0).
 
     An instance of the three that touches an uncertified row (a corrupted
-    or injected one) is checked on that row's integer coefficient list: one
-    addition-only Taylor shift gives E_n(x+1) for 1.1 and 1.3, another
-    B_k((x+1)/2) for the bridge.  Two polynomials agree at every x exactly
-    when their coefficients agree, and multiplying both sides by the same
-    nonzero integer keeps them equal or unequal, so either way the verdict
-    holds for every x.  On true tables no shift is formed, and the suite
-    costs O(nmax^2) integer operations.  ``trials`` (>= 1) and ``seed`` are
+    or injected one, or the same polynomial over another denominator) is
+    checked on that row's integer coefficient list: one addition-only
+    Taylor shift gives E_n(x+1) for 1.1 and 1.3, another B_k((x+1)/2) for
+    the bridge.  Two polynomials agree at every x exactly when their
+    coefficients agree, and multiplying both sides by the same nonzero
+    integer keeps them equal or unequal, so either way the verdict holds
+    for every x.  On true tables no shift is formed, and the suite costs
+    O(nmax^2) integer operations.  ``trials`` (>= 1) and ``seed`` are
     validated and otherwise ignored: the report depends on nmax and the
     tables alone.  Failures are reported, not raised.
     """

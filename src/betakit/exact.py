@@ -2,9 +2,9 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as :data:`Rational`); dense polynomials are stored as reduced
-integer forms, which the tables build and the identity suite reads.  All
-values are immutable and all functions are pure, so they can be shared
-freely between threads.
+integer forms, which the tables return (the identity suite reads the
+tables' unreduced forms and reduces none).  All values are immutable and all
+functions are pure, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class RationalPolynomial(ValueClass):
     so equal polynomials have equal fields and ``==``, ``hash``, evaluation
     and pickles run on plain integers.  :meth:`from_coefficients` builds one
     from rationals, and :attr:`coeffs` derives ``Fraction`` coefficients.
-    It has no arithmetic operators: the tables build rows and the identity
-    suite reads them.
+    It has no arithmetic operators: the tables build rows, and
+    :func:`taylor_shift` works on their integer coefficient lists.
     """
 
     def __init__(self, den: int, nums: Iterable[int]) -> None:

@@ -205,6 +205,7 @@ def beta_even_integrand(k: int, t: float) -> float:
     exactly 0, so the quotient loses nothing to cancellation as t nears 1/2,
     and at t = 1/2 it is the limit -H'(0) / pi.  Needs k <= 109.
     """
+    k = _as_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= t <= 0.5:

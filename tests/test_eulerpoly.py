@@ -360,8 +360,8 @@ class TestIntegerTables:
         # they return.  rows counts the calls to each table's _row
         script = ("from betakit import eulerpoly\nbuilt = []\n"
                   "for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):\n"
-                  "    cls._row = lambda self, seq, n, real=cls._row:"
-                  " built.append(type(self)) or real(self, seq, n)\n"
+                  "    cls._row = lambda self, n, real=cls._row:"
+                  " built.append(type(self)) or real(self, n)\n"
                   f"{call}\n"
                   "print(built.count(eulerpoly.EulerTable), built.count(eulerpoly.BernoulliTable),"
                   " len(eulerpoly._EULER.numbers) > 0)\n")
@@ -371,7 +371,14 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("table", [EulerTable, BernoulliTable])
     def test_rows_carry_their_canonical_integer_form(self, table):
-        for p in _rows(table(), REFERENCE_N):
+        # _row(n) is the unreduced form over 2^n (Euler) or the table's D
+        # (Bernoulli), and poly(n) its canonical reduction
+        t = table()
+        for n in range(REFERENCE_N + 1):
+            den, nums = t._row(n)
+            assert den == (1 << n if table is EulerTable else t.scaled_numbers(n)[0])
+            p = t.poly(n)
+            assert p == RationalPolynomial(den, nums)
             assert p == RationalPolynomial.from_coefficients(p.coeffs)
             assert math.gcd(p.den, *p.nums) == 1
 
@@ -465,9 +472,10 @@ class TestIdentitySuite:
 
 
 def _inject(table, rows: dict[int, RationalPolynomial]) -> None:
-    # the table's poly(n) returns rows[n] where given, and its own row elsewhere
-    own = table.poly
-    table.poly = lambda n: rows[n] if n in rows else own(n)
+    # the table's _row(n) returns the form of rows[n] where given, and its
+    # own row elsewhere; poly(n) and the suite read _row
+    own = table._row
+    table._row = lambda n: (rows[n].den, list(rows[n].nums)) if n in rows else own(n)
 
 
 def _plus(p: RationalPolynomial, *terms: tuple[int, Fraction]) -> RationalPolynomial:
@@ -534,14 +542,26 @@ class TestSuiteMatchesPolynomialReference:
         assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
         assert calls == [("_chi4", n) for n in range(1, nmax + 2)]
 
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60, 201])
+    def test_true_tables_build_no_polynomial(self, nmax, monkeypatch):
+        # the suite reads each row's integer form, so on true tables it
+        # constructs no RationalPolynomial: no reduction by a gcd
+        built = []
+        real = RationalPolynomial.__init__
+        monkeypatch.setattr(RationalPolynomial, "__init__",
+                            lambda self, *a: built.append(a) or real(self, *a))
+        et, bt = EulerTable(), BernoulliTable()
+        assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
+        assert built == []
+
     @pytest.mark.parametrize("nmax", [0, 1, 12, 60])
     def test_builds_each_row_once_and_keeps_none(self, nmax, monkeypatch):
         # the pass builds rows 0 .. nmax of the Euler table and
         # 0 .. nmax + 1 of the Bernoulli table, each once, and drops them
         built = []
         for cls in (EulerTable, BernoulliTable):
-            monkeypatch.setattr(cls, "_row", lambda self, seq, n, real=cls._row:
-                                built.append((type(self), n)) or real(self, seq, n))
+            monkeypatch.setattr(cls, "_row", lambda self, n, real=cls._row:
+                                built.append((type(self), n)) or real(self, n))
         et, bt = EulerTable(), BernoulliTable()
         assert run_identity_suite(nmax, euler=et, bernoulli=bt).all_passed
         assert sorted(n for cls, n in built if cls is EulerTable) == list(range(nmax + 1))
@@ -563,16 +583,16 @@ class TestSuiteMatchesPolynomialReference:
     @pytest.mark.parametrize("j", [0, 1, 4, 9])
     @pytest.mark.parametrize("table", ["euler", "bernoulli"])
     def test_true_rows_over_corrupted_sequence(self, table, j):
-        # poly() returns the rows of an untouched table, which from index j
+        # _row() returns the rows of an untouched table, which from index j
         # up are no longer the Appell rows of the corrupted sequence: the
         # suite checks those rows themselves, and decides the rows below j
         # from the sequence
         et, bt = EulerTable(), BernoulliTable()
         if table == "euler":
-            et.poly = EulerTable().poly
+            et._row = EulerTable()._row
             et.scaled_at_zero(14)[j] += 2
         else:
-            bt.poly = BernoulliTable().poly
+            bt._row = BernoulliTable()._row
             bt.scaled_numbers(15)[1][j] += 1
         report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(14, et, bt)

@@ -365,8 +365,8 @@ class TestAlternatingSums:
         monkeypatch.setattr(eulerpoly, "_EULER", eulerpoly.EulerTable())
         built = []
         for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):
-            monkeypatch.setattr(cls, "_row", lambda self, seq, n, real=cls._row:
-                                built.append(n) or real(self, seq, n))
+            monkeypatch.setattr(cls, "_row", lambda self, n, real=cls._row:
+                                built.append(n) or real(self, n))
         with pytest.raises(OverflowError, match=r"\(2N\+1\)\^95 exceeds the double range"):
             partial_sum_I_star(47, 10**5)
         assert built == []

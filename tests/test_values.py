@@ -15,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from betakit import (
+    BernoulliTable,
+    EulerTable,
     ExtendedFunctionSpec,
     HighPrecisionReal,
     IdentityReport,
@@ -28,6 +30,7 @@ from betakit import (
     aux_integral_J_closed,
     bernoulli_number,
     bernoulli_polynomial,
+    beta_even_integrand,
     beta_even_quadrature,
     beta_odd_exact,
     beta_odd_exact_via_euler,
@@ -203,6 +206,13 @@ INTEGER_READERS = {
     "aux_integral_J_closed-k": ("k", lambda v: aux_integral_J_closed(v, 0)),
     "aux_integral_J_closed-m": ("m", lambda v: aux_integral_J_closed(1, v)),
     "beta_even_quadrature": ("k", beta_even_quadrature),
+    "beta_even_integrand": ("k", lambda v: beta_even_integrand(v, 0.1)),
+    "EulerTable.poly": ("n", lambda v: EulerTable().poly(v)),
+    "EulerTable.number": ("n", lambda v: EulerTable().number(v)),
+    "EulerTable.scaled_at_zero": ("n", lambda v: EulerTable().scaled_at_zero(v)),
+    "BernoulliTable.poly": ("n", lambda v: BernoulliTable().poly(v)),
+    "BernoulliTable.number": ("n", lambda v: BernoulliTable().number(v)),
+    "BernoulliTable.scaled_numbers": ("n", lambda v: BernoulliTable().scaled_numbers(v)),
     "IntegrandSpec-k": ("k", lambda v: IntegrandSpec("aux_I", v, 0)),
     "IntegrandSpec-m": ("m", lambda v: IntegrandSpec("aux_I", 1, v)),
     "ExtendedFunctionSpec": ("k", lambda v: ExtendedFunctionSpec("g", v)),
