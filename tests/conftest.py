@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -237,6 +238,20 @@ ACCURACY_GRID = tuple(
     [0.5 - 10.0**-j for j in range(1, 13)]
     + [math.nextafter(0.5 - 1e-3, 1.0), 1e-3, math.nextafter(1e-3, 0.0)]
     + [0.0, 0.1, 0.25, 0.37]
+)
+
+
+# float(PiPowerValue(c, p)) inputs: seeded coefficients, two per power in
+# [-300, 300] (p = 0 included) at magnitudes 10^-200..10^200, so the grid
+# both overflows and underflows, then one overflow, one underflow to 0.0 and
+# one subnormal, pinned
+PI_POWER_GRID = tuple(
+    [(c, p) for rng in [random.Random(14)] for p in range(-300, 301) for c in (
+        Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)),
+        Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**20))
+        * Fraction(10) ** rng.randint(-200, 200),
+    )]
+    + [(Fraction(10**300), 50), (Fraction(1, 10**300), -100), (Fraction(-1, 10**300), -20)]
 )
 
 
