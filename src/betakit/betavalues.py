@@ -48,9 +48,13 @@ class PiPowerValue(ValueClass):
         }
 
     def __float__(self) -> float:
-        # pi^power within 2^-80 relative, so one rounding lands within an ulp
-        p = self.power
-        return float(self.coeff * (pi_power(p, 80 + 2 * abs(p).bit_length()) if p else 1))
+        # pi^power within 2^-80 relative, so one rounding lands within an ulp.
+        # float(Fraction) is CPython's correctly rounded int / int on the
+        # reduced pair; the unreduced pair is the same rational, so one
+        # division gives the same double (or OverflowError), with no gcd
+        p, c = self.power, self.coeff
+        x, y = pi_power(p, 80 + 2 * abs(p).bit_length()).as_integer_ratio() if p else (1, 1)
+        return c.numerator * x / (c.denominator * y)
 
     def __str__(self) -> str:
         if self.power == 0:

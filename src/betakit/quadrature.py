@@ -33,7 +33,6 @@ from functools import lru_cache
 
 from .betavalues import PiPowerValue
 from . import eulerpoly
-from .eulerpoly import euler_number
 from .exact import ValueClass, _set_field
 from .highprec import _as_int, pi_power
 
@@ -129,7 +128,11 @@ def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
     division: within an ulp, and the zero entries of s are skipped as exact zeros.
     """
     e = eulerpoly._EULER
-    s = [e.number(j).numerator for j in range(n + 1)] if at_half else e.scaled_at_zero(n)
+    if at_half:
+        e.number(n)  # grows the secant entries through E_n
+        s = [v.numerator for v in e.numbers[:n + 1]]
+    else:
+        s = e.scaled_at_zero(n)
     x, d = pi_power(n + 1, 64 + (n + 2).bit_length()).as_integer_ratio()
     d = math.factorial(n) * d << n
     return tuple((x * math.comb(n, i) * s[n - i] << i) / d if s[n - i] else 0.0
@@ -143,12 +146,16 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return acc
 
 
-def _sec_integrand(k: int, t: float) -> float:
-    coeffs = _float_coeffs(2 * k - 1, True)
+def _sec_integrand(coeffs: tuple[float, ...], t: float) -> float:
+    # -H(u)/sin(pi u) for H's coefficients, odd powers only: Horner in u^2
+    # over the odd ones, then one product with u, adds none of the zeros
     u = t - 0.5
     if u == 0.0:
         return -coeffs[1] / math.pi
-    return -_horner(coeffs, u) / math.sin(math.pi * u)
+    acc = 0.0
+    for c in coeffs[::-2]:
+        acc = acc * u * u + c
+    return -(acc * u) / math.sin(math.pi * u)
 
 
 def _gamma(m: int) -> float:
@@ -169,8 +176,11 @@ def _sec_integral(k: int) -> tuple[float, float]:
       |sin pi(x + iy)|^2 = sin^2 pi x + sinh^2 pi y >= |u|^2 sin^2(pi R) / R^2:
       M = sum |c_i| R^(i-1) R / sin(pi R), with no sampling.
     - each node's evaluation (Higham, Accuracy and Stability of Numerical
-      Algorithms, sect. 5.1): Horner rounds term i (3i + 1)/2 times (adding a
-      zero coefficient is exact), plus 2 for the coefficient, 5 for the sine,
+      Algorithms, sect. 5.1): _sec_integrand's Horner in u^2 runs over the
+      odd coefficients only and multiplies by u once at the end, so term i
+      is rounded (3i + 1)/2 times (its addition, 3 per later step and the
+      last product), as in a full Horner whose additions of the zero
+      coefficients are exact; plus 2 for the coefficient, 5 for the sine,
       1 for the division and 2 to spare for this bound's own arithmetic:
       m_i = (3i + 21)/2 <= 3k + 9 in all, and gamma_m / m grows with m.  As
       S(u) / u, S = sum |c_i| gamma_(m_i) u^i, and u / sin(pi u) grow with u,
@@ -189,7 +199,7 @@ def _sec_integral(k: int) -> tuple[float, float]:
     q1 = sum(i * math.ldexp(a, -i) for i, a in odd)
     rho = _gamma(3 * k + 9) / (3 * k + 9) * (1.5 * q1 + 10.5 * q0)
     nodes, weights = _G15
-    fs = [_sec_integrand(k, 0.25 + 0.25 * x) for x in nodes]
+    fs = [_sec_integrand(coeffs, 0.25 + 0.25 * x) for x in nodes]
     value = 0.25 * math.fsum(w * f for w, f in zip(weights, fs))
     shift = _NODE_ERR / 4 + 2.0**-54
     bound = 0.25 * 64 / 15 * m / (15 * 4.0**30) + 0.5 * (rho + 2 * q1 * shift)
@@ -210,7 +220,7 @@ def beta_even_integrand(k: int, t: float) -> float:
         raise ValueError("k must be >= 1")
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"t={t} outside [0, 1/2]")
-    return _scale(2 * k - 1) * _sec_integrand(k, t)
+    return _scale(2 * k - 1) * _sec_integrand(_float_coeffs(2 * k - 1, True), t)
 
 
 def beta_even_quadrature(k: int, tol: float = DEFAULT_TOL,
@@ -263,25 +273,32 @@ def aux_integral_numeric(spec: IntegrandSpec, tol: float = DEFAULT_TOL) -> Quadr
     x = 1/2 (times sin(c/2) = (-1)^m; cos(c/2) = 0) or x = 0, read with no
     row built as a_j / 2^j (tangent integers) or E_j / 2^j (secant).  As
     E_j(0) = 0 for even j >= 2 and E_j(1/2) = 0 for odd j, one term
-    survives; it must equal the closed form, else a RuntimeError.  The value
-    is within an ulp, the bound reported as its estimate; tol is only held
-    to MIN_TOL.
+    survives.  Each table entry is tested for zero as it is stored, and only
+    a nonzero one is built into a term, its coefficient one Fraction of the
+    entry's own numerator and denominator, so a corrupted entry, integral
+    or not, adds a term.  The terms must equal the closed form, else a
+    RuntimeError.  The value is within an ulp, the bound reported as its
+    estimate; tol is only held to MIN_TOL.
     """
     if not tol >= MIN_TOL:  # NaN fails it too
         raise ValueError(f"tol below double-precision floor {MIN_TOL}")
     sine = spec.kind == "aux_I"
     n = 2 * spec.k + (not sine)
     closed = (aux_integral_I_closed if sine else aux_integral_J_closed)(spec.k, spec.m)
-    a = eulerpoly._EULER.scaled_at_zero(n)
+    e = eulerpoly._EULER
+    e.number(n)  # grows the secant entries through E_n
+    a, s = e.scaled_at_zero(n), e.numbers
     terms = []
     for i in range(n + 1):
         # x = 0 on the sine's even steps, where [-cos ct] leaves +1, and on the
         # cosine's odd ones, -1 from the first step; at 1/2, sin(c/2) = (-1)^m
         at_zero = (i % 2 == 0) == sine
-        e = Fraction(a[n - i], 1 << (n - i)) if at_zero else euler_number(n - i) / 2**(n - i)
-        if e:  # a zero table entry makes a zero term: skip its arithmetic
+        entry = a[n - i] if at_zero else s[n - i]
+        if entry:  # a zero table entry makes a zero term: build nothing
             edge = (1 if sine else -1) if at_zero else (-1) ** spec.m
-            coeff = (-1) ** (i // 2) * edge * math.perm(n, i) * e / (2 * spec.m + 1) ** (i + 1)
+            x, y = entry.as_integer_ratio()
+            coeff = Fraction((-1) ** (i // 2) * edge * math.perm(n, i) * x,
+                             y * (2 * spec.m + 1) ** (i + 1) << (n - i))
             terms.append(PiPowerValue(coeff, -(i + 1)))
     if terms != [closed]:
         raise RuntimeError(f"aux self-check failed: integration by parts disagrees with "

@@ -241,18 +241,24 @@ ACCURACY_GRID = tuple(
 )
 
 
-# float(PiPowerValue(c, p)) inputs: seeded coefficients, two per power in
-# [-300, 300] (p = 0 included) at magnitudes 10^-200..10^200, so the grid
-# both overflows and underflows, then one overflow, one underflow to 0.0 and
-# one subnormal, pinned
-PI_POWER_GRID = tuple(
-    [(c, p) for rng in [random.Random(14)] for p in range(-300, 301) for c in (
-        Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)),
-        Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**20))
-        * Fraction(10) ** rng.randint(-200, 200),
-    )]
-    + [(Fraction(10**300), 50), (Fraction(1, 10**300), -100), (Fraction(-1, 10**300), -20)]
-)
+def _pi_power_grid() -> tuple[tuple[Fraction, int], ...]:
+    """float(PiPowerValue(c, p)) inputs, (c, p), for the digests and the float kernel.
+
+    Two seeded coefficients per power in [-300, 300] (p = 0 included), one
+    of them scaled by 10^-200..10^200, so the grid both overflows and
+    underflows; then one overflow, one underflow to 0.0 and one subnormal.
+    """
+    rng = random.Random(14)
+    grid = []
+    for p in range(-300, 301):
+        grid.append((Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)), p))
+        wide = Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**20))
+        grid.append((wide * Fraction(10) ** rng.randint(-200, 200), p))
+    grid += [(Fraction(10**300), 50), (Fraction(1, 10**300), -100), (Fraction(-1, 10**300), -20)]
+    return tuple(grid)
+
+
+PI_POWER_GRID = _pi_power_grid()
 
 
 def sin_cos_oracle(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -23,7 +23,7 @@ from betakit import highprec
 from betakit.highprec import HighPrecisionReal, decimal_string, pi_fraction, pi_power, quantize
 from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
-from conftest import CATALAN_LITERAL, PI_LITERAL, machin_pi
+from conftest import CATALAN_LITERAL, PI_LITERAL, PI_POWER_GRID, machin_pi
 
 F = Fraction
 
@@ -334,6 +334,22 @@ class TestFixedPointKernels:
                    for k in range(110) for m in (0, 1, 7, 200)]
         for v in values:
             assert _float_hex(v) == _float_hex(_fraction_pi_power(v)), v
+
+    def test_float_equals_rounded_fraction_product(self):
+        # one integer division of the unreduced pair gives the double of the
+        # reduced Fraction product, and the same OverflowError past the range
+        overflows = 0
+        for c, p in PI_POWER_GRID:
+            product = c * pi_power(p, 80 + 2 * abs(p).bit_length()) if p else c
+            try:
+                want = float(product).hex()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    float(PiPowerValue(c, p))
+                overflows += 1
+            else:
+                assert float(PiPowerValue(c, p)).hex() == want, (c, p)
+        assert overflows
 
     @given(st.integers(min_value=1, max_value=41), st.integers(min_value=13, max_value=400))
     @settings(max_examples=40, deadline=None, derandomize=True)

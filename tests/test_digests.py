@@ -6,7 +6,7 @@ names its family.  After a deliberate output change, rewrite every recorded
 digest with ``PYTHONPATH=src python tests/test_digests.py``, and say in
 CHANGES.md which family changed and why.
 
-Tier-1 checks the families below at sizes that take about a second; the
+Tier-1 checks the families below at sizes that take well under a second; the
 ``_full`` families extend aux to k <= 150 and beta(2k) to k <= 300 (the
 CLI's ``--max-k 300``) and run in CI only, through :func:`check`.  The
 beta(2k) families pin the platform's ``math.sin`` as well.

@@ -683,6 +683,23 @@ class TestSequenceCorruption:
                 with pytest.raises(RuntimeError, match="aux self-check failed"):
                     aux_integral_numeric(spec, 1e-8)
 
+    @pytest.mark.parametrize("value", [2, F(1, 3)], ids=["integer", "one third"])
+    @pytest.mark.parametrize("j", [1, 5, 9])
+    def test_nonzero_secant_entry_fails_aux(self, tables, j, value):
+        # E_j = 2^j E_j(1/2) is 0 at odd j; integration by parts reads it at
+        # x = 1/2 for every n >= j, and the term it leaves, whether the entry
+        # is an integer or not, cannot equal the closed form
+        et, _ = tables
+        et.number(j)
+        et.numbers[j] = value
+        for n in range(j + 4):
+            spec = IntegrandSpec("aux_J" if n % 2 else "aux_I", n // 2, 2)
+            if n < j:
+                aux_integral_numeric(spec, 1e-8)
+            else:
+                with pytest.raises(RuntimeError, match="aux self-check failed"):
+                    aux_integral_numeric(spec, 1e-8)
+
     @pytest.mark.parametrize("j", [1, 7, 11])
     def test_tangent_number_fails_reflection_half_point_and_shift(self, j):
         et, bt = EulerTable(), BernoulliTable()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import pickle
+import random
 import time
 from fractions import Fraction
 
@@ -202,6 +203,30 @@ class TestBetaEvenIntegrand:
             val = beta_even_integrand(k, 0.5 - 10.0**-j)
             ratios.append(abs(val - limit) * 10.0**j)
         assert max(ratios) <= 3 * max(ratios[0], 1e-9)
+
+
+def _full_horner_integrand(coeffs: tuple[float, ...], t: float) -> float:
+    """-H(u)/sin(pi u) by Horner over every coefficient, the zeros added too."""
+    u = t - 0.5
+    if u == 0.0:
+        return -coeffs[1] / math.pi
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return -acc / math.sin(math.pi * u)
+
+
+def test_sec_integrand_equals_full_horner():
+    # the odd-coefficient Horner gives the full Horner's double, bit for bit,
+    # at the panel's nodes and at 300 seeded t per k, for every k the float
+    # scale allows
+    rng = random.Random(28)
+    for k in range(1, 110):
+        coeffs = _float_coeffs(2 * k - 1, True)
+        ts = [0.25 + 0.25 * x for x in _G15[0]] + [rng.uniform(0.0, 0.5) for _ in range(300)]
+        for t in ts:
+            want = _full_horner_integrand(coeffs, t).hex()
+            assert quadrature._sec_integrand(coeffs, t).hex() == want, (k, t)
 
 
 @functools.lru_cache(maxsize=None)
