@@ -1,15 +1,18 @@
-"""One sha256 per family of float outputs, so that "no output changed" is a test.
+"""One sha256 per family of outputs, so that "no output changed" is a test.
 
 Each family lists its inputs and results one per line, floats by
-``float.hex``, and digests.json holds the sha256 of those lines.  A failure
+``float.hex`` and rationals by ``rational_str``, and digests.json holds the
+sha256 of those lines.  A failure
 names its family.  After a deliberate output change, rewrite every recorded
 digest with ``PYTHONPATH=src python tests/test_digests.py``, and say in
 CHANGES.md which family changed and why.
 
 Tier-1 checks the families below at sizes that take well under a second; the
-``_full`` families extend aux to k <= 150 and beta(2k) to k <= 300 (the
-CLI's ``--max-k 300``) and run in CI only, through :func:`check`.  The
-beta(2k) families pin the platform's ``math.sin`` as well.
+``_full`` families extend aux to k <= 150 and beta(2k) and beta(2k+1) to
+k <= 300 (the CLI's ``--max-k 300``) and run in CI only, through
+:func:`check`.  The beta(2k) families pin the platform's ``math.sin`` as
+well.  The beta_series family records the strings as they are printed, the
+few that are misrounded (ROADMAP item 5) included.
 """
 
 from __future__ import annotations
@@ -21,10 +24,19 @@ from pathlib import Path
 import pytest
 from conftest import PI_POWER_GRID
 
-from betakit.betavalues import PiPowerValue
+from betakit.betavalues import (
+    PiPowerValue,
+    beta_odd_exact,
+    beta_odd_exact_via_euler,
+    beta_series,
+    render_decimal,
+)
+from betakit.exact import rational_str
 from betakit.quadrature import (
     IntegrandSpec,
     _float_coeffs,
+    aux_integral_I_closed,
+    aux_integral_J_closed,
     aux_integral_numeric,
     beta_even_quadrature,
 )
@@ -65,15 +77,49 @@ def _beta_even(kmax: int):
         yield f"{k} {r.value.hex()} {r.abs_error_estimate.hex()} {r.n_evals}"
 
 
+def _beta_odd(kmax: int):
+    for k in range(kmax + 1):
+        for route, v in (("bernoulli", beta_odd_exact(k)), ("euler", beta_odd_exact_via_euler(k))):
+            yield f"{k} {route} {rational_str(v.coeff)} {v.power} {float(v).hex()}"
+
+
+def _rendered(label: str, v: PiPowerValue, digits: int) -> str:
+    r = render_decimal(v, digits)
+    return f"{label} {digits} {r.decimal_str()} {rational_str(r.value)}"
+
+
+def _render_decimal():
+    for k in range(51):
+        v = beta_odd_exact(k)
+        for digits in [*range(1, 41), 57, 100, 400]:
+            yield _rendered(f"beta_odd {k}", v, digits)
+    for k in range(31):
+        for m in (0, 7, 200):
+            yield _rendered(f"I {k} {m}", aux_integral_I_closed(k, m), 12)
+            yield _rendered(f"J {k} {m}", aux_integral_J_closed(k, m), 12)
+
+
+def _beta_series():
+    for s in range(1, 42):
+        for digits in [*range(1, 40), 100, 400]:
+            r = beta_series(s, digits)
+            yield f"{s} {digits} {r.decimal_str()} {rational_str(r.value)}"
+
+
 FAMILIES = {
     "aux": lambda: _aux(60),
     "pi_power_float": _pi_power_float,
     "float_coeffs": _float_coeffs_lines,
     "beta_even": lambda: _beta_even(150),
+    "beta_odd": lambda: _beta_odd(150),
+    "render_decimal": _render_decimal,
+    "beta_series": _beta_series,
     "aux_full": lambda: _aux(150),
     "beta_even_full": lambda: _beta_even(300),
+    "beta_odd_full": lambda: _beta_odd(300),
 }
-TIER1 = ("aux", "pi_power_float", "float_coeffs", "beta_even")
+TIER1 = ("aux", "pi_power_float", "float_coeffs", "beta_even", "beta_odd", "render_decimal",
+         "beta_series")
 
 
 def digest(family: str) -> str:
