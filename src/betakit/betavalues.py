@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .eulerpoly import euler_number, generalized_bernoulli_chi4
+from .eulerpoly import _chi4_ratio, euler_number
 from .exact import ValueClass, _set_field, digit_string, rational_str
-from .highprec import HighPrecisionReal, _as_int, _round_ratio, pi_power, quantize
+from .highprec import HighPrecisionReal, _as_int, _pi_power_ratio, _round_ratio
 
 __all__ = [
     "HighPrecisionReal",
@@ -30,11 +30,16 @@ class PiPowerValue(ValueClass):
     """An exact real of the form coeff * pi^power.
 
     Zero is normalized to (0, 0) so equality of values is equality of
-    fields; power must be an integer (bools included), else a TypeError.
+    fields.  coeff must be exact, an int (bools included) or a Fraction,
+    which is kept as it is; power must be an integer (bools included).
+    Anything else is a TypeError.
     """
 
     def __init__(self, coeff: int | Fraction, power: int) -> None:
-        coeff = Fraction(coeff)
+        if isinstance(coeff, int):
+            coeff = Fraction(coeff)
+        elif not isinstance(coeff, Fraction):
+            raise TypeError(f"coeff must be an int or a Fraction, not {type(coeff).__name__}")
         power = _as_int(power, "power")
         _set_field(self, "coeff", coeff)
         _set_field(self, "power", power if coeff else 0)
@@ -49,11 +54,11 @@ class PiPowerValue(ValueClass):
 
     def __float__(self) -> float:
         # pi^power within 2^-80 relative, so one rounding lands within an ulp.
-        # float(Fraction) is CPython's correctly rounded int / int on the
-        # reduced pair; the unreduced pair is the same rational, so one
-        # division gives the same double (or OverflowError), with no gcd
+        # int / int is CPython's correctly rounded division, so the kernel's
+        # unreduced pair gives the double (or OverflowError) that the reduced
+        # rational would, with no gcd
         p, c = self.power, self.coeff
-        x, y = pi_power(p, 80 + 2 * abs(p).bit_length()).as_integer_ratio() if p else (1, 1)
+        x, y = _pi_power_ratio(p, 80 + 2 * abs(p).bit_length()) if p else (1, 1)
         return c.numerator * x / (c.denominator * y)
 
     def __str__(self) -> str:
@@ -67,15 +72,15 @@ def beta_odd_exact(k: int) -> PiPowerValue:
     """beta(2k+1) as an exact rational multiple of pi^(2k+1).
 
     beta(2k+1) = (-1)^(k+1) (pi/2)^(2k+1) B_{2k+1,chi4} / (2k+1)!, stated
-    here with the power of two folded into the rational coefficient.
+    here with the power of two folded into the rational coefficient, which
+    is reduced once, from B_{2k+1,chi4}'s unreduced integer pair.
     """
     k = _as_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     n = 2 * k + 1
-    chi4 = generalized_bernoulli_chi4(n)
-    coeff = Fraction((-1) ** (k + 1) * chi4.numerator, chi4.denominator * math.factorial(n) << n)
-    return PiPowerValue(coeff, n)
+    num, den = _chi4_ratio(n)
+    return PiPowerValue(Fraction((-1) ** (k + 1) * num, den * math.factorial(n) << n), n)
 
 
 def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
@@ -83,12 +88,14 @@ def beta_odd_exact_via_euler(k: int) -> PiPowerValue:
 
     beta(2k+1) = (-1)^k E_{2k} / (4^(k+1) (2k)!) * pi^(2k+1).  Exact
     agreement with the generalized-Bernoulli route is forced by the
-    half-point identities; the test suite asserts it field by field.
+    half-point identities; the test suite asserts it field by field.  The
+    coefficient is reduced once, from integers.
     """
     k = _as_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    coeff = (-1) ** k * euler_number(2 * k) / Fraction(4 ** (k + 1) * math.factorial(2 * k))
+    e = euler_number(2 * k)
+    coeff = Fraction((-1) ** k * e.numerator, e.denominator * math.factorial(2 * k) << 2 * k + 2)
     return PiPowerValue(coeff, 2 * k + 1)
 
 
@@ -129,7 +136,7 @@ def _first_big_term(s: int, top: int, n: int) -> int:
     return lo
 
 
-def _beta_accelerated(s: int, digits: int) -> Fraction:
+def _beta_accelerated(s: int, digits: int) -> tuple[int, int]:
     """Chebyshev-based acceleration of the alternating series.
 
     With d_n = ((3+sqrt8)^n + (3-sqrt8)^n)/2 and integer coefficients c_k
@@ -142,8 +149,9 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
 
     The loop runs on integers: b and c are integral, and the sum is kept
     in binary fixed point.  Each of the n terms floor(c_k 2^bits / (2k+1)^s)
-    loses less than one unit, so the result acc / (d_n 2^bits) is within
-    n / (d_n 2^bits) of the exact weighted sum.  That loss is divided by
+    loses less than one unit, so acc / (d_n 2^bits), returned as the pair
+    (acc, d_n 2^bits) that no gcd has reduced, is within n / (d_n 2^bits)
+    of the exact weighted sum.  That loss is divided by
     d_n > 10^digits, so 2^bits > n 10^10 is all it takes to keep it below
     10^-(digits+10): fewer than 50 bits up to 10,000 digits.
 
@@ -175,7 +183,7 @@ def _beta_accelerated(s: int, digits: int) -> Fraction:
         b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
     # the odd k in [k0, n) each floor to -1
     acc -= n // 2 - k0 // 2
-    return Fraction(acc, d << bits)
+    return acc, d << bits
 
 
 def beta_series(s: int, digits: int) -> HighPrecisionReal:
@@ -183,11 +191,12 @@ def beta_series(s: int, digits: int) -> HighPrecisionReal:
 
     Every s and digit count goes through the accelerated evaluation
     (Cohen, Rodriguez Villegas and Zagier, Experiment. Math. 9 (2000)),
-    whose geometric error bound certifies the result; it is rounded to
-    digits + 5 places.  Of its n ~ 1.31 digits terms, only the k0 whose
-    power (2k+1)^s stays below 2^(bits + bitlength(d_n)) are divided (see
-    _beta_accelerated), so the cost is k0 + O(log n) big-integer steps:
-    all n for beta(3) to 3000 digits, one for beta(10^7).
+    whose geometric error bound certifies the result.  Its sum, an
+    unreduced integer pair, is rounded to digits + 5 places, and only the
+    rounded value is reduced by a gcd.  Of its n ~ 1.31 digits terms, only
+    the k0 whose power (2k+1)^s stays below 2^(bits + bitlength(d_n)) are
+    divided (see _beta_accelerated), so the cost is k0 + O(log n)
+    big-integer steps: all n for beta(3) to 3000 digits, one for beta(10^7).
     """
     s = _as_int(s, "s")
     digits = _as_int(digits, "digits")
@@ -195,8 +204,9 @@ def beta_series(s: int, digits: int) -> HighPrecisionReal:
         raise ValueError("s must be >= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    value = quantize(_beta_accelerated(s, digits), digits + 5)
-    return HighPrecisionReal(value, digits)
+    places = digits + 5
+    q = _round_ratio(*_beta_accelerated(s, digits), places)
+    return HighPrecisionReal(Fraction(q, 10**places), digits)
 
 
 def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
@@ -206,11 +216,12 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
     the coefficient magnitude, so the final quantization dominates the
     error budget.
 
-    highprec.pi_power at 2^bits > 10^working is within |power| 10^-working
+    The pi-power kernel at 2^bits > 10^working is within |power| 10^-working
     relative, and |coeff| |power| pi^power < 10^(coeff_mag + |power|) as
     (10/pi)^q >= q, so the headroom keeps the product's error below
     10^-(digits+10); rounding to digits+5 places adds 10^-(digits+5) / 2.
-    The product is rounded from its unreduced numerator and denominator.
+    The product is rounded from its unreduced numerator and denominator,
+    the kernel's pair times the coefficient's.
     """
     digits = _as_int(digits, "digits")
     if digits < 1:
@@ -219,8 +230,8 @@ def render_decimal(v: PiPowerValue, digits: int) -> HighPrecisionReal:
         return HighPrecisionReal(v.coeff, digits)
     coeff_mag = len(digit_string(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
-    pi = pi_power(v.power, (10**working).bit_length())
+    x, y = _pi_power_ratio(v.power, (10**working).bit_length())
     c = v.coeff
     places = digits + 5
-    q = _round_ratio(c.numerator * pi.numerator, c.denominator * pi.denominator, places)
+    q = _round_ratio(c.numerator * x, c.denominator * y, places)
     return HighPrecisionReal(Fraction(q, 10**places), digits)

@@ -216,8 +216,13 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return Fraction(*_chi4_ratio(n))
+
+
+def _chi4_ratio(n: int) -> tuple[int, int]:
+    # B_{n,chi4} for n >= 1 as an integer pair that no gcd has reduced
     den, b = _BERNOULLI.scaled_numbers(n)
-    return Fraction(*_chi4(den, [*map(mul, _binomials(n), b[n::-1])], n))
+    return _chi4(den, [*map(mul, _binomials(n), b[n::-1])], n)
 
 
 def _chi4(den: int, nums: list[int] | tuple[int, ...], n: int) -> tuple[int, int]:

@@ -11,9 +11,11 @@ evaluation of series of rational numbers", 1998) and scaled to an integer
 with one square root and one floor division.  The alternating tail is
 bounded by its first omitted term and each floor loses less than one
 scaled unit, so 10 guard digits dominate both by a wide margin.  Every
-power of pi in the package comes from one kernel with one bound, pi_power.
+power of pi in the package comes from one kernel with one bound,
+_pi_power_ratio, which returns the power as an unreduced integer pair;
+pi_power is that pair as a Fraction.
 
-There is one fixed-point pi per process: pi_power keeps floor(pi 2^B) for
+There is one fixed-point pi per process: the kernel keeps floor(pi 2^B) for
 the largest B asked for so far, and a request for fewer bits truncates it
 instead of summing the series again; the stored pi only grows.  A check
 against an independent pi found pi 2^bits at least 10.78 error bounds of
@@ -22,7 +24,8 @@ pi_fraction(bits // 3 + 1) from an integer for every bits in 40..20000
 integer a fresh computation at that precision would give, whatever the
 call order.  Every rounding to decimal places runs through one integer
 kernel, _round_ratio, on a numerator and a denominator, so no rounding
-first normalises a product with a gcd.
+first normalises a product with a gcd: rounding g a / (g b) gives the
+integer that rounding a / b gives.
 """
 
 from __future__ import annotations
@@ -101,14 +104,17 @@ def pi_fraction(digits: int) -> Fraction:
     return Fraction(426880 * root * q // t, unity)
 
 
-# (B, floor(pi_fraction(B // 3 + 1) 2^B)) for the most bits pi_power was
-# asked for; replaced as one tuple, so a reader never sees half of a pair
+# (B, floor(pi_fraction(B // 3 + 1) 2^B)) for the most bits the pi-power
+# kernel was asked for; replaced as one tuple, so a reader never sees half of a pair
 _pi_fixed = (0, 0)
 
 
-def pi_power(q: int, bits: int) -> Fraction:
-    """pi^q within |q| 2^-bits relative, for q != 0 and bits >= max(40, bitlength(q)).
+def _pi_power_ratio(q: int, bits: int) -> tuple[int, int]:
+    """pi^q as an integer pair (num, den), within |q| 2^-bits relative.
 
+    For q != 0 and bits >= max(40, bitlength(q)).  The pair is (x, 2^bits)
+    for q > 0 and (2^bits, x) for q < 0, both positive and reduced by no
+    gcd: callers round or divide it, and only pi_power builds a Fraction.
     Binary powering of P = floor(pi_B 2^bits), each product truncated to
     `bits` fractional bits; q < 0 takes the exact reciprocal.  pi_B is
     pi_fraction(B // 3 + 1) for the largest B >= bits asked for so far in
@@ -143,7 +149,15 @@ def pi_power(q: int, bits: int) -> Fraction:
         x = x * x >> bits
         if bit == "1":
             x = x * p >> bits
-    return Fraction(x, 1 << bits) if q > 0 else Fraction(1 << bits, x)
+    return (x, 1 << bits) if q > 0 else (1 << bits, x)
+
+
+def pi_power(q: int, bits: int) -> Fraction:
+    """pi^q within |q| 2^-bits relative, for q != 0 and bits >= max(40, bitlength(q)).
+
+    The kernel's pair as a Fraction; see :func:`_pi_power_ratio`.
+    """
+    return Fraction(*_pi_power_ratio(q, bits))
 
 
 def _as_int(value: object, name: str) -> int:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from .betavalues import PiPowerValue
 from . import eulerpoly
 from .exact import ValueClass, _set_field
-from .highprec import _as_int, pi_power
+from .highprec import _as_int, _pi_power_ratio
 
 __all__ = [
     "IntegrandSpec",
@@ -110,7 +110,7 @@ class IntegrandSpec(ValueClass):
 def _scale(n: int) -> float:
     """s(n) = n!/pi^(n+1), so that E_n = s(n) p_n; a ValueError past n = 218."""
     # pi^(n+1) = x / d within (n + 1) 2^-(64 + bitlength(n + 2)) < 2^-64 relative
-    x, d = pi_power(n + 1, 64 + (n + 2).bit_length()).as_integer_ratio()
+    x, d = _pi_power_ratio(n + 1, 64 + (n + 2).bit_length())
     try:
         return math.factorial(n) * d / x
     except OverflowError:
@@ -133,7 +133,7 @@ def _float_coeffs(n: int, at_half: bool = False) -> tuple[float, ...]:
         s = [v.numerator for v in e.numbers[:n + 1]]
     else:
         s = e.scaled_at_zero(n)
-    x, d = pi_power(n + 1, 64 + (n + 2).bit_length()).as_integer_ratio()
+    x, d = _pi_power_ratio(n + 1, 64 + (n + 2).bit_length())
     d = math.factorial(n) * d << n
     return tuple((x * math.comb(n, i) * s[n - i] << i) / d if s[n - i] else 0.0
                  for i in range(n + 1))

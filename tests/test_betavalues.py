@@ -392,7 +392,7 @@ class TestSeriesCutoff:
     def test_matches_full_loop_on_grid(self):
         for s in CUTOFF_EXPONENTS:
             for digits in CUTOFF_DIGITS:
-                assert _beta_accelerated(s, digits) == _crvz_full_loop(s, digits), (s, digits)
+                assert F(*_beta_accelerated(s, digits)) == _crvz_full_loop(s, digits), (s, digits)
 
     def test_grid_spans_every_cutoff_regime(self):
         k0_regimes = set()
@@ -415,7 +415,8 @@ class TestSeriesCutoff:
                 while (2 * k + 1) ** s < 1 << top:
                     s += 1
                 for t in (s - 1, s):
-                    assert _beta_accelerated(t, digits) == _crvz_full_loop(t, digits), (t, digits)
+                    got = F(*_beta_accelerated(t, digits))
+                    assert got == _crvz_full_loop(t, digits), (t, digits)
                 assert _cutoff(s, digits)[0] <= k < _cutoff(s - 1, digits)[0]
 
     def test_first_big_term_matches_linear_search(self):
@@ -519,7 +520,7 @@ class TestErrorBudgets:
     def test_series_floor_losses_below_guard(self):
         for s in (1, 2, 7, 41):
             for digits in (1, 13, 101, 400):
-                err = abs(_beta_accelerated(s, digits) - _crvz_exact_sum(s, digits))
+                err = abs(F(*_beta_accelerated(s, digits)) - _crvz_exact_sum(s, digits))
                 assert err < F(1, 10 ** (digits + 10)), (s, digits)
 
     def test_pi_agrees_with_machin(self):
@@ -532,6 +533,30 @@ class TestErrorBudgets:
         for digits in (1, 2, 14, 15, 28, 100, 1000):
             err = abs(pi_fraction(digits) - machin_pi(digits + 20))
             assert err < F(3, 10 ** (digits + 10)) + F(1, 10 ** (digits + 20)), digits
+
+
+class TestOneGcdPerValue:
+    """Intermediates stay unreduced integer pairs: one gcd per exact value returned."""
+
+    V, W = PiPowerValue(F(-7, 3), 9), aux_integral_J_closed(3, 2)  # pi^9 and pi^-8
+    WARM_CALLS = {
+        "beta_odd_exact": (lambda: beta_odd_exact(40), 1),
+        "beta_odd_exact_via_euler": (lambda: beta_odd_exact_via_euler(40), 1),
+        "render_decimal": (lambda: render_decimal(TestOneGcdPerValue.V, 30), 1),
+        "render_decimal_reciprocal": (lambda: render_decimal(TestOneGcdPerValue.W, 12), 1),
+        "beta_series": (lambda: beta_series(3, 30), 1),
+        "float(PiPowerValue)": (lambda: float(TestOneGcdPerValue.V), 0),
+    }
+
+    @pytest.mark.parametrize("name", list(WARM_CALLS))
+    def test_gcds_per_warm_call(self, name, monkeypatch):
+        call, want = self.WARM_CALLS[name]
+        call()  # grows the tables and the stored pi
+        real, gcds = math.gcd, []
+        monkeypatch.setattr(math, "gcd", lambda *a: gcds.append(a) or real(*a))
+        call()
+        monkeypatch.undo()
+        assert len(gcds) == want, gcds
 
 
 class TestBeyondIntStrLimit:

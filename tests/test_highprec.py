@@ -1,4 +1,5 @@
-"""The one pi-power kernel, held to its documented bound, and its only use of pi_fraction."""
+"""The one pi-power kernel, held to its documented bound, its only use of pi_fraction, and
+the rounding lemma that lets its callers round unreduced pairs."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betakit.highprec import pi_fraction, pi_power
+from betakit.highprec import _pi_power_ratio, _round_ratio, pi_fraction, pi_power
 
 F = Fraction
 
@@ -86,16 +89,50 @@ class TestPiPowerBound:
             pi_power(q, bits)
 
 
-def _pi_fraction_mentions(path: Path) -> list[tuple[str | None, str]]:
-    """(enclosing function, node type) of each name, attribute or import of pi_fraction."""
+@pytest.mark.parametrize("q", [1, 2, 7, -1, -8, 301, -302])
+def test_kernel_pair_is_unreduced_over_a_power_of_two(q):
+    # (x, 2^bits) for q > 0 and (2^bits, x) for q < 0; pi_power reduces it
+    bits = 100
+    num, den = _pi_power_ratio(q, bits)
+    assert (den if q > 0 else num) == 1 << bits and num > 0 and den > 0
+    assert F(num, den) == pi_power(q, bits)
+
+
+@st.composite
+def _ratios(draw):
+    """(a, b, p, tie): a / b with b >= 1 and a of either sign, or, with tie,
+    one that a 10^p puts exactly half-way between two integers."""
+    p = draw(st.integers(min_value=0, max_value=30))
+    if draw(st.booleans()):
+        a = draw(st.integers(min_value=-(10**40), max_value=10**40))
+        return a, draw(st.integers(min_value=1, max_value=10**40)), p, False
+    t = 2 * draw(st.integers(min_value=-(10**20), max_value=10**20)) + 1
+    c = draw(st.integers(min_value=1, max_value=10**20))
+    return t * c, 2 * 10**p * c, p, True  # a 10^p / b = t / 2
+
+
+@given(_ratios(), st.integers(min_value=1, max_value=10**30))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_rounding_an_unreduced_pair_gives_the_reduced_pair_s_integer(ratio, g):
+    # the lemma behind every unreduced pair the package rounds: g a / (g b)
+    # rounds to the integer a / b does, ties to even included
+    a, b, p, tie = ratio
+    q = _round_ratio(a, b, p)
+    assert _round_ratio(g * a, g * b, p) == q
+    if tie:
+        assert q % 2 == 0 and abs(2 * q * b - 2 * a * 10**p) == b
+
+
+def _mentions(path: Path, name: str) -> list[tuple[str | None, str]]:
+    """(enclosing function, node type) of each name, attribute or import of `name`."""
     found = []
 
     def visit(node: ast.AST, scope: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if (isinstance(node, ast.Name) and node.id == "pi_fraction"
-                or isinstance(node, ast.Attribute) and node.attr == "pi_fraction"
-                or isinstance(node, ast.alias) and "pi_fraction" in (node.name, node.asname)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
             found.append((scope, type(node).__name__))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -105,10 +142,13 @@ def _pi_fraction_mentions(path: Path) -> list[tuple[str | None, str]]:
 
 
 def test_pi_fraction_is_read_by_the_kernel_alone():
-    # every power of pi in the package goes through pi_power; the package
+    # every power of pi in the package goes through the pair kernel, which
+    # alone reads pi_fraction and the stored fixed-point pi; the package
     # __init__ only re-exports pi_fraction
-    mentions = {path.stem: _pi_fraction_mentions(path) for path in sorted(SRC.glob("*.py"))}
-    assert {name: m for name, m in mentions.items() if m} == {
-        "__init__": [(None, "alias")],
-        "highprec": [("pi_power", "Name")],
-    }
+    for name, want in (
+        ("pi_fraction", {"__init__": [(None, "alias")],
+                         "highprec": [("_pi_power_ratio", "Name")]}),
+        ("_pi_fixed", {"highprec": [(None, "Name")] + [("_pi_power_ratio", "Name")] * 2}),
+    ):
+        mentions = {path.stem: _mentions(path, name) for path in sorted(SRC.glob("*.py"))}
+        assert {stem: m for stem, m in mentions.items() if m} == want, name

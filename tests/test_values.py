@@ -192,6 +192,16 @@ def test_constructors_normalize():
     assert type(PiPowerValue(3, 1).coeff) is Fraction
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", None, 1j])
+def test_pi_power_value_takes_only_exact_coefficients(bad):
+    message = f"^coeff must be an int or a Fraction, not {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        PiPowerValue(bad, 1)
+    half = Fraction(1, 2)
+    assert PiPowerValue(half, 1).coeff is half  # kept as it is
+    assert PiPowerValue(True, 1) == PiPowerValue(1, 1)  # bools are ints
+
+
 # each public reader of an integer argument: (the argument's name, a call taking it)
 INTEGER_READERS = {
     "euler_number": ("n", euler_number),
