@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betakit import betavalues
 from betakit.betavalues import (
     PiPowerValue,
+    _backward_sum,
     _beta_accelerated,
     _chebyshev_d,
     _first_big_term,
+    _forward_sum,
+    _last_weight,
     beta_odd_exact,
     beta_odd_exact_via_euler,
     beta_series,
@@ -232,15 +242,27 @@ def _crvz_fraction_loop(s: int, digits: int) -> Fraction:
     return acc / d / scale
 
 
-def _crvz_full_loop(s: int, digits: int) -> Fraction:
-    """The integer series as the earlier code ran it: every one of the n terms."""
+@functools.cache  # the grids below ask for each sum once per kernel variant
+def _crvz_full_acc(s: int, digits: int) -> int:
+    """The integer series' sum as the earlier code ran it: every one of the n terms."""
     n, d, bits = _series_terms(digits)
     b, c, acc = -1, -d, 0
     for k in range(n):
         c = b - c
         acc += (c << bits) // (2 * k + 1) ** s
         b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
-    return Fraction(acc, d << bits)
+    return acc
+
+
+def _crvz_full_pair(s: int, digits: int) -> tuple[int, int]:
+    """The earlier full loop's sum as _beta_accelerated's unreduced pair."""
+    _, d, bits = _series_terms(digits)
+    return _crvz_full_acc(s, digits), d << bits
+
+
+def _crvz_full_loop(s: int, digits: int) -> Fraction:
+    """The integer series as the earlier code ran it, as a value."""
+    return Fraction(*_crvz_full_pair(s, digits))
 
 
 def _linear_k0(s: int, top: int, n: int) -> int:
@@ -386,13 +408,24 @@ CUTOFF_EXPONENTS = list(range(1, 81)) + [101, 201, 601, 10**4]
 CUTOFF_DIGITS = list(range(1, 31)) + [50, 100, 200, 1000]
 
 
+@pytest.fixture(params=["in-process", "forked"])
+def kernel(request, monkeypatch):
+    """_beta_accelerated summing in process, or splitting every uncut sum with a fork."""
+    if request.param == "in-process":
+        monkeypatch.setattr(betavalues, "_can_fork", lambda: False)
+    else:
+        monkeypatch.setattr(betavalues, "_SPLIT_COST", 0)
+        monkeypatch.setattr(betavalues, "_can_fork", lambda: True)
+    return _beta_accelerated
+
+
 class TestSeriesCutoff:
     """Terms past the first power above 2^top are counted, not divided."""
 
-    def test_matches_full_loop_on_grid(self):
+    def test_matches_full_loop_on_grid(self, kernel):
         for s in CUTOFF_EXPONENTS:
             for digits in CUTOFF_DIGITS:
-                assert F(*_beta_accelerated(s, digits)) == _crvz_full_loop(s, digits), (s, digits)
+                assert F(*kernel(s, digits)) == _crvz_full_loop(s, digits), (s, digits)
 
     def test_grid_spans_every_cutoff_regime(self):
         k0_regimes = set()
@@ -404,7 +437,7 @@ class TestSeriesCutoff:
         assert _cutoff(1, 1000)[0] == _cutoff(1, 1000)[1]
         assert _cutoff(10**4, 1000)[0] == 1
 
-    def test_matches_full_loop_on_either_side_of_the_boundary(self):
+    def test_matches_full_loop_on_either_side_of_the_boundary(self, kernel):
         # for each k, the least s with (2k+1)^s >= 2^top puts k0 <= k, and
         # s - 1 leaves (2k+1)^(s-1) just below it
         for digits in list(range(1, 31)) + [100]:
@@ -415,7 +448,7 @@ class TestSeriesCutoff:
                 while (2 * k + 1) ** s < 1 << top:
                     s += 1
                 for t in (s - 1, s):
-                    got = F(*_beta_accelerated(t, digits))
+                    got = F(*kernel(t, digits))
                     assert got == _crvz_full_loop(t, digits), (t, digits)
                 assert _cutoff(s, digits)[0] <= k < _cutoff(s - 1, digits)[0]
 
@@ -445,6 +478,178 @@ class TestSeriesCutoff:
                 assert abs(c) < size, (digits, k)
                 size = abs(c)
                 b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))
+            # where the backward walk starts: b_n and c_(n-1)
+            assert b == c == _last_weight(n), digits
+
+
+class TestTwoEndedSum:
+    """The weights run backward from b_n exactly, so any split of the sum gives the same acc."""
+
+    def test_halves_sum_to_the_full_loop_at_every_split(self):
+        for digits in list(range(1, 31)) + [100]:
+            n, d, bits = _series_terms(digits)
+            for s in (1, 2, 3, 7, 41):
+                want = _crvz_full_acc(s, digits)
+                for split in range(n + 1):
+                    got = _forward_sum(s, bits, n, d, split) + _backward_sum(s, bits, n, split)
+                    assert got == want, (digits, s, split)
+
+
+def _split_cost(digits: int) -> int:
+    """n bitlength(d_n), the kernel's cost estimate at `digits` when no term is cut off."""
+    n, d, _ = _series_terms(digits)
+    return n * d.bit_length()
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ABOVE, BELOW = 1200, 500  # digits on either side of the split constant, for s = 3
+
+
+class TestForkedSplit:
+    """One child per call above the constant, none below it, and none outlives the call."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made; the machine looks like two usable CPUs."""
+        calls, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or real())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return calls
+
+    def test_one_fork_above_the_constant_none_below(self, forks):
+        assert _split_cost(BELOW) < betavalues._SPLIT_COST < _split_cost(ABOVE)
+        assert _beta_accelerated(3, BELOW) == _crvz_full_pair(3, BELOW)
+        assert forks == []
+        assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+        assert len(forks) == 1
+        _assert_no_child()
+        want = render_decimal(beta_odd_exact(1), ABOVE).decimal_str()
+        assert beta_series(3, ABOVE).decimal_str() == want
+        assert len(forks) == 2
+        _assert_no_child()
+
+    def test_no_fork_in_the_cutoff_regime(self, forks):
+        # at s = 10^4 one term is divided: a backward walk would take n - 1 idle steps
+        assert beta_series(10**4, ABOVE).decimal_str() == "1." + "0" * ABOVE
+        assert forks == []
+
+    @pytest.mark.parametrize("failure", ["raises", "is killed", "exits 0 with no payload",
+                                         "sends a short payload, then exits 0",
+                                         "sends a wrong sum, then exits 1"])
+    def test_a_failing_child_yields_the_same_pair(self, forks, failure, monkeypatch):
+        parent, real, pipes, real_pipe = os.getpid(), betavalues._backward_sum, [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+
+        def backward(*args):
+            if os.getpid() == parent:
+                return real(*args)
+            if failure == "raises":
+                raise RuntimeError("child fails")
+            if failure == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            wrong = real(*args) + 1
+            body = wrong.to_bytes((wrong.bit_length() + 8) // 8, "little", signed=True)
+            if failure.startswith("sends a short"):
+                os.write(pipes[0][1], (len(body) + 1).to_bytes(8, "little") + body)
+            elif failure.startswith("sends a wrong"):
+                os.write(pipes[0][1], len(body).to_bytes(8, "little") + body)
+                os._exit(1)
+            os._exit(0)
+
+        monkeypatch.setattr(betavalues, "_backward_sum", backward)
+        assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_a_parent_exception_kills_and_reaps_the_child(self, forks, monkeypatch):
+        pipes, real_pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(betavalues, "_forward_sum", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _beta_accelerated(3, ABOVE)
+        assert len(forks) == 1
+        _assert_no_child()
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_an_ignored_sigchld_changes_nothing(self, forks, monkeypatch):
+        # the system then reaps the child itself, and waitpid finds none
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+            monkeypatch.setattr(betavalues, "_forward_sum", lambda *args: 1 // 0)
+            with pytest.raises(ZeroDivisionError):
+                _beta_accelerated(3, ABOVE)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(forks) == 2
+        _assert_no_child()
+
+    def test_a_failed_fork_sums_in_process(self, monkeypatch):
+        pipes, real_pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_no_fork_beside_a_second_thread(self, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_no_fork_on_one_usable_cpu(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+        assert forks == []
+        # where affinity cannot be read, the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for cpus, want in ((1, 0), (None, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+            assert len(forks) == want, cpus
+
+    def test_no_fork_where_the_platform_has_none(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert _beta_accelerated(3, ABOVE) == _crvz_full_pair(3, ABOVE)
+
+    def test_the_child_flushes_no_buffer_and_runs_no_atexit_handler(self):
+        # stdout is a pipe, so the marker waits in the buffer across the fork
+        code = (
+            "import atexit, os, sys; from betakit import beta_series\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}; real, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or real()\n"
+            "atexit.register(print, 'atexit')\n"
+            "sys.stdout.write('unflushed\\n')\n"
+            f"beta_series(3, {ABOVE}); sys.stderr.write(str(len(forks)))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == b"1"
+        assert r.stdout == b"unflushed\natexit\n"
 
 
 def pi_floor_margin(top_bits: int) -> tuple[float, int]:
