@@ -8,11 +8,13 @@ digest with ``PYTHONPATH=src python tests/test_digests.py``, and say in
 CHANGES.md which family changed and why.
 
 Tier-1 checks the families below at sizes that take well under a second; the
-``_full`` families extend aux to k <= 150 and beta(2k) and beta(2k+1) to
-k <= 300 (the CLI's ``--max-k 300``) and run in CI only, through
-:func:`check`.  The beta(2k) families pin the platform's ``math.sin`` as
+``_full`` families extend aux to k <= 150, beta(2k) and beta(2k+1) to
+k <= 300 (the CLI's ``--max-k 300``) and the identity suite to nmax 601, and
+run in CI only, through :func:`check`.  The beta(2k) families pin the platform's ``math.sin`` as
 well.  The beta_series family records the strings as they are printed, the
-few that are misrounded (ROADMAP item 5) included.
+few that are misrounded (ROADMAP item 5) included.  The identity_suite family
+records reports on fresh true tables and on five fixed corruptions, so that
+both the suite's certified rows and its uncertified ones are pinned.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from betakit.betavalues import (
     beta_series,
     render_decimal,
 )
+from betakit.eulerpoly import BernoulliTable, EulerTable, run_identity_suite
 from betakit.exact import rational_str
 from betakit.quadrature import (
     IntegrandSpec,
@@ -106,6 +109,51 @@ def _beta_series():
             yield f"{s} {digits} {r.decimal_str()} {rational_str(r.value)}"
 
 
+def _add(table, n: int, terms: dict[int, int]) -> None:
+    # row n of the table gets sum c x^i over terms' (i, c), over the row's
+    # own denominator, as _inject in test_eulerpoly.py swaps rows in; every
+    # other row is the table's own
+    own = table._row
+
+    def row(m: int) -> tuple[int, list[int]]:
+        den, nums = own(m)
+        if m == n:
+            nums = [x + terms.get(i, 0) * den for i, x in enumerate(nums)]
+        return den, nums
+
+    table._row = row
+
+
+def _bump_euler_entry(et: EulerTable, bt: BernoulliTable) -> None:
+    # a_8 = 2^8 E_8(0) is 0: the rows built from it are certified, and wrong
+    et.scaled_at_zero(8)[8] += 2
+
+
+def _bump_bernoulli_entry(et: EulerTable, bt: BernoulliTable) -> None:
+    den, b = bt.scaled_numbers(6)
+    b[6] += den
+
+
+CORRUPTIONS = {
+    "euler_entry": _bump_euler_entry,
+    "bernoulli_entry": _bump_bernoulli_entry,
+    # x^3 - 1 keeps E_10(1) and moves E_10(0); x^3 moves E_12(1) alone
+    "euler_row_at_zero": lambda et, bt: _add(et, 10, {0: -1, 3: 1}),
+    "euler_row_at_one": lambda et, bt: _add(et, 12, {3: 1}),
+    "bernoulli_row": lambda et, bt: _add(bt, 9, {2: 1}),
+}
+
+
+def _identity_suite(grid, corruptions=()):
+    for n in grid:
+        report = run_identity_suite(n, euler=EulerTable(), bernoulli=BernoulliTable())
+        yield f"true {n} {report.to_json_str()}"
+    for label in corruptions:
+        et, bt = EulerTable(), BernoulliTable()
+        CORRUPTIONS[label](et, bt)
+        yield f"{label} 40 {run_identity_suite(40, euler=et, bernoulli=bt).to_json_str()}"
+
+
 FAMILIES = {
     "aux": lambda: _aux(60),
     "pi_power_float": _pi_power_float,
@@ -114,12 +162,14 @@ FAMILIES = {
     "beta_odd": lambda: _beta_odd(150),
     "render_decimal": _render_decimal,
     "beta_series": _beta_series,
+    "identity_suite": lambda: _identity_suite([*range(33), 37, 60, 101, 150, 201], CORRUPTIONS),
     "aux_full": lambda: _aux(150),
     "beta_even_full": lambda: _beta_even(300),
     "beta_odd_full": lambda: _beta_odd(300),
+    "identity_suite_full": lambda: _identity_suite([601]),
 }
 TIER1 = ("aux", "pi_power_float", "float_coeffs", "beta_even", "beta_odd", "render_decimal",
-         "beta_series")
+         "beta_series", "identity_suite")
 
 
 def digest(family: str) -> str:
