@@ -28,13 +28,7 @@ from .eulerpoly import (
     generalized_bernoulli_chi4,
     run_identity_suite,
 )
-from .exact import (
-    Rational,
-    RationalPolynomial,
-    poly_eval,
-    rational_from_str,
-    rational_str,
-)
+from .exact import RationalPolynomial, poly_eval, rational_from_str, rational_str
 from .highprec import BudgetExceededError, decimal_string, pi_fraction, quantize
 from .quadrature import (
     IntegrandSpec,
@@ -69,7 +63,6 @@ __all__ = [
     "PartialSumTrace",
     "PiPowerValue",
     "QuadratureResult",
-    "Rational",
     "RationalPolynomial",
     "aux_integral_I_closed",
     "aux_integral_J_closed",

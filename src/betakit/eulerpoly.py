@@ -299,6 +299,13 @@ def _bridge_holds(bden: int, bnums: list[int], eden: int, enums: list[int], k: i
     return all(scale * x == eden * (y - z) for x, y, z in zip_longest(enums, s, c, fillvalue=0))
 
 
+def _deriv_holds(den: int, nums: list[int], pden: int, pnums: list[int], r: int) -> bool:
+    # with E_r = (1/den) sum c_j x^j and E_(r-1) = (1/pden) sum f_j x^j,
+    # E_r' = r E_(r-1) reads j pden c_j = r den f_(j-1) for every j >= 1
+    return ([*map(mul, range(pden, len(nums) * pden, pden), nums[1:])]
+            == [*map(mul, pnums, repeat(r * den))])
+
+
 def _ratio_eq(u: int, v: int, x: int, y: int) -> bool:
     # u/v == x/y for nonzero v and y, without reducing either
     return u * y == x * v
@@ -307,9 +314,10 @@ def _ratio_eq(u: int, v: int, x: int, y: int) -> bool:
 def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
     # One pass over r with Pascal's row c = C(r, .), grown by additions, in
     # which row r of each table is built, certified and read.  Per Euler
-    # index r <= nmax: 1.1 and 1.3 at r, and on the row 1.4, 1.5 and
+    # index r <= nmax: 1.1, 1.3 and 1.4 at r, 1.5 on rows r - 1 and r, and
     # E_r(1/2) as a ratio; per Bernoulli index r <= nmax + 1: B_(r,chi4) as
-    # a ratio and, for 1 <= r <= nmax, the bridge at r.
+    # a ratio and, for 1 <= r <= nmax, the bridge at r.  A certified row is
+    # read through the scalars of its certificate, any other on its own list.
     a = et.scaled_at_zero(nmax)
     den, b = bt.scaled_numbers(nmax + 1)
     reflect, shift_sum, vanish, deriv, half, chi4, bridge = [], [], [], [], [], [None], [None]
@@ -317,40 +325,41 @@ def _suite_pass(et: EulerTable, bt: BernoulliTable, nmax: int) -> tuple:
     c, ok11, ok13, ok_bridge = [], True, True, True
     for r in range(nmax + 2):
         c = [1, *map(add, c, c[1:]), 1] if c else [1]
-        u = [*map(mul, c, b)]  # C(r, j) D B_j, the coefficient of x^(r-j)
+        v = [*map(mul, c, b[r::-1])]  # C(r, i) D B_(r-i), the coefficient of x^i
         brow = bt._row(r)
-        bern_ok = brow == (den, u[::-1])
+        bern_ok = brow == (den, v)
         if r:
             chi4.append(_chi4(*brow, r))
         if r > nmax:
             break
         row = et._row(r)
-        # C(r, j) 2^(r-j) a_j, the coefficient of x^(r-j), over 2^r
-        terms = [*map(lshift, map(mul, c, a), range(r, -1, -1))][::-1]
+        p = [*map(mul, c, a[r::-1])]  # C(r, i) a_(r-i): 2^i times it is the coefficient of x^i
+        terms = [*map(lshift, p, range(r + 1))]
         ok = row == (1 << r, terms)
         at_one = sum(terms)  # A_r = 2^r E_r(1)
         ok11 = ok11 and at_one == (-1) ** r * a[r]
         ok13 = ok13 and at_one + a[r] == (0 if r else 2)
-        # on the row E_r = (1/D) sum c_j x^j, of length d
-        (rden, nums), (pden, pnums) = row, prev
-        d = len(nums)
+        rden, nums = row
         if ok:
-            checks = ok11, ok13
+            # E_r(0) = a_r / 2^r, E_r(1) = A_r / 2^r, E_r(1/2) = sum_j C(r, j) a_j / 2^r
+            reflect.append(ok11)
+            shift_sum.append(ok13)
+            vanish.append(a[r] == 0 and at_one == 0)
+            half.append((sum(p), rden))
         else:
-            # with E_r(x+1) = (1/D) sum s_j x^j, 1.1 reads (-1)^j s_j = (-1)^r c_j
-            s = taylor_shift(nums)
-            checks = (s == [-x if (r + j) % 2 else x for j, x in enumerate(nums)],
-                      [x + y for x, y in zip(s, nums)] == [0] * r + [2 * rden])
-        for family, check in zip((reflect, shift_sum), checks):
-            family.append(check)
-        # E_r(0) = c_0 / D, E_r(1) = sum c_j / D, E_r(1/2) = sum c_j 2^(d-j) / (D 2^d)
-        vanish.append(not any(nums[:1]) and sum(nums) == 0)
-        half.append((sum(map(lshift, nums, range(d, 0, -1))), rden << d))
-        # 1.5: j D_(r-1) c_j = r D f_(j-1), with E_(r-1) = (1/D_(r-1)) sum f_j x^j
-        deriv.append([*map(mul, range(pden, d * pden, pden), nums[1:])]
-                     == [*map(mul, pnums, repeat(r * rden))])
+            # on the row E_r = (1/D) sum c_j x^j, of length d, with
+            # E_r(x+1) = (1/D) sum s_j x^j: 1.1 reads (-1)^j s_j = (-1)^r c_j,
+            # E_r(0) = c_0 / D, E_r(1) = sum c_j / D, E_r(1/2) = sum c_j 2^(d-j) / (D 2^d)
+            s, d = taylor_shift(nums), len(nums)
+            reflect.append(s == [-x if (r + j) % 2 else x for j, x in enumerate(nums)])
+            shift_sum.append([x + y for x, y in zip(s, nums)] == [0] * r + [2 * rden])
+            vanish.append(not any(nums[:1]) and sum(nums) == 0)
+            half.append((sum(map(lshift, nums, range(d, 0, -1))), rden << d))
+        # 1.5 holds on two certified rows: j C(r, j) = r C(r-1, j-1)
+        deriv.append(ok and prev_ok or _deriv_holds(*row, *prev, r))
         if r:
-            rhs = sum(map(lshift, u[:r], range(r)))
+            # sum_(j<r) C(r, j) D B_j 2^j, from the Bernoulli row's terms
+            rhs = sum(map(lshift, v[:0:-1], range(r)))
             ok_bridge = ok_bridge and r * den * a[r - 1] == rhs << r - 1
             bridge.append(ok_bridge if bern_ok and prev_ok else _bridge_holds(*brow, *prev, r))
         prev, prev_ok = row, ok
@@ -385,22 +394,9 @@ def run_identity_suite(
     reports its first failing n.  In one pass over n the suite builds row n
     of each table as its unreduced integer form ``_row(n)`` = (D, [c_j]) and
     drops it after the next index, so the pass holds O(nmax) integers of
-    rows and builds no ``RationalPolynomial``.  Reading a row costs O(n)
-    integer operations, so five families read the row itself, certified or
-    not; with E_n = (1/D) sum c_j x^j of length d:
+    rows and builds no ``RationalPolynomial``.
 
-      1.4  E_n(0) = c_0 / D and E_n(1) = sum c_j / D.
-      1.2, 1.6, bridge_chi4
-           E_n(1/2) = sum c_j 2^(d-j) / (D 2^d) in one integer pass, and
-           B_{n,chi4} in one Horner pass over the Bernoulli row's integers
-           (the kernel of :func:`generalized_bernoulli_chi4`), compared as
-           cross-multiplied integers.
-      1.5  j D_(n-1) c_j = n D f_(j-1) for every j, with the row below
-           E_(n-1) = (1/D_(n-1)) sum f_j x^j.
-
-    1.1, 1.3 and bridge_euler_bernoulli compare shifted polynomials, an
-    O(n^2) Taylor shift per row, so they use a certificate instead.  Both
-    tables hold Appell sequences (Appell 1880; DLMF 24.4):
+    Both tables hold Appell sequences (Appell 1880; DLMF 24.4):
     E_n(x) = sum_i C(n, i) E_(n-i)(0) x^i and
     B_n(x) = sum_i C(n, i) B_(n-i) x^i.  The pass certifies in O(n) that
     row n is its own table's Appell row: with a_j = 2^j E_j(0)
@@ -412,8 +408,9 @@ def run_identity_suite(
     wrong binomial is not certified.
     Every shifted Appell row is again a sum over the sequence
     (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows the
-    three are decided by scalar sums, one per index r and shared by every
-    row above it; with A_r = sum_j C(r, j) 2^(r-j) a_j = 2^r E_r(1):
+    three families that compare shifted polynomials reduce to scalar sums,
+    one per index r and shared by every row above it, and 1.4 and 1.5 need
+    no list at all; with A_r = sum_j C(r, j) 2^(r-j) a_j = 2^r E_r(1):
 
       1.1  holds at n iff A_r = (-1)^r a_r for every r <= n: the
            coefficient of x^i in E_n(1-x) - (-1)^n E_n(x) is
@@ -421,6 +418,11 @@ def run_identity_suite(
       1.3  holds at n iff A_r + a_r = 2 [r = 0] for every r <= n: the
            coefficient of x^i in E_n(x+1) + E_n(x) is
            C(n, i) (E_r(1) + E_r(0)) with r = n - i.
+      1.4  holds at n iff a_n = A_n = 0: E_n(0) = a_n / 2^n and
+           E_n(1) = A_n / 2^n.
+      1.5  holds at n whenever rows n and n - 1 are both certified, for any
+           sequence: as j C(n, j) = n C(n-1, j-1), the coefficient of
+           x^(j-1) on each side is n C(n-1, j-1) E_(n-j)(0).
       bridge_euler_bernoulli
            holds at k iff m D a_(m-1) = 2^(m-1) sum_(j<m) C(m, j) D B_j 2^j
            for every 1 <= m <= k: with m = k - i and C(k, i)/k = C(k-1, i)/m,
@@ -428,14 +430,30 @@ def run_identity_suite(
            C(k-1, i) 2^m (B_m(1/2) - B_m) / m, and 2^m B_m(1/2) is
            sum_(j<=m) C(m, j) B_j 2^j; on the left it is C(k-1, i) E_(m-1)(0).
 
-    An instance of the three that touches an uncertified row (a corrupted
-    or injected one, or the same polynomial over another denominator) is
-    checked on that row's integer coefficient list: one addition-only
-    Taylor shift gives E_n(x+1) for 1.1 and 1.3, another B_k((x+1)/2) for
-    the bridge.  Two polynomials agree at every x exactly when their
-    coefficients agree, and multiplying both sides by the same nonzero
-    integer keeps them equal or unequal, so either way the verdict holds
-    for every x.  On true tables no shift is formed, and the suite costs
+    The other three read every row, certified or not, in O(n): E_n(1/2) is
+    sum_j C(n, j) a_j / 2^n on a certified row, which 1.2 compares with
+    E_n, and B_{n,chi4} comes from one Horner pass over each Bernoulli row's
+    integers (the kernel of :func:`generalized_bernoulli_chi4`); 1.6 and
+    bridge_chi4 compare the two as cross-multiplied integers.
+
+    An instance that touches an uncertified row (a corrupted or injected
+    one, or the same polynomial over another denominator) is checked on
+    that row's integer coefficient list; with E_n = (1/D) sum c_j x^j of
+    length d:
+
+      1.1, 1.3, bridge_euler_bernoulli
+           one addition-only Taylor shift gives E_n(x+1), another
+           B_k((x+1)/2).
+      1.4  E_n(0) = c_0 / D and E_n(1) = sum c_j / D.
+      1.5  j D_(n-1) c_j = n D f_(j-1) for every j, with the row below
+           E_(n-1) = (1/D_(n-1)) sum f_j x^j.
+      1.2, 1.6, bridge_chi4
+           E_n(1/2) = sum c_j 2^(d-j) / (D 2^d).
+
+    Two polynomials agree at every x exactly when their coefficients agree,
+    and multiplying both sides by the same nonzero integer keeps them equal
+    or unequal, so either way the verdict holds for every x.  On true tables
+    no shift and no derivative list is formed, and the suite costs
     O(nmax^2) integer operations.  ``trials`` (>= 1) and ``seed`` are
     validated and otherwise ignored: the report depends on nmax and the
     tables alone.  Failures are reported, not raised.

@@ -1,10 +1,10 @@
 """Exact rationals and polynomials.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``,
-re-exported as :data:`Rational`); dense polynomials are stored as reduced
-integer forms, which the tables return (the identity suite reads the
-tables' unreduced forms and reduces none).  All values are immutable and all
-functions are pure, so they can be shared freely between threads.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``); dense
+polynomials are stored as reduced integer forms, which the tables return
+(the identity suite reads the tables' unreduced forms and reduces none).
+All values are immutable and all functions are pure, so they can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import floordiv
 
-# The universal exact scalar.  Fraction already maintains the canonical form
-# we need: positive denominator, gcd(|num|, den) = 1, and zero stored as 0/1.
-Rational = Fraction
-
 RationalLike = int | Fraction
 
 __all__ = [
-    "Rational",
     "RationalPolynomial",
     "digit_string",
     "poly_eval",

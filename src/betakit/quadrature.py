@@ -194,16 +194,24 @@ def _sec_integral(k: int) -> tuple[float, float]:
     coeffs = _float_coeffs(2 * k - 1, True)
     odd = [(i, abs(coeffs[i])) for i in range(1, len(coeffs), 2)]
     rad = 25 / 32
-    m = sum(a * rad ** (i - 1) for i, a in odd) * rad / math.sin(math.pi * rad)
-    q0 = sum(math.ldexp(a, -i) for i, a in odd)
-    q1 = sum(i * math.ldexp(a, -i) for i, a in odd)
+    # plain left-to-right float sums: the built-in sum() compensates its
+    # rounding since Python 3.12, which would move the bound's last bit
+    m = q0 = q1 = 0.0
+    for i, a in odd:
+        m += a * rad ** (i - 1)
+        q0 += math.ldexp(a, -i)
+        q1 += i * math.ldexp(a, -i)
+    m = m * rad / math.sin(math.pi * rad)
     rho = _gamma(3 * k + 9) / (3 * k + 9) * (1.5 * q1 + 10.5 * q0)
     nodes, weights = _G15
     fs = [_sec_integrand(coeffs, 0.25 + 0.25 * x) for x in nodes]
     value = 0.25 * math.fsum(w * f for w, f in zip(weights, fs))
     shift = _NODE_ERR / 4 + 2.0**-54
     bound = 0.25 * 64 / 15 * m / (15 * 4.0**30) + 0.5 * (rho + 2 * q1 * shift)
-    bound += 0.25 * _gamma(2) * sum(w * abs(f) for w, f in zip(weights, fs))
+    wf = 0.0
+    for w, f in zip(weights, fs):
+        wf += w * abs(f)
+    bound += 0.25 * _gamma(2) * wf
     return value, bound + 0.25 * _WEIGHT_ERR_SUM * (max(map(abs, fs)) + rho)
 
 

@@ -115,6 +115,7 @@ class TestBetaSeries:
         v = beta_series(2, 10)
         assert v.decimal_str() == "0.9159655942"
         assert abs(v.value - CATALAN_LITERAL) < F(1, 10**10)
+        assert abs(float(v) - float(CATALAN_LITERAL)) < 1e-10
 
     def test_s3_matches_rendered_closed_form(self):
         v = beta_series(3, 10)
@@ -795,6 +796,10 @@ class TestDecimalFormatting:
         assert decimal_string(F(1, 2), 4) == "0.5000"
         assert decimal_string(F(-3, 2), 3) == "-1.500"
         assert decimal_string(F(0), 3) == "0.000"
+        # no places: no point, and ties still go to the even integer
+        assert decimal_string(F(5, 2), 0) == "2"
+        assert decimal_string(F(-7, 2), 0) == "-4"
+        assert decimal_string(F(0), 0) == "0"
 
     def test_quantize_consistent_with_string(self):
         x = F(123456789, 100000)

@@ -530,10 +530,11 @@ class TestSuiteMatchesPolynomialReference:
     @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 12, 37, 60, 201])
     def test_true_tables_form_no_row_check(self, nmax, monkeypatch):
         # every row of a true table is certified as its sequence's Appell
-        # row, so no Taylor shift is formed; B_{n,chi4} is read off each
-        # Bernoulli row 1 .. nmax + 1 by the one chi4 kernel, once
+        # row, so no Taylor shift and no derivative list is formed;
+        # B_{n,chi4} is read off each Bernoulli row 1 .. nmax + 1 by the one
+        # chi4 kernel, once
         calls = []
-        for name in ("taylor_shift", "_bridge_holds", "_chi4"):
+        for name in ("taylor_shift", "_bridge_holds", "_deriv_holds", "_chi4"):
             real = getattr(eulerpoly, name)
             monkeypatch.setattr(eulerpoly, name,
                                 lambda *a, name=name, real=real: calls.append((name, a[-1]))
@@ -700,15 +701,19 @@ class TestSequenceCorruption:
                 with pytest.raises(RuntimeError, match="aux self-check failed"):
                     aux_integral_numeric(spec, 1e-8)
 
-    @pytest.mark.parametrize("j", [1, 7, 11])
-    def test_tangent_number_fails_reflection_half_point_and_shift(self, j):
+    # a_3 - 1 and a_4 + 8 keep 2^4 E_4(1) = sum_j C(4, j) 2^(4-j) a_j at 0,
+    # so on its certified row 1.4 fails at 4 through E_4(0) alone
+    @pytest.mark.parametrize("bumps", [{1: 2}, {7: 2}, {11: 2}, {3: -1, 4: 8}],
+                             ids=["1", "7", "11", "3-4"])
+    def test_tangent_number_fails_reflection_half_point_and_shift(self, bumps):
         et, bt = EulerTable(), BernoulliTable()
-        et.scaled_at_zero(j)[j] += 2
+        for j, delta in bumps.items():
+            et.scaled_at_zero(j)[j] += delta
         report = run_identity_suite(14, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(14, et, bt)
         first = {r["identity_id"]: r["first_failure"] for r in report["identities"]}
         for identity in ("1.1", "1.2", "1.3"):
-            assert first[identity] is not None and first[identity]["n"] >= j, identity
+            assert first[identity] is not None and first[identity]["n"] >= min(bumps), identity
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_secant_number_fails_half_point_and_cross_check(self, tables, k, capsys):

@@ -92,6 +92,8 @@ class TestCanonicalForm:
     def test_trailing_zeros_stripped(self):
         p = RationalPolynomial.from_coefficients([1, 2, 0, 0])
         assert p.degree == 1
+        # a coefficient past the degree, or below 0, is 0
+        assert [p.coefficient(i) for i in range(-1, 4)] == [0, 1, 2, 0, 0]
 
     def test_zero_polynomial_degree(self):
         assert RationalPolynomial.zero().degree == -1

@@ -129,6 +129,14 @@ class TestExtendedFunctions:
         spec = ExtendedFunctionSpec("g", 1)
         assert extended_eval(spec, 0.0) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("name", ["f", "g"])
+    def test_f_and_g_at_one_half_are_their_limit(self, name, k):
+        # u = t - 1/2 is exactly 0, where both quotients are 0/0: they
+        # return their declared limit, 0, without dividing
+        spec = ExtendedFunctionSpec(name, k)
+        assert extended_eval(spec, 0.5) == spec.endpoint_values["1/2"] == 0.0
+
     def test_f_requires_positive_k(self):
         # E*_0(0) = 1 while sin(2 pi t) -> 0: no continuous extension exists
         with pytest.raises(ValueError):
