@@ -10,11 +10,12 @@ CHANGES.md which family changed and why.
 Tier-1 checks the families below at sizes that take well under a second; the
 ``_full`` families extend aux to k <= 150, beta(2k) and beta(2k+1) to
 k <= 300 (the CLI's ``--max-k 300``) and the identity suite to nmax 601, and
-run in CI only, through :func:`check`.  The beta(2k) families pin the platform's ``math.sin`` as
-well.  The beta_series family records the strings as they are printed, the
-few that are misrounded (ROADMAP item 5) included.  The identity_suite family
-records reports on fresh true tables and on five fixed corruptions, so that
-both the suite's certified rows and its uncertified ones are pinned.
+run in CI only, through :func:`check`.  The beta(2k) families pin the
+platform's ``math.sin`` as well.  The beta_series family records the strings
+as they are printed, the few that are misrounded (ROADMAP item 5) included.
+The identity_suite family records reports on fresh true tables and on five
+fixed corruptions, so that both the suite's certified rows and its
+uncertified ones are pinned.
 """
 
 from __future__ import annotations
