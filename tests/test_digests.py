@@ -15,13 +15,17 @@ platform's ``math.sin`` as well.  The beta_series family records the strings
 as they are printed, the few that are misrounded (ROADMAP item 5) included.
 The identity_suite family records reports on fresh true tables and on five
 fixed corruptions, so that both the suite's certified rows and its
-uncertified ones are pinned.
+uncertified ones are pinned.  The scale, traces and extended_eval families
+pin the float scale s(n) = n!/pi^(n+1) for n <= 218, the I* and J partial-sum
+traces on a (k, N) grid inside the double range, and f, g and h with their
+endpoint limits on a (k, t) grid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -39,10 +43,17 @@ from betakit.exact import rational_str
 from betakit.quadrature import (
     IntegrandSpec,
     _float_coeffs,
+    _scale,
     aux_integral_I_closed,
     aux_integral_J_closed,
     aux_integral_numeric,
     beta_even_quadrature,
+)
+from betakit.telescope import (
+    ExtendedFunctionSpec,
+    extended_eval,
+    partial_sum_I_star,
+    partial_sum_J,
 )
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -73,6 +84,44 @@ def _float_coeffs_lines():
     for n in range(219):
         for at_half in (False, True):
             yield f"{n} {at_half} " + " ".join(c.hex() for c in _float_coeffs(n, at_half))
+
+
+def _scale_lines():
+    for n in range(219):
+        yield f"{n} {_scale(n).hex()}"
+
+
+# every (k, N) of this grid whose largest term power (2N+1)^(2k+1) stays
+# well inside the double range
+TRACE_KS = (*range(13), 20, 30, 50, 80, 109)
+TRACE_NS = (0, 1, 5, 10, 12, 100, 1000, 10**4, 10**5)
+
+
+def _traces():
+    for k in TRACE_KS:
+        for n_max in TRACE_NS:
+            for family, power, trace in (("I_star", 2 * k + 1, partial_sum_I_star),
+                                         ("J", 2 * k, partial_sum_J)):
+                if (family == "I_star" or k >= 1) and power * math.log2(2 * n_max + 1) < 1020:
+                    tr = trace(k, n_max)
+                    yield f"{family} {k} {n_max} {tr.target.hex()} " + " ".join(
+                        f"{n}:{s.hex()}" for n, s in tr.entries)
+
+
+# every even k and the largest, 109, so that the scale family alone pins
+# s(n) at the other n = 1, 2 (mod 4); both endpoints, points next to them
+# and to the switch at 1/4, and a grid of t
+EXTENDED_KS = (*range(0, 110, 2), 109)
+EXTENDED_TS = (0.0, 1e-300, 1e-9, *(i / 40 for i in range(1, 20)), math.nextafter(0.25, 0),
+               0.25, 0.5 - 1e-9, math.nextafter(0.5, 0), 0.5)
+
+
+def _extended_eval():
+    for name in ("f", "g", "h"):
+        for k in EXTENDED_KS[name != "g":]:
+            spec = ExtendedFunctionSpec(name, k)
+            ends = " ".join(f"{t}:{v.hex()}" for t, v in sorted(spec.endpoint_values.items()))
+            yield f"{name} {k} {ends} " + " ".join(extended_eval(spec, t).hex() for t in EXTENDED_TS)
 
 
 def _beta_even(kmax: int):
@@ -164,13 +213,16 @@ FAMILIES = {
     "render_decimal": _render_decimal,
     "beta_series": _beta_series,
     "identity_suite": lambda: _identity_suite([*range(33), 37, 60, 101, 150, 201], CORRUPTIONS),
+    "scale": _scale_lines,
+    "traces": _traces,
+    "extended_eval": _extended_eval,
     "aux_full": lambda: _aux(150),
     "beta_even_full": lambda: _beta_even(300),
     "beta_odd_full": lambda: _beta_odd(300),
     "identity_suite_full": lambda: _identity_suite([601]),
 }
 TIER1 = ("aux", "pi_power_float", "float_coeffs", "beta_even", "beta_odd", "render_decimal",
-         "beta_series", "identity_suite")
+         "beta_series", "identity_suite", "scale", "traces", "extended_eval")
 
 
 def digest(family: str) -> str:
