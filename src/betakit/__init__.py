@@ -28,8 +28,8 @@ from .eulerpoly import (
     generalized_bernoulli_chi4,
     run_identity_suite,
 )
-from .exact import RationalPolynomial, poly_eval, rational_from_str, rational_str
-from .highprec import BudgetExceededError, decimal_string, pi_fraction, quantize
+from .exact import RationalPolynomial, rational_str
+from .highprec import BudgetExceededError, pi_fraction
 from .quadrature import (
     IntegrandSpec,
     QuadratureResult,
@@ -75,7 +75,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_polynomial",
     "correction_term",
-    "decimal_string",
     "e_star",
     "euler_number",
     "euler_polynomial",
@@ -84,9 +83,6 @@ __all__ = [
     "partial_sum_I_star",
     "partial_sum_J",
     "pi_fraction",
-    "poly_eval",
-    "quantize",
-    "rational_from_str",
     "rational_str",
     "render_decimal",
     "run_identity_suite",

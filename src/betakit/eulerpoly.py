@@ -64,7 +64,8 @@ class _Table:
     """Integer sequences, each grown on demand on its own, and rows built from them.
 
     A table holds its sequences alone.  Scalar readers read them and build
-    no row.  ``_row(n)`` builds row n in O(n) from the table's own sequence,
+    no row, except B_{n,chi4}, which reads Bernoulli row n once.
+    ``_row(n)`` builds row n in O(n) from the table's own sequence,
     as the unreduced integer form ``(den, nums)`` that the identity suite
     certifies and reads, and keeps it nowhere; ``poly(n)`` is that form as
     the canonical ``RationalPolynomial``, and ``number(n)`` grows
@@ -167,8 +168,7 @@ class BernoulliTable(_Table):
                 new = math.lcm(den, *range(len(b) + 1, n + 2))
                 b = [x * (new // den) for x in b]
                 for m in range(len(b), n + 1):
-                    s = sum(c * x for c, x in zip(_binomials(m + 1), b) if x)
-                    b.append(-s // (m + 1) if m else new)
+                    b.append(-sum(map(mul, _binomials(m + 1), b)) // (m + 1) if m else new)
                 # replaced as one tuple, so no reader pairs one D with another's integers
                 self._scaled = new, b
             return self._scaled
@@ -211,7 +211,8 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
 
     B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  One
     O(n) Horner pass over the coefficients C(n, i) D B_(n-i) of D B_n(x),
-    formed from the Bernoulli table's integers D B_j: no row is built.
+    the Bernoulli table's row n as ``_row(n)`` builds it from the integers
+    D B_j; the row is dropped after the pass.
     """
     n = _as_int(n, "n")
     if n < 1:
@@ -221,8 +222,7 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
 
 def _chi4_ratio(n: int) -> tuple[int, int]:
     # B_{n,chi4} for n >= 1 as an integer pair that no gcd has reduced
-    den, b = _BERNOULLI.scaled_numbers(n)
-    return _chi4(den, [*map(mul, _binomials(n), b[n::-1])], n)
+    return _chi4(*_BERNOULLI._row(n), n)
 
 
 def _chi4(den: int, nums: list[int] | tuple[int, ...], n: int) -> tuple[int, int]:

@@ -20,8 +20,6 @@ RationalLike = int | Fraction
 __all__ = [
     "RationalPolynomial",
     "digit_string",
-    "poly_eval",
-    "rational_from_str",
     "rational_str",
     "taylor_shift",
 ]
@@ -51,27 +49,6 @@ def rational_str(q: RationalLike) -> str:
     if q.denominator == 1:
         return num
     return f"{num}/{digit_string(q.denominator)}"
-
-
-def _parse_digits(s: str) -> int:
-    # digit_string inverted, one _CHUNK_DIGITS chunk per int() call
-    s = s.zfill(-(-len(s) // _CHUNK_DIGITS) * _CHUNK_DIGITS)
-    n = 0
-    for i in range(0, len(s), _CHUNK_DIGITS):
-        n = n * _CHUNK + int(s[i : i + _CHUNK_DIGITS])
-    return n
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Inverse of :func:`rational_str`, of any length: ``"p/q"`` or ``"p"``."""
-    parts = s.removeprefix("-").split("/")
-    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise ValueError(f"not a rational string: {s[:40]!r}")
-    try:
-        value = Fraction(*map(_parse_digits, parts))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational string: {s[:40]!r}") from None
-    return -value if s.startswith("-") else value
 
 
 # how a frozen ValueClass's __init__ sets its fields, past its __setattr__
@@ -145,10 +122,6 @@ class RationalPolynomial(ValueClass):
         d = math.lcm(*(c.denominator for c in cs))
         return cls(d, [c.numerator * (d // c.denominator) for c in cs])
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(1, ())
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """``coeffs[i]`` is the coefficient of x^i; built on each read."""
@@ -164,7 +137,25 @@ class RationalPolynomial(ValueClass):
         return Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        return poly_eval(self, x)
+        """Exact value at x.
+
+        Horner's rule on the common-denominator integer form: for x = u/v the
+        value is (sum c_i u^i v^(d-i)) / (D v^d), one gcd at the end instead of
+        one per operation.
+        """
+        if not self.nums:
+            return Fraction(0)
+        x = Fraction(x)
+        ints = self.nums
+        u, v = x.numerator, x.denominator
+        deg = len(ints) - 1
+        vpow = [1] * (deg + 1)
+        for j in range(1, deg + 1):
+            vpow[j] = vpow[j - 1] * v
+        acc = ints[deg]
+        for i in range(deg - 1, -1, -1):
+            acc = acc * u + ints[i] * vpow[deg - i]
+        return Fraction(acc, self.den * vpow[deg])
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -183,28 +174,6 @@ class RationalPolynomial(ValueClass):
             else:
                 parts.append(f" {sign} {body}")
         return "".join(parts) or "0"
-
-
-def poly_eval(p: RationalPolynomial, x: RationalLike) -> Fraction:
-    """Exact value of p at x.
-
-    Horner's rule on the common-denominator integer form: for x = u/v the
-    value is (sum c_i u^i v^(d-i)) / (D v^d), one gcd at the end instead of
-    one per operation.
-    """
-    if not p.nums:
-        return Fraction(0)
-    x = Fraction(x)
-    d, ints = p.den, p.nums
-    u, v = x.numerator, x.denominator
-    deg = len(ints) - 1
-    vpow = [1] * (deg + 1)
-    for j in range(1, deg + 1):
-        vpow[j] = vpow[j - 1] * v
-    acc = ints[deg]
-    for i in range(deg - 1, -1, -1):
-        acc = acc * u + ints[i] * vpow[deg - i]
-    return Fraction(acc, d * vpow[deg])
 
 
 def taylor_shift(nums: Iterable[int]) -> list[int]:

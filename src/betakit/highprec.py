@@ -40,10 +40,8 @@ from .exact import ValueClass, _set_field, digit_string
 __all__ = [
     "BudgetExceededError",
     "HighPrecisionReal",
-    "decimal_string",
     "pi_fraction",
     "pi_power",
-    "quantize",
 ]
 
 _PI_GUARD_DIGITS = 10
@@ -179,32 +177,6 @@ def _round_ratio(num: int, den: int, places: int) -> int:
     return q
 
 
-def _round_half_even_scaled(x: Fraction, places: int) -> tuple[int, int]:
-    """(nearest integer to x * 10^places, ties to even; places as a checked int)."""
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"x must be an int or a Fraction, not {type(x).__name__}")
-    places = _as_int(places, "places")
-    if places < 0:
-        raise ValueError("places must be >= 0")
-    return _round_ratio(x.numerator, x.denominator, places), places
-
-
-def quantize(x: Fraction, places: int) -> Fraction:
-    """Round x to the nearest multiple of 10^-places (ties to even)."""
-    q, places = _round_half_even_scaled(x, places)
-    return Fraction(q, 10**places)
-
-
-def decimal_string(x: Fraction, places: int) -> str:
-    """Fixed-point decimal rendering of x with `places` digits, half-even."""
-    q, places = _round_half_even_scaled(x, places)
-    sign = "-" if q < 0 else ""
-    digits = digit_string(abs(q)).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
 class HighPrecisionReal(ValueClass):
     """Exact rational proxy for a real target, accurate to the stated digits."""
 
@@ -213,9 +185,22 @@ class HighPrecisionReal(ValueClass):
         _set_field(self, "guaranteed_digits", guaranteed_digits)
 
     def decimal_str(self, places: int | None = None) -> str:
-        if places is None:
-            places = self.guaranteed_digits
-        return decimal_string(self.value, places)
+        """Fixed-point decimal rendering of the value, half-even.
+
+        `places` digits after the point, by default guaranteed_digits.
+        """
+        x = self.value
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"value must be an int or a Fraction, not {type(x).__name__}")
+        places = _as_int(self.guaranteed_digits if places is None else places, "places")
+        if places < 0:
+            raise ValueError("places must be >= 0")
+        q = _round_ratio(x.numerator, x.denominator, places)
+        sign = "-" if q < 0 else ""
+        digits = digit_string(abs(q)).rjust(places + 1, "0")
+        if places == 0:
+            return sign + digits
+        return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
     def __float__(self) -> float:
         return float(self.value)

@@ -182,11 +182,6 @@ class PartialSumTrace(ValueClass):
             "entries": [[n, s] for n, s in self.entries],
         }
 
-    def to_json_str(self) -> str:
-        import json  # loaded only where JSON is asked for
-
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
     def to_csv(self) -> str:
         lines = ["family,k,N,S_N,target"]
         for n, s in self.entries:

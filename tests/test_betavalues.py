@@ -30,7 +30,7 @@ from betakit.betavalues import (
     render_decimal,
 )
 from betakit import highprec
-from betakit.highprec import HighPrecisionReal, decimal_string, pi_fraction, pi_power, quantize
+from betakit.highprec import HighPrecisionReal, pi_fraction, pi_power
 from betakit.quadrature import aux_integral_I_closed, aux_integral_J_closed
 
 from conftest import CATALAN_LITERAL, PI_LITERAL, PI_POWER_GRID, machin_pi
@@ -198,6 +198,10 @@ class TestRenderDecimal:
         with pytest.raises(TypeError, match="^digits must be an integer, not float$"):
             render_decimal(beta_odd_exact(1), 2.5)
 
+    def test_zero_digits_refused(self):
+        with pytest.raises(ValueError, match="^digits must be >= 1$"):
+            render_decimal(beta_odd_exact(1), 0)
+
     def test_quarter_pi_fifteen_digits(self):
         v = render_decimal(PiPowerValue(F(1, 4), 1), 15)
         assert v.decimal_str() == "0.785398163397448"
@@ -283,7 +287,7 @@ def _exact_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
         return v.coeff
     coeff_mag = len(str(abs(v.coeff.numerator) // v.coeff.denominator + 1))
     working = digits + 10 + abs(v.power) + coeff_mag
-    return quantize(v.coeff * pi_fraction(working) ** v.power, digits + 5)
+    return round(v.coeff * pi_fraction(working) ** v.power, digits + 5)
 
 
 def _loop_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
@@ -300,7 +304,7 @@ def _loop_pi_power_render(v: PiPowerValue, digits: int) -> Fraction:
         x = (x * p) >> bits
     if v.power < 0:
         x = (1 << 2 * bits) // x
-    return quantize(v.coeff * Fraction(x, 1 << bits), digits + 5)
+    return round(v.coeff * Fraction(x, 1 << bits), digits + 5)
 
 
 def _fraction_pi_power(v: PiPowerValue) -> Fraction:
@@ -329,7 +333,7 @@ class TestFixedPointKernels:
     def test_series_matches_fraction_loop_on_grid(self):
         for s in range(1, 42):
             for digits in GRID_DIGITS:
-                expected = quantize(_crvz_fraction_loop(s, digits), digits + 5)
+                expected = round(_crvz_fraction_loop(s, digits), digits + 5)
                 assert beta_series(s, digits).value == expected, (s, digits)
 
     def test_render_matches_exact_power_on_grid(self):
@@ -377,7 +381,7 @@ class TestFixedPointKernels:
     @given(st.integers(min_value=1, max_value=41), st.integers(min_value=13, max_value=400))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_series_property(self, s, digits):
-        expected = quantize(_crvz_fraction_loop(s, digits), digits + 5)
+        expected = round(_crvz_fraction_loop(s, digits), digits + 5)
         assert beta_series(s, digits).value == expected
 
     @given(
@@ -768,8 +772,8 @@ class TestOneGcdPerValue:
 class TestBeyondIntStrLimit:
     """More digits than str(int) converts by default (4300 from Python 3.11)."""
 
-    def test_decimal_string_of_a_third(self):
-        assert decimal_string(F(1, 3), 5000) == "0." + "3" * 5000
+    def test_decimal_str_of_a_third(self):
+        assert HighPrecisionReal(F(1, 3), 5000).decimal_str() == "0." + "3" * 5000
 
     def test_series_and_render_agree_at_4400_digits(self):
         series = beta_series(3, 4400)
@@ -786,48 +790,52 @@ class TestBeyondIntStrLimit:
 
 
 class TestDecimalFormatting:
+    @staticmethod
+    def render(x, places):
+        return HighPrecisionReal(x, places).decimal_str()
+
     def test_round_half_even(self):
-        assert decimal_string(F(25, 1000), 2) == "0.02"
-        assert decimal_string(F(35, 1000), 2) == "0.04"
-        assert decimal_string(F(-25, 1000), 2) == "-0.02"
-        assert decimal_string(F(251, 10000), 2) == "0.03"
+        assert self.render(F(25, 1000), 2) == "0.02"
+        assert self.render(F(35, 1000), 2) == "0.04"
+        assert self.render(F(-25, 1000), 2) == "-0.02"
+        assert self.render(F(251, 10000), 2) == "0.03"
 
     def test_padding_and_sign(self):
-        assert decimal_string(F(1, 2), 4) == "0.5000"
-        assert decimal_string(F(-3, 2), 3) == "-1.500"
-        assert decimal_string(F(0), 3) == "0.000"
+        assert self.render(F(1, 2), 4) == "0.5000"
+        assert self.render(F(-3, 2), 3) == "-1.500"
+        assert self.render(F(0), 3) == "0.000"
         # no places: no point, and ties still go to the even integer
-        assert decimal_string(F(5, 2), 0) == "2"
-        assert decimal_string(F(-7, 2), 0) == "-4"
-        assert decimal_string(F(0), 0) == "0"
+        assert self.render(F(5, 2), 0) == "2"
+        assert self.render(F(-7, 2), 0) == "-4"
+        assert self.render(F(0), 0) == "0"
 
-    def test_quantize_consistent_with_string(self):
-        x = F(123456789, 100000)
-        assert decimal_string(quantize(x, 3), 3) == decimal_string(x, 3)
+    def test_matches_stdlib_round(self):
+        # round(x, p) on a Fraction also rounds half to even: the printed
+        # digits read back as exactly that value
+        for x in (F(123456789, 100000), F(25, 1000), F(-35, 1000), F(5, 2), F(-1, 3), F(0)):
+            for places in range(6):
+                assert F(self.render(x, places)) == round(x, places), (x, places)
 
     def test_negative_places_refused(self):
-        for fn in (quantize, decimal_string):
+        for render in (self.render, lambda x, p: HighPrecisionReal(x, 5).decimal_str(p)):
             with pytest.raises(ValueError, match="places must be >= 0"):
-                fn(F(1, 3), -1)
+                render(F(1, 3), -1)
 
     @pytest.mark.parametrize("places", [2.0, 2.5, F(2), "2"])
     def test_non_integer_places_refused(self, places):
         message = f"^places must be an integer, not {type(places).__name__}$"
-        for fn in (quantize, decimal_string, lambda x, p: HighPrecisionReal(x, 5).decimal_str(p)):
+        for render in (self.render, lambda x, p: HighPrecisionReal(x, 5).decimal_str(p)):
             with pytest.raises(TypeError, match=message):
-                fn(F(1, 3), places)
+                render(F(1, 3), places)
 
     @pytest.mark.parametrize("x", [1.5, 0.1, "1/3", None])
-    def test_non_rational_x_refused(self, x):
-        message = f"^x must be an int or a Fraction, not {type(x).__name__}$"
-        for fn in (quantize, decimal_string):
-            with pytest.raises(TypeError, match=message):
-                fn(x, 3)
+    def test_non_rational_value_refused(self, x):
+        message = f"^value must be an int or a Fraction, not {type(x).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            self.render(x, 3)
 
     def test_int_x_is_exact(self):
-        assert quantize(-7, 2) == -7
-        assert decimal_string(-7, 2) == "-7.00"
+        assert self.render(-7, 2) == "-7.00"
 
     def test_bool_places_are_ints(self):
-        assert quantize(F(1, 3), True) == F(3, 10)
-        assert decimal_string(F(1, 3), True) == "0.3"
+        assert HighPrecisionReal(F(1, 3), 5).decimal_str(True) == "0.3"

@@ -472,6 +472,20 @@ class TestRunCliInProcess:
     def test_usage_error_in_process(self, capsys):
         assert run_cli(["beta", "odd"]) == 2
 
+    def test_non_integer_digits_variable_in_process(self, monkeypatch):
+        monkeypatch.setenv("BETAKIT_DIGITS", "abc")
+        r = _run_captured(["aux", "--family", "i", "--k", "1", "--m", "0"])
+        assert (r["exit"], r["stdout"]) == (2, "")
+        assert r["stderr"].startswith("usage: betakit aux ")
+        assert r["stderr"].endswith("error: BETAKIT_DIGITS must be an integer, got 'abc'\n")
+
+    def test_aux_past_the_double_range_in_process(self):
+        r = _run_captured(["aux", "--family", "j", "--k", "109", "--m", "0", "--max-k", "200"])
+        assert (r["exit"], r["stdout"]) == (2, "")
+        assert r["stderr"].startswith("usage: betakit aux ")
+        assert r["stderr"].endswith(
+            "error: n!/((2m+1) pi)^(n+1) exceeds the double range at n=219\n")
+
 
 @pytest.mark.parametrize("argv", [["verify", "--nmax", "40"], ["euler", "--n", "30", "--poly"]])
 def test_closed_stdout_keeps_the_exit_code(argv):

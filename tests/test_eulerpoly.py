@@ -143,6 +143,15 @@ class TestGeneralizedBernoulliChi4:
 
 
 class TestTables:
+    @pytest.mark.parametrize("read", [
+        euler_number, euler_polynomial, bernoulli_number, bernoulli_polynomial,
+        EulerTable().scaled_at_zero, BernoulliTable().scaled_numbers,
+    ], ids=["euler_number", "euler_polynomial", "bernoulli_number", "bernoulli_polynomial",
+            "scaled_at_zero", "scaled_numbers"])
+    def test_negative_index_refused(self, read):
+        with pytest.raises(ValueError, match="^index must be >= 0$"):
+            read(-1)
+
     def test_euler_table_invariants(self):
         t = EulerTable()
         t.number(12)
@@ -341,12 +350,12 @@ class TestIntegerTables:
         ("from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)", True, "0 0"),
         ("from betakit.cli import run_cli\n"
          "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
-         True, "0 0"),
-        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False, "0 0"),
+         True, "0 1"),
+        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False, "0 1"),
         ("from betakit import IntegrandSpec, aux_integral_numeric\n"
          "aux_integral_numeric(IntegrandSpec('aux_I', 50, 0), 1e-8)", True, "0 0"),
         ("from betakit import ExtendedFunctionSpec; ExtendedFunctionSpec('f', 50)", True, "0 0"),
-        ("from betakit import correction_term; correction_term(50, 0)", True, "0 0"),
+        ("from betakit import correction_term; correction_term(50, 0)", True, "0 1"),
         ("from betakit import euler_polynomial, bernoulli_polynomial\n"
          "assert euler_polynomial(301).degree == bernoulli_polynomial(302).degree - 1",
          False, "1 1"),
@@ -355,9 +364,11 @@ class TestIntegerTables:
     def test_number_paths_build_no_euler_row(self, call, reads_numbers, rows):
         # a fresh process, so no earlier test has grown the module's tables:
         # each call reads the tables' integer sequences (E_n from the secant
-        # triangle alone where it reads numbers) and builds no row; only
-        # euler_polynomial and bernoulli_polynomial build a row, the one
-        # they return.  rows counts the calls to each table's _row
+        # triangle alone where it reads numbers) and builds no Euler row;
+        # only euler_polynomial and bernoulli_polynomial build a row, the one
+        # they return, and B_{n,chi4} (beta_odd_exact and correction_term
+        # read it) Bernoulli row n alone.  rows counts the calls to each
+        # table's _row
         script = ("from betakit import eulerpoly\nbuilt = []\n"
                   "for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):\n"
                   "    cls._row = lambda self, n, real=cls._row:"
@@ -498,7 +509,7 @@ def _corrupt(table, size: int, rng: random.Random) -> None:
         lambda: _plus(p, (i, c)),
         lambda: _plus(p, (i, c), (0, -c)),
         lambda: RationalPolynomial.from_coefficients(fpoly_scale(c if c != 1 else F(2), p.coeffs)),
-        RationalPolynomial.zero,
+        lambda: RationalPolynomial(1, ()),
         lambda: table.poly(rng.randrange(size)),
         lambda: RationalPolynomial(p.den, p.nums[:-1]),
     ][rng.randrange(6)]()})

@@ -10,13 +10,7 @@ from conftest import chunked_digits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betakit.exact import (
-    RationalPolynomial,
-    poly_eval,
-    rational_from_str,
-    rational_str,
-    taylor_shift,
-)
+from betakit.exact import RationalPolynomial, rational_str, taylor_shift
 
 F = Fraction
 E2 = RationalPolynomial.from_coefficients([0, -1, 1])  # x^2 - x
@@ -26,22 +20,22 @@ B3 = RationalPolynomial.from_coefficients([0, F(1, 2), F(-3, 2), 1])  # x^3 - 3/
 
 class TestPolyEval:
     def test_e2_at_half(self):
-        assert poly_eval(E2, F(1, 2)) == F(-1, 4)
+        assert E2(F(1, 2)) == F(-1, 4)
 
     def test_zero_poly(self):
-        assert poly_eval(RationalPolynomial.zero(), F(17, 3)) == 0
+        assert RationalPolynomial(1, ())(F(17, 3)) == 0
 
     def test_b3_at_quarter(self):
         # oracle: direct bignum arithmetic, (1/4)^3 - (3/2)(1/4)^2 + (1/2)(1/4)
         expected = F(1, 4) ** 3 - F(3, 2) * F(1, 4) ** 2 + F(1, 2) * F(1, 4)
         assert expected == F(3, 64)
-        assert poly_eval(B3, F(1, 4)) == F(3, 64)
+        assert B3(F(1, 4)) == F(3, 64)
 
     def test_integer_point_fast_path(self):
-        assert poly_eval(E3, 2) == 8 - 6 + F(1, 4)
+        assert E3(2) == 8 - 6 + F(1, 4)
 
     def test_result_is_canonical(self):
-        v = poly_eval(E2, F(2, 4))
+        v = E2(F(2, 4))
         assert v.denominator > 0
         assert v == F(-1, 4)
 
@@ -65,7 +59,7 @@ class TestRationalSerialization:
 
     def test_round_trip(self):
         for s in ["0", "-1/2", "355/113"]:
-            assert rational_str(rational_from_str(s)) == s
+            assert rational_str(F(s)) == s
 
     def test_past_the_int_str_limit(self):
         # 4401 digits: more than str(int) converts by default from Python 3.11
@@ -73,19 +67,6 @@ class TestRationalSerialization:
         assert rational_str(F(big, 3)) == chunked_digits(big) + "/3"
         assert rational_str(F(-big, 3)) == "-" + chunked_digits(big) + "/3"
         assert rational_str(F(3, big)) == "3/" + chunked_digits(big)
-
-    @pytest.mark.parametrize(
-        "q", [F(10**4400 + 1, 3), F(-(10**4400 + 1), 3), F(3, 10**4400 + 1)]
-    )
-    def test_round_trip_past_the_int_str_limit(self, q):
-        assert rational_from_str(rational_str(q)) == q
-
-    @pytest.mark.parametrize(
-        "s", ["", "-", "1/", "/2", "1.5", " 1", "1_0", "1/-2", "--1", "1/0", "0/0", "-1/000"]
-    )
-    def test_rejects_non_rational_strings(self, s):
-        with pytest.raises(ValueError):
-            rational_from_str(s)
 
 
 class TestCanonicalForm:
@@ -96,7 +77,7 @@ class TestCanonicalForm:
         assert [p.coefficient(i) for i in range(-1, 4)] == [0, 1, 2, 0, 0]
 
     def test_zero_polynomial_degree(self):
-        assert RationalPolynomial.zero().degree == -1
+        assert RationalPolynomial(1, ()).degree == -1
         assert RationalPolynomial.from_coefficients([0, 0]).degree == -1
 
     @given(
@@ -114,9 +95,9 @@ class TestCanonicalForm:
         assert (scaled.den, scaled.nums) == (p.den, p.nums)
         assert not p.nums or p.nums[-1] != 0
         assert p == RationalPolynomial.from_coefficients(F(c, den) for c in nums)
-        assert RationalPolynomial(den, [0] * zeros) == RationalPolynomial.zero()
+        assert RationalPolynomial(den, [0] * zeros) == RationalPolynomial(1, ())
         z = RationalPolynomial(5, (0, 0))
-        assert (z, z.den, z.nums, z.degree) == (RationalPolynomial.zero(), 1, (), -1)
+        assert (z, z.den, z.nums, z.degree) == (RationalPolynomial(1, ()), 1, (), -1)
         for bad in (0, -den):
             with pytest.raises(ValueError):
                 RationalPolynomial(bad, nums)

@@ -3,7 +3,7 @@
 The reference identity suite and the table oracles run on this polynomial, so
 it is checked here by routes that share no code with it: Horner composition on
 Fraction lists, pointwise evaluation and central differences.  The package
-kernels that stay (``taylor_shift``, ``poly_eval`` and the row's canonical
+kernels that stay (``taylor_shift``, evaluation ``p(x)`` and the row's canonical
 coefficient tuple) are then held equal to it, and the series oracles to the
 Appell and Bernoulli-sum recurrences.
 """
@@ -31,7 +31,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betakit.exact import RationalPolynomial, poly_eval, taylor_shift
+from betakit.exact import RationalPolynomial, taylor_shift
 
 F = Fraction
 E2 = fpoly([0, -1, 1])  # x^2 - x
@@ -222,8 +222,8 @@ class TestPackageKernelsAgainstOracle:
 
     @given(coefficient_lists, rationals)
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_poly_eval_equals_oracle_eval(self, cs, x):
-        assert poly_eval(RationalPolynomial.from_coefficients(cs), x) == fpoly_eval(fpoly(cs), x)
+    def test_call_equals_oracle_eval(self, cs, x):
+        assert RationalPolynomial.from_coefficients(cs)(x) == fpoly_eval(fpoly(cs), x)
 
     @given(coefficient_lists)
     @settings(max_examples=80, deadline=None, derandomize=True)

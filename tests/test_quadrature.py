@@ -271,6 +271,10 @@ class TestBetaEvenQuadrature:
         with pytest.raises(ValueError):
             beta_even_quadrature(1, 1e-14)
 
+    def test_requires_k_at_least_one(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            beta_even_quadrature(0)
+
     def test_rejects_nan_tol(self):
         with pytest.raises(ValueError, match="floor"):
             beta_even_quadrature(3, math.nan)
@@ -347,6 +351,12 @@ class TestAuxClosedForms:
         assert str(aux_integral_I_closed(800, 0)) == (
             chunked_digits(math.factorial(1600)) + " * pi^-1601"
         )
+
+    @pytest.mark.parametrize("closed", [aux_integral_I_closed, aux_integral_J_closed])
+    @pytest.mark.parametrize("k, m", [(-1, 0), (0, -1)])
+    def test_negative_arguments_refused(self, closed, k, m):
+        with pytest.raises(ValueError, match="^k and m must be >= 0$"):
+            closed(k, m)
 
     def test_j_values(self):
         v = aux_integral_J_closed(0, 0)

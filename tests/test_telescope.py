@@ -56,6 +56,10 @@ class TestEStar:
         with pytest.raises(ValueError):
             e_star(1, 0.6)
 
+    def test_negative_k_refused(self):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            e_star(-1, 0.25)
+
 
 class TestCorrectionTerm:
     def test_known_values(self):
@@ -65,6 +69,11 @@ class TestCorrectionTerm:
     def test_vanishes_off_resonance(self):
         assert correction_term(0, 1) == 0
         assert correction_term(5, 3) == 0
+
+    @pytest.mark.parametrize("k, m", [(-1, 0), (0, -1)])
+    def test_negative_arguments_refused(self, k, m):
+        with pytest.raises(ValueError, match="^k and m must be >= 0$"):
+            correction_term(k, m)
 
     @pytest.mark.parametrize("k, m, name", [(1.0, 0, "k"), (1, 0.0, "m"), (F(1), 0, "k")])
     def test_rejects_non_integer_arguments(self, k, m, name):
@@ -144,6 +153,14 @@ class TestExtendedFunctions:
         with pytest.raises(ValueError):
             ExtendedFunctionSpec("h", 0)
         ExtendedFunctionSpec("g", 0)  # fine
+        with pytest.raises(ValueError, match="^g requires k >= 0$"):
+            ExtendedFunctionSpec("g", -1)
+
+    @pytest.mark.parametrize("name", ["f", "g", "h"])
+    @pytest.mark.parametrize("t", [-0.01, 0.51, math.nan])
+    def test_eval_outside_the_interval_refused(self, name, t):
+        with pytest.raises(ValueError, match="outside"):
+            extended_eval(ExtendedFunctionSpec(name, 1), t)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -286,6 +303,10 @@ class TestPartialSumJ:
         with pytest.raises(ValueError):
             partial_sum_J(0, 10, 1e-8)
 
+    def test_negative_n_max_refused(self):
+        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+            partial_sum_J(1, -1)
+
     @pytest.mark.parametrize("k", [19, 50, 86])
     def test_k_past_the_float_factorial(self, k):
         # the limit (-1)^k (2k-1)! beta(2k) / pi^(2k) fits a double although
@@ -379,7 +400,7 @@ class TestAlternatingSums:
             partial_sum_I_star(47, 10**5)
         assert built == []
         assert len(eulerpoly._EULER.numbers) == 0
-        # correction_term reads the Bernoulli integers, not a row
+        # nor the Bernoulli integers, which correction_term reads through a row
         assert eulerpoly._BERNOULLI._scaled == (1, [])
 
     def test_refusal_computes_no_target(self, monkeypatch):
@@ -422,7 +443,7 @@ class TestIStarDecomposition:
 class TestTraceSerialization:
     def test_json_schema(self):
         tr = partial_sum_I_star(1, 50)
-        payload = json.loads(tr.to_json_str())
+        payload = json.loads(json.dumps(tr.to_json()))
         assert set(payload) == {"family", "k", "target", "entries"}
         assert payload["family"] == "I_star"
         assert payload["entries"][0] == [0, tr.entries[0][1]]
@@ -438,4 +459,4 @@ class TestTraceSerialization:
     def test_family_j_labels(self):
         tr = partial_sum_J(1, 5, 1e-6)
         assert tr.family == "J"
-        assert json.loads(tr.to_json_str())["family"] == "J"
+        assert json.loads(json.dumps(tr.to_json()))["family"] == "J"
