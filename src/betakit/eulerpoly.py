@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat, zip_longest
 from operator import add, lshift, mul
 
@@ -36,13 +37,18 @@ __all__ = [
 ]
 
 
-def _binomials(m: int) -> list[int]:
+@lru_cache(maxsize=128)
+def _binomials(m: int) -> tuple[int, ...]:
     # C(m, 0), ..., C(m, m): the first half by one small multiply and exact
-    # division each, then its mirror image, C(m, i) = C(m, m - i)
+    # division each, then its mirror image, C(m, i) = C(m, m - i).  Each row
+    # is built once per process and kept in one bounded cache shared by both
+    # tables' rows and the Bernoulli recurrence; 128 rows hold every row a
+    # session at the CLI's default --max-k reaches.  A tuple, so that no
+    # reader can change what later callers get
     row = [1]
     for i in range(m // 2):
         row.append(row[-1] * (m - i) // (i + 1))
-    return row + row[m % 2 - 2::-1]
+    return (*row, *row[m % 2 - 2::-1])
 
 
 def _triangle_step(col: list[int], c: int) -> list[int]:
@@ -403,9 +409,10 @@ def run_identity_suite(
     (``scaled_at_zero``) and (D, D B_j) (``scaled_numbers``), an Euler row
     is certified when its form equals (2^n, [C(n, i) 2^i a_(n-i)]), and a
     Bernoulli row when its form equals (D, [C(n, i) D B_(n-i)]), both lists
-    for i = 0 .. n.  The binomials come from Pascal's rule by additions, not
-    from the ``_binomials`` the rows were built with, so a row built with a
-    wrong binomial is not certified.
+    for i = 0 .. n.  The rows take their binomials from ``_binomials``, one
+    bounded per-process cache; the certificate keeps its own Pascal rows,
+    grown by additions, so a row built with a wrong binomial is not
+    certified.
     Every shifted Appell row is again a sum over the sequence
     (E_n(x+1) = sum_i C(n, i) E_(n-i)(1) x^i), so on certified rows the
     three families that compare shifted polynomials reduce to scalar sums,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from betakit.cli import _build_parser, run_cli
+from betakit.cli import _build_parser, _write, run_cli
 from betakit.highprec import BudgetExceededError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -500,6 +500,22 @@ def test_closed_stdout_keeps_the_exit_code(argv):
         os.close(write_end)
     assert b"Traceback" not in r.stderr, r.stderr.decode()
     assert r.returncode == 0
+
+
+def test_broken_pipe_points_the_stream_at_devnull():
+    # in process: the reader of stdout is gone, so the write fails with
+    # EPIPE; _write drops the lines and puts devnull behind the descriptor,
+    # so that the flush at close succeeds
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stream = os.fdopen(write_end, "w")
+    try:
+        _write(stream, ["beta(3) = 1/32 pi^3", "0.96894614625937"])
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        stream.write("more\n")
+        stream.flush()
+    finally:
+        stream.close()
 
 
 @pytest.mark.parametrize("argv", [

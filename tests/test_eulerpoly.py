@@ -180,6 +180,16 @@ class TestTables:
         assert [list(p.coeffs) for p in _rows(t, 40)] == rows
         assert t.numbers == [2**m * t.poly(m)(HALF) for m in range(41)]
 
+    def test_binomial_rows_are_cached_tuples(self):
+        # 131 rows, three more than the cache holds, so the first ones are
+        # evicted and built again on the second pass
+        for _ in range(2):
+            for m in range(131):
+                row = eulerpoly._binomials(m)
+                assert type(row) is tuple
+                assert row == tuple(math.comb(m, i) for i in range(m + 1)), m
+        assert eulerpoly._binomials.cache_info().currsize <= 128
+
     def test_bernoulli_table_growth_is_idempotent(self):
         t = BernoulliTable()
         _grow(t, 5)
@@ -580,6 +590,15 @@ class TestSuiteMatchesPolynomialReference:
         assert sorted(n for cls, n in built if cls is BernoulliTable) == list(range(nmax + 2))
         assert _holds_no_row(et) and _holds_no_row(bt)
 
+    def test_second_suite_builds_no_binomial_row(self):
+        # on fresh tables again, every row's binomials come from the cache
+        first = run_identity_suite(60, euler=EulerTable(), bernoulli=BernoulliTable())
+        misses = eulerpoly._binomials.cache_info().misses
+        second = run_identity_suite(60, euler=EulerTable(), bernoulli=BernoulliTable())
+        assert eulerpoly._binomials.cache_info().misses == misses
+        assert second.to_json() == first.to_json()
+        assert second.all_passed
+
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize("table", ["euler", "bernoulli", "both"])
     def test_single_row_corruption(self, table, seed):
@@ -639,7 +658,7 @@ class TestSuiteMatchesPolynomialReference:
         real = eulerpoly._binomials
 
         def wrong(k):
-            row = real(k)
+            row = list(real(k))
             if k == m:
                 row[i] += 1
             return row
