@@ -10,9 +10,10 @@ or CSV form.  A subcommand takes only the options its handler reads:
 its stderr notes with an exit code; run_cli prints the form asked for and
 the notes through one guarded writer.  Exit codes: 0 success, 1
 verification failure (a failed self-check included), 2 usage error (a beta
-even error bound above --tol included), 3 numeric budget exceeded, which
-no library path raises any more; a stdout or stderr closed early
-(``| head``) drops the rest of that stream, not the exit code.
+even error bound above --tol included).  There is no exit code 3 for a
+numeric budget: no library path raises ``BudgetExceededError``.  A stdout
+or stderr closed early (``| head``) drops the rest of that stream, not
+the exit code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .eulerpoly import (
     run_identity_suite,
 )
 from .exact import rational_str
-from .highprec import BudgetExceededError
 from .quadrature import (
     DEFAULT_TOL,
     MIN_TOL,
@@ -46,7 +46,6 @@ from .telescope import partial_sum_I_star, partial_sum_J
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
 
 _MAX_DIGITS = 1000
 
@@ -348,8 +347,6 @@ def run_cli(argv: list[str]) -> int:
             out = text if args.format == "text" else csv
     except SystemExit as exc:  # argparse, or parser.error in a check
         return int(exc.code or 0)
-    except BudgetExceededError as exc:
-        notes, code = [f"betakit: numeric budget exceeded: {exc}"], EXIT_BUDGET
     except RuntimeError as exc:  # a self-check between two exact routes failed
         notes, code = [f"betakit: {exc}"], EXIT_VERIFICATION_FAILURE
     _write(sys.stderr, notes)

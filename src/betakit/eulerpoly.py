@@ -70,7 +70,7 @@ class _Table:
     """Integer sequences, each grown on demand on its own, and rows built from them.
 
     A table holds its sequences alone.  Scalar readers read them and build
-    no row, except B_{n,chi4}, which reads Bernoulli row n once.
+    no row.
     ``_row(n)`` builds row n in O(n) from the table's own sequence,
     as the unreduced integer form ``(den, nums)`` that the identity suite
     certifies and reads, and keeps it nowhere; ``poly(n)`` is that form as
@@ -215,10 +215,12 @@ def bernoulli_number(n: int) -> Fraction:
 def generalized_bernoulli_chi4(n: int) -> Fraction:
     """Generalized Bernoulli number for the nontrivial character mod 4.
 
-    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  One
-    O(n) Horner pass over the coefficients C(n, i) D B_(n-i) of D B_n(x),
-    the Bernoulli table's row n as ``_row(n)`` builds it from the integers
-    D B_j; the row is dropped after the pass.
+    B_{n,chi4} = 4^(n-1) * (B_n(1/4) - B_n(3/4)); zero for even n.  For odd
+    n the reflection B_n(1-x) = -B_n(x) (DLMF 24.4.3) makes it
+    2 * 4^(n-1) * B_n(1/4) = sum_j C(n, j) B_j 4^j / 2, read off the
+    Bernoulli table's integers D B_j at the one point 1/4 in one O(n) pass,
+    with no row built.  Only the identity suite evaluates a row at both
+    quarter points, since a corrupted row need not obey the reflection.
     """
     n = _as_int(n, "n")
     if n < 1:
@@ -227,12 +229,17 @@ def generalized_bernoulli_chi4(n: int) -> Fraction:
 
 
 def _chi4_ratio(n: int) -> tuple[int, int]:
-    # B_{n,chi4} for n >= 1 as an integer pair that no gcd has reduced
-    return _chi4(*_BERNOULLI._row(n), n)
+    # B_{n,chi4} for n >= 1 as an integer pair that no gcd has reduced:
+    # (sum_j C(n, j) D B_j 4^j, 2 D) for odd n
+    if n % 2 == 0:
+        return 0, 1
+    den, b = _BERNOULLI.scaled_numbers(n)
+    return sum(map(lshift, map(mul, _binomials(n), b[:n + 1]), range(0, 2 * n + 1, 2))), 2 * den
 
 
 def _chi4(den: int, nums: list[int] | tuple[int, ...], n: int) -> tuple[int, int]:
-    # 4^(n-1) (b(1/4) - b(3/4)) as an integer ratio, for b = (1/den) sum nums_i x^i:
+    # 4^(n-1) (b(1/4) - b(3/4)) as an integer ratio, for b = (1/den) sum nums_i x^i,
+    # both points as defined, so that a row that breaks the reflection is judged too:
     # one Horner pass gives sum nums_i (1 - 3^i) 4^(d-i) with d = len(nums) - 1,
     # which is that value times 4^(d-n+1) den
     acc, p3 = 0, 1
@@ -440,7 +447,8 @@ def run_identity_suite(
     The other three read every row, certified or not, in O(n): E_n(1/2) is
     sum_j C(n, j) a_j / 2^n on a certified row, which 1.2 compares with
     E_n, and B_{n,chi4} comes from one Horner pass over each Bernoulli row's
-    integers (the kernel of :func:`generalized_bernoulli_chi4`); 1.6 and
+    integers at both quarter points (the reference that the one-point pass
+    of :func:`generalized_bernoulli_chi4` is tested against); 1.6 and
     bridge_chi4 compare the two as cross-multiplied integers.
 
     An instance that touches an uncertified row (a corrupted or injected

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -12,11 +14,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betakit.cli import _build_parser, _write, run_cli
-from betakit.highprec import BudgetExceededError
 
 GOLDEN = Path(__file__).parent / "golden"
 MATRIX = GOLDEN / "cli_matrix.json"
@@ -27,6 +31,16 @@ def _run_captured(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _leaves(parser: argparse.ArgumentParser, words: tuple = ()):
+    # (words, parser) for each subcommand that runs a handler, as "beta odd"
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for word, sub in action.choices.items():
+            yield from _leaves(sub, (*words, word))
 
 
 class TestOutputMatrix:
@@ -376,15 +390,8 @@ class TestOptionsPerSubcommand:
     }
 
     def test_each_subcommand_has_exactly_its_options(self):
-        def leaves(parser, name=""):
-            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                yield name.strip(), {s for a in parser._actions for s in a.option_strings}
-            for action in subs:
-                for word, sub in action.choices.items():
-                    yield from leaves(sub, f"{name}{word} ")
-
-        found = dict(leaves(_build_parser()))
+        found = {" ".join(words): {s for a in parser._actions for s in a.option_strings}
+                 for words, parser in _leaves(_build_parser())}
         assert found == {name: {"-h", "--help", *opts} for name, opts in self.OPTIONS.items()}
 
     @pytest.mark.parametrize("argv", [
@@ -414,18 +421,6 @@ class TestUsageAndErrors:
 
     def test_help_exits_zero(self, run_betakit):
         assert run_betakit(["--help"]).returncode == 0
-
-    def test_budget_error_maps_to_exit_3(self, monkeypatch, capsys):
-        import betakit.cli as cli_mod
-
-        def boom(*args, **kwargs):
-            raise BudgetExceededError("synthetic budget failure")
-
-        monkeypatch.setattr(cli_mod, "beta_even_quadrature", boom)
-        code = run_cli(["beta", "even", "--k", "1"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "numeric budget exceeded" in captured.err
 
     def test_bound_above_tol_exits_2(self, monkeypatch, capsys):
         from betakit import quadrature
@@ -485,6 +480,115 @@ class TestRunCliInProcess:
         assert r["stderr"].startswith("usage: betakit aux ")
         assert r["stderr"].endswith(
             "error: n!/((2m+1) pi)^(n+1) exceeds the double range at n=219\n")
+
+
+# The CLI contract over argvs drawn from the parser's own options: each
+# subcommand's options with their own types and choices, and half the time
+# one fault in the argv: a value that is none of the option's or lies on its
+# edge, a required option left out, an option of another subcommand or a
+# stray word put in, or the subcommand's last word cut off.  Every size a
+# handler computes with stays small: the guarded ones by a --max-k of at
+# most _MAX_K, --digits, --N and --m by their draws.
+_MAX_K = 6
+_LEAVES = list(_leaves(_build_parser()))
+_OPTIONS = sorted({s for _, p in _LEAVES for a in p._actions for s in a.option_strings
+                   if s.startswith("--") and s != "--help"})
+_ODD = st.sampled_from(["", "x", "1.5", "1e3", "--", "-", "-1", "0", "0x10"])
+_INTS = {"max_k": st.integers(1, _MAX_K), "digits": st.integers(1, 1001),
+         "n_max": st.integers(1, 3000)}
+
+
+def _option_value(action: argparse.Action):
+    # a value of the option's own type or choices, in or out of its range
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return _INTS.get(action.dest, st.integers(1, _MAX_K + 2)).map(str)
+    # --tol
+    return st.floats(1e-15, 1.0).map(repr) | st.sampled_from(["1e-13", "9e-14", "0", "nan"])
+
+
+@st.composite
+def _argvs(draw, words: tuple):
+    actions = [a for a in dict(_LEAVES)[words]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    chosen = [a for a in actions if a.required or draw(st.booleans())]
+    parts = [[a.option_strings[0], *([] if a.nargs == 0 else [draw(_option_value(a))])]
+             for a in chosen]
+    fault = draw(st.sampled_from(["none"] * 4 + ["value", "omit", "extra", "words"]))
+    valued = [part for part in parts if len(part) == 2]
+    if fault == "value" and valued:
+        draw(st.sampled_from(valued))[1] = draw(_ODD)
+    elif fault == "omit" and parts:
+        parts.remove(draw(st.sampled_from(parts)))
+    elif fault == "extra":
+        parts.append([draw(st.sampled_from([*_OPTIONS, "stray"]))])
+    elif fault == "words":
+        words = words[:-1]
+    return [*words, *itertools.chain(*draw(st.permutations(parts)))]
+
+
+class TestCliContract:
+    """Every drawn argv gets an answer, the same bytes twice, or a usage error."""
+
+    CSV_HEADERS = {
+        "beta odd": "coeff,pi_power,decimal,digits",
+        "beta even": "value,abs_error_estimate,n_evals",
+        "euler": "n,kind,value",
+        "bernoulli": "n,kind,value",
+        "verify": "identity_id,instances,passed,first_failure_n",
+        "telescope": "family,k,N,S_N,target",
+        "aux": "label,closed_coeff,closed_pi_power,closed_decimal,numeric_value,"
+               "abs_error_estimate,n_evals,match",
+    }
+
+    def test_every_subcommand_has_a_csv_header(self):
+        assert {" ".join(words) for words, _ in _LEAVES} == set(self.CSV_HEADERS)
+
+    @pytest.mark.parametrize("argv", [
+        "beta odd --k 2", "beta even --k 2 --show-erratum", "euler --n 7 --poly",
+        "bernoulli --n 7 --chi4", "verify --nmax 6", "telescope --family j --k 2 --N 20",
+        pytest.param("aux --family i --k 2 --m 1", marks=pytest.mark.xfail(
+            strict=True, reason="aux writes its label I(k,m) into the CSV unquoted, so "
+                                "a CSV reader splits it at the comma into two fields")),
+    ])
+    def test_csv_rows_have_the_header_width(self, argv):
+        r = _run_captured([*argv.split(), "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(r["stdout"])))
+        assert r["exit"] == 0 and len(rows) > 1
+        assert {len(row) for row in rows} == {len(rows[0])}, rows
+
+    @pytest.mark.parametrize("words", [words for words, _ in _LEAVES], ids=" ".join)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_answer_or_usage_error(self, words, data):
+        argv = data.draw(_argvs(words), label="argv")
+        # run_cli lets no exception but SystemExit out, and catches that
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            os.environ.pop("BETAKIT_DIGITS", None)
+            first = _run_captured(argv)
+            assert _run_captured(argv) == first
+        code, out, err = first["exit"], first["stdout"], first["stderr"]
+        assert code in (0, 1, 2), first
+        if code == 2:
+            # argparse's usage, then one error line, under the subcommand given
+            lines = err.splitlines()
+            assert out == "" and err.endswith("\n"), first
+            assert lines[0].startswith("usage: betakit"), first
+            assert [": error: " in line for line in lines] == [False] * (len(lines) - 1) + [True]
+            leaf = next((" ".join(w) for w, _ in _LEAVES if argv[:len(w)] == list(w)), None)
+            if leaf:
+                assert lines[0].startswith(f"usage: betakit {leaf} "), first
+                assert lines[-1].startswith(f"betakit {leaf}: error: "), first
+        if code == 0:
+            args, _ = _build_parser().parse_known_args(argv)
+            if args.format == "json":
+                assert out.count("\n") == 1 and isinstance(json.loads(out), dict), first
+            elif args.format == "csv":
+                header = self.CSV_HEADERS[args._parser.prog.removeprefix("betakit ")]
+                assert out.startswith(header + "\n") and out.count("\n") > 1, first
+            else:
+                assert out.endswith("\n") and out.strip(), first
 
 
 @pytest.mark.parametrize("argv", [["verify", "--nmax", "40"], ["euler", "--n", "30", "--poly"]])

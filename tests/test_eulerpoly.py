@@ -135,6 +135,13 @@ class TestGeneralizedBernoulliChi4:
         with pytest.raises(ValueError):
             generalized_bernoulli_chi4(0)
 
+    def test_matches_the_suite_kernel_on_fresh_rows(self):
+        # the route reads the Bernoulli integers at 1/4 alone; the suite's
+        # kernel evaluates each row at both quarter points, as defined
+        rows = BernoulliTable()
+        for n in range(1, 302):
+            assert generalized_bernoulli_chi4(n) == F(*eulerpoly._chi4(*rows._row(n), n)), n
+
     def test_matches_quarter_point_values(self, bernoulli_reference):
         polys, _ = bernoulli_reference
         for n in range(1, REFERENCE_N + 1):
@@ -360,12 +367,12 @@ class TestIntegerTables:
         ("from betakit import beta_even_quadrature; beta_even_quadrature(50, 1e-8)", True, "0 0"),
         ("from betakit.cli import run_cli\n"
          "assert run_cli(['beta', 'odd', '--k', '100', '--max-k', '100', '--cross-check']) == 0",
-         True, "0 1"),
-        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False, "0 1"),
+         True, "0 0"),
+        ("from betakit import beta_odd_exact; beta_odd_exact(100)", False, "0 0"),
         ("from betakit import IntegrandSpec, aux_integral_numeric\n"
          "aux_integral_numeric(IntegrandSpec('aux_I', 50, 0), 1e-8)", True, "0 0"),
         ("from betakit import ExtendedFunctionSpec; ExtendedFunctionSpec('f', 50)", True, "0 0"),
-        ("from betakit import correction_term; correction_term(50, 0)", True, "0 1"),
+        ("from betakit import correction_term; correction_term(50, 0)", True, "0 0"),
         ("from betakit import euler_polynomial, bernoulli_polynomial\n"
          "assert euler_polynomial(301).degree == bernoulli_polynomial(302).degree - 1",
          False, "1 1"),
@@ -374,11 +381,10 @@ class TestIntegerTables:
     def test_number_paths_build_no_euler_row(self, call, reads_numbers, rows):
         # a fresh process, so no earlier test has grown the module's tables:
         # each call reads the tables' integer sequences (E_n from the secant
-        # triangle alone where it reads numbers) and builds no Euler row;
-        # only euler_polynomial and bernoulli_polynomial build a row, the one
-        # they return, and B_{n,chi4} (beta_odd_exact and correction_term
-        # read it) Bernoulli row n alone.  rows counts the calls to each
-        # table's _row
+        # triangle alone where it reads numbers) and builds no row, B_{n,chi4}
+        # (beta_odd_exact and correction_term read it) included; only
+        # euler_polynomial and bernoulli_polynomial build a row, the one they
+        # return.  rows counts the calls to each table's _row
         script = ("from betakit import eulerpoly\nbuilt = []\n"
                   "for cls in (eulerpoly.EulerTable, eulerpoly.BernoulliTable):\n"
                   "    cls._row = lambda self, n, real=cls._row:"
@@ -758,25 +764,28 @@ class TestSequenceCorruption:
         assert run_cli(["beta", "odd", "--k", str(k), "--cross-check"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
-    def test_chi4_kernel_feeds_both_routes_and_the_suite(self, tables, monkeypatch):
-        # beta_odd_exact and the suite read B_{n,chi4} from one kernel: with
-        # its leading term dropped, the two beta(2k+1) routes disagree, and
-        # 1.6 and bridge_chi4 fail while every other family holds
+    def test_suite_chi4_is_apart_from_the_route(self, tables, monkeypatch):
+        # only the suite evaluates rows at both quarter points: with that
+        # kernel's leading term dropped, 1.6 and bridge_chi4 fail while every
+        # other family holds, and both beta(2k+1) routes, which read the
+        # Bernoulli integers at 1/4 alone, still agree
         real = eulerpoly._chi4
         monkeypatch.setattr(eulerpoly, "_chi4", lambda den, nums, n: real(den, nums[:-1], n))
-        assert all(beta_odd_exact(k) != beta_odd_exact_via_euler(k) for k in range(1, 7))
+        assert all(beta_odd_exact(k) == beta_odd_exact_via_euler(k) for k in range(7))
         failing = {r.identity_id for r in run_identity_suite(12).results if not r.passed}
         assert failing == {"1.6", "bridge_chi4"}
 
     @pytest.mark.parametrize("j", [2, 3, 6])
     def test_bernoulli_integer_fails_routes_and_chi4(self, tables, j):
-        # D B_j enters B_{n,chi4} with the factor 1 - 3^(n-j), so every n > j
+        # D B_j enters the route's B_{n,chi4} with the factor C(n, j) 4^j, so
+        # every odd n >= j; the suite's rows at both quarter points give it
+        # the factor 1 - 3^(n-j), so 1.6 and bridge_chi4 first fail above j
         et, bt = tables
         den, b = bt.scaled_numbers(14)
         b[j] += den
         for k in range(7):
             differ = beta_odd_exact(k) != beta_odd_exact_via_euler(k)
-            assert differ == (2 * k + 1 > j), k
+            assert differ == (2 * k + 1 >= j), k
         report = run_identity_suite(12, euler=et, bernoulli=bt).to_json()
         assert report == polynomial_identity_suite(12, et, bt)
         first = {r["identity_id"]: r["first_failure"] for r in report["identities"]}
